@@ -5,7 +5,8 @@ package campaignd
 //
 //	spec            the submitted scenario bytes, verbatim
 //	state.json      the job's metadata and state (atomic replace)
-//	checkpoint.json core's crash-safe sweep checkpoint (atomic replace)
+//	checkpoint.json core's crash-safe sweep checkpoint (one appended line
+//	                per committed point)
 //	events.ndjson   the point-event log, one JSON line per committed
 //	                point, fsynced before any watcher sees the event
 //	report.txt      the final rendering, written once on completion
@@ -108,7 +109,9 @@ type EndEvent struct {
 	Quarantined      []int  `json:"quarantined,omitempty"`
 }
 
-// job is the server-side state of one campaign.
+// job is the server-side state of one campaign. spec, compiled and seen
+// serve only a job that can still run; a terminal transition releases
+// them, and a finished job serves info, events and report alone.
 type job struct {
 	id  string
 	dir string
@@ -162,15 +165,25 @@ func (j *job) bump() {
 	j.update = make(chan struct{})
 }
 
-// setState transitions the job and persists state.json. Call without
-// j.mu held.
+// setState transitions the job and persists state.json. A transition
+// into a terminal state releases the grid: nothing reads it again on
+// this server instance. Call without j.mu held.
 func (j *job) setState(mutate func(*JobInfo)) error {
 	j.mu.Lock()
 	mutate(&j.info)
+	if terminalState(j.info.State) {
+		j.releaseLocked()
+	}
 	info := j.info
 	j.bump()
 	j.mu.Unlock()
 	return writeJSONAtomic(j.statePath(), info)
+}
+
+// releaseLocked drops what only a runnable job needs: its spec, its
+// compiled grid and the log's point index. Caller holds j.mu.
+func (j *job) releaseLocked() {
+	j.spec, j.compiled, j.seen = nil, nil, nil
 }
 
 // endEventLocked builds the stream-terminating event for a terminal
@@ -203,6 +216,9 @@ func (j *job) endEventLocked() json.RawMessage {
 func (j *job) commitPoint(p int, res core.CampaignResult) (appended bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if terminalState(j.info.State) {
+		return false, fmt.Errorf("job %s is %s: point %d cannot commit", j.id, j.info.State, p)
+	}
 	if j.seen[p] {
 		return false, nil
 	}
@@ -258,11 +274,12 @@ func (j *job) closeEventLog() {
 	}
 }
 
-// loadJob restores a job from its directory. Jobs in a non-terminal (or
-// interrupted) state re-parse and re-compile their spec — both are
-// deterministic — so the returned job is ready to resume from its
-// checkpoint; a spec that no longer parses (a hand-edited directory)
-// surfaces as a failed job rather than a crashed server.
+// loadJob restores a job from its directory. Every job's spec re-parses
+// and re-compiles — both are deterministic — so a spec that no longer
+// loads (a hand-edited directory) surfaces as a failed job rather than a
+// crashed server. A job in a non-terminal (or interrupted) state keeps
+// the compiled grid and is ready to resume from its checkpoint; a done
+// or failed job keeps only what it serves.
 func loadJob(dir string) (*job, error) {
 	var info JobInfo
 	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
@@ -295,6 +312,7 @@ func loadJob(dir string) (*job, error) {
 	if perr != nil {
 		j.info.State = StateFailed
 		j.info.Error = fmt.Sprintf("stored spec no longer loads: %v", perr)
+		j.releaseLocked() // not yet shared: no lock needed
 		return j, writeJSONAtomic(j.statePath(), j.info)
 	}
 	if j.info.State == StateDone {
@@ -304,6 +322,9 @@ func loadJob(dir string) (*job, error) {
 			j.report = nil
 			j.info.State = StateInterrupted
 		}
+	}
+	if j.info.State == StateDone || j.info.State == StateFailed {
+		j.releaseLocked()
 	}
 	return j, nil
 }
@@ -348,7 +369,7 @@ func splitLines(data []byte) [][]byte {
 }
 
 // writeJSONAtomic marshals v and atomically replaces path (temp file +
-// rename, the same discipline as core's checkpoint writer).
+// rename, as the first flush of core's checkpoint writer does).
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -1,17 +1,33 @@
 package core
 
 // Crash-safe sweep checkpointing. A checkpoint file holds the committed
-// per-point results of an interrupted sweep: every time a point finishes
+// per-point results of an interrupted sweep. Every time a point finishes
 // (the onPointDone hook, which fires exactly once per completed point, in
-// commit order, and never for points cut short by cancellation), the full
-// set of completed results is re-serialized and atomically swapped into
-// place via a temp file + rename. Resuming validates a fingerprint of the
-// sweep configuration, restores the completed points verbatim, and runs
-// only the remainder. Because each point's result depends solely on its
-// own scenario and seed (workers share nothing across points but the
-// pool), the merged output is bit-identical to an uninterrupted run.
+// commit order, and never for points cut short by cancellation), one
+// line recording it is appended to the file, so committing a point costs
+// the same whatever the sweep's size. Resuming validates a fingerprint of
+// the sweep configuration, restores the completed points verbatim, and
+// runs only the remainder. Because each point's result depends solely on
+// its own scenario and seed (workers share nothing across points but the
+// pool), entries are independent of each other and the merged output is
+// bit-identical to an uninterrupted run.
+//
+// Format 2 is line-oriented:
+//
+//	{"version":2,"fingerprint":F,"points":N}
+//	{"point":i,"result":{...}}     one line per committed point
+//
+// A writer's first flush atomically replaces the file (temp file +
+// rename) with the header, the entries it restored and the new one; that
+// drops a torn tail and upgrades a version-1 file. Every later flush
+// appends one line. A crash mid-append can leave only a final line
+// without its newline, which the loader drops (its point re-runs) — the
+// same rule as campaignd's events.ndjson. A complete line that does not
+// decode is corruption and is rejected. Version-1 files (one JSON object
+// holding a "done" array, only ever replaced atomically) still load.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -21,16 +37,17 @@ import (
 	"sync"
 )
 
-// checkpointVersion guards the on-disk schema.
-const checkpointVersion = 1
+// checkpointVersion is the on-disk format the writer produces; the
+// loader also reads version 1.
+const checkpointVersion = 2
 
-// checkpointFile is the on-disk schema: the sweep fingerprint plus the
-// completed points' results, sorted by point index.
-type checkpointFile struct {
+// checkpointHeader is a file's first line. A version-1 file is a single
+// line that also carries every entry in Done.
+type checkpointHeader struct {
 	Version     int               `json:"version"`
 	Fingerprint uint64            `json:"fingerprint"`
 	Points      int               `json:"points"`
-	Done        []checkpointEntry `json:"done"`
+	Done        []checkpointEntry `json:"done,omitempty"`
 }
 
 type checkpointEntry struct {
@@ -42,7 +59,7 @@ type checkpointEntry struct {
 // checkpointing. With an empty path it is RunSweepPoints exactly. With a
 // path, completed points already recorded in the file are restored
 // without re-simulation, the remaining points run as a sub-sweep whose
-// completions are flushed atomically as they commit, and the merged
+// completions are made durable as they commit, and the merged
 // results are bit-identical to an uninterrupted RunSweepPoints over the
 // same points (per-point results never depend on other points). The
 // returned SweepStats covers only the work this call performed; restored
@@ -85,7 +102,7 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 			}
 		}
 	}
-	w := &checkpointWriter{path: path, fp: fp, points: len(points), done: done}
+	w := &checkpointWriter{path: path, fp: fp, points: len(points), restored: done}
 	var remaining []SweepPoint
 	var remapped []int // remapped[subIdx] = original point index
 	restoredCopies := 0
@@ -168,7 +185,10 @@ func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
 // fields (SuccessCheck, NewGuard, Chooser) are code and cannot be hashed.
 func sweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v%d n=%d adaptive=%v|", checkpointVersion, len(points), ad)
+	// The "v1" tag is frozen: campaignd's job ids and the worker fleet's
+	// fingerprint checks key on this hash, and the checkpoint format is
+	// versioned by its header instead.
+	fmt.Fprintf(h, "v1 n=%d adaptive=%v|", len(points), ad)
 	for _, p := range points {
 		hashPoint(h, p)
 	}
@@ -207,38 +227,89 @@ func loadCheckpoint(path string, fp uint64, npoints int) (map[int]CampaignResult
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("core: checkpoint %s: corrupt: %w", path, err)
-	}
-	if f.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint %s: version %d, want %d", path, f.Version, checkpointVersion)
-	}
-	if f.Fingerprint != fp || f.Points != npoints {
-		return nil, fmt.Errorf("core: checkpoint %s: written for a different sweep configuration (delete it to start over)", path)
-	}
-	done := make(map[int]CampaignResult, len(f.Done))
-	for _, e := range f.Done {
-		if e.Point < 0 || e.Point >= npoints {
-			return nil, fmt.Errorf("core: checkpoint %s: point %d out of range [0, %d)", path, e.Point, npoints)
-		}
-		done[e.Point] = e.Result
+	done, err := parseCheckpoint(data, fp, npoints)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
 	}
 	return done, nil
 }
 
-// checkpointWriter serializes completed points to disk. flush is called
-// from onPointDone under a point's fold lock; the writer's own mutex
-// orders concurrent completions of different points. Write errors are
-// sticky — the first one is reported once the sweep drains.
+// parseCheckpoint decodes a version-1 or version-2 checkpoint (see the
+// file comment for both layouts) written for the sweep with fingerprint
+// fp over npoints points. Entries for the same point overwrite each
+// other in file order.
+func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResult, error) {
+	first, rest, complete := bytes.Cut(data, []byte{'\n'})
+	var h checkpointHeader
+	if err := json.Unmarshal(first, &h); err != nil {
+		return nil, fmt.Errorf("corrupt: %w", err)
+	}
+	var entries []checkpointEntry
+	switch h.Version {
+	case 1:
+		if len(bytes.TrimSpace(rest)) > 0 {
+			return nil, fmt.Errorf("corrupt: data after the version-1 object")
+		}
+		entries, rest = h.Done, nil
+	case checkpointVersion:
+		if !complete || h.Done != nil {
+			return nil, fmt.Errorf("corrupt: malformed version-%d header", checkpointVersion)
+		}
+	default:
+		return nil, fmt.Errorf("version %d, want %d or 1", h.Version, checkpointVersion)
+	}
+	if h.Fingerprint != fp || h.Points != npoints {
+		return nil, fmt.Errorf("written for a different sweep configuration (delete it to start over)")
+	}
+	done := make(map[int]CampaignResult, len(entries))
+	add := func(e checkpointEntry) error {
+		if e.Point < 0 || e.Point >= npoints {
+			return fmt.Errorf("point %d out of range [0, %d)", e.Point, npoints)
+		}
+		done[e.Point] = e.Result
+		return nil
+	}
+	for _, e := range entries {
+		if err := add(e); err != nil {
+			return nil, err
+		}
+	}
+	// Version 2: every newline-terminated line after the header is an
+	// entry; a final fragment without its newline is a torn append.
+	for line := 2; len(rest) > 0; line++ {
+		var text []byte
+		if text, rest, complete = bytes.Cut(rest, []byte{'\n'}); !complete {
+			break
+		}
+		var e struct {
+			Point  *int            `json:"point"`
+			Result *CampaignResult `json:"result"`
+		}
+		if err := json.Unmarshal(text, &e); err != nil || e.Point == nil || e.Result == nil {
+			return nil, fmt.Errorf("corrupt: line %d is not a checkpoint entry", line)
+		}
+		if err := add(checkpointEntry{Point: *e.Point, Result: *e.Result}); err != nil {
+			return nil, err
+		}
+	}
+	return done, nil
+}
+
+// checkpointWriter makes completed points durable. flush is called from
+// onPointDone under a point's fold lock; the writer's own mutex orders
+// concurrent completions of different points. Write errors are sticky —
+// the first one is reported once the sweep drains.
 type checkpointWriter struct {
 	path   string
 	fp     uint64
 	points int
 
-	mu   sync.Mutex
-	done map[int]CampaignResult
-	err  error
+	mu sync.Mutex
+	// restored holds the entries loaded from the file until the first
+	// flush rewrites them; nil from then on, when flushes only append.
+	restored  map[int]CampaignResult
+	appending bool
+	err       error
 }
 
 func (w *checkpointWriter) flush(point int, res CampaignResult) {
@@ -247,32 +318,69 @@ func (w *checkpointWriter) flush(point int, res CampaignResult) {
 	if w.err != nil {
 		return
 	}
-	w.done[point] = res
-	entries := make([]checkpointEntry, 0, len(w.done))
-	for p, r := range w.done {
-		entries = append(entries, checkpointEntry{Point: p, Result: r})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Point < entries[j].Point })
-	data, err := json.Marshal(checkpointFile{
-		Version:     checkpointVersion,
-		Fingerprint: w.fp,
-		Points:      w.points,
-		Done:        entries,
-	})
+	entry, err := appendEntry(nil, point, res)
 	if err != nil {
 		w.err = err
 		return
 	}
+	if w.appending {
+		w.err = appendFile(w.path, entry)
+		return
+	}
+	data, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Fingerprint: w.fp, Points: w.points})
+	if err != nil {
+		w.err = err
+		return
+	}
+	data = append(data, '\n')
+	idx := make([]int, 0, len(w.restored))
+	for p := range w.restored {
+		if p != point {
+			idx = append(idx, p)
+		}
+	}
+	sort.Ints(idx)
+	for _, p := range idx {
+		if data, err = appendEntry(data, p, w.restored[p]); err != nil {
+			w.err = err
+			return
+		}
+	}
 	// Atomic replace: a crash mid-write leaves either the previous
-	// checkpoint or the new one, never a torn file.
+	// checkpoint or the new one, never a torn header.
 	tmp := w.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, append(data, entry...), 0o644); err != nil {
 		w.err = err
 		return
 	}
 	if err := os.Rename(tmp, w.path); err != nil {
 		w.err = err
+		return
 	}
+	w.restored = nil
+	w.appending = true
+}
+
+// appendEntry appends one newline-terminated entry line to buf.
+func appendEntry(buf []byte, point int, res CampaignResult) ([]byte, error) {
+	line, err := json.Marshal(checkpointEntry{Point: point, Result: res})
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, line...), '\n'), nil
+}
+
+// appendFile writes line to the end of an existing file in one write.
+func appendFile(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (w *checkpointWriter) firstErr() error {
@@ -286,10 +394,10 @@ func (w *checkpointWriter) firstErr() error {
 // commits points as lease results arrive instead of through a single
 // in-process sweep. OpenCheckpoint validates the file against the sweep
 // configuration exactly as RunSweepPointsCheckpoint would, and Flush
-// makes one more completed point durable with the same atomic-replace
-// discipline, so a file written through a CheckpointStore and one
-// written by RunSweepPointsCheckpoint over the same points are
-// interchangeable: either runner resumes from either file.
+// makes one more completed point durable through the same writer, so a
+// file written through a CheckpointStore and one written by
+// RunSweepPointsCheckpoint over the same points are interchangeable:
+// either runner resumes from either file.
 type CheckpointStore struct {
 	w        *checkpointWriter
 	restored map[int]CampaignResult
@@ -308,25 +416,21 @@ func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*Checkpo
 	if err != nil {
 		return nil, err
 	}
-	restored := make(map[int]CampaignResult, len(done))
-	for i, r := range done {
-		restored[i] = r
-	}
 	return &CheckpointStore{
-		w:        &checkpointWriter{path: path, fp: fp, points: len(points), done: done},
-		restored: restored,
+		w:        &checkpointWriter{path: path, fp: fp, points: len(points), restored: done},
+		restored: done,
 	}, nil
 }
 
 // Restored returns the completions the file held when opened, keyed by
-// point index. The caller owns the map; it is a copy, unaffected by
-// later Flush calls.
+// point index. Flush never modifies the map; callers must not either.
 func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
 
-// Flush records one completed point and atomically rewrites the file.
-// It returns the store's first write error (sticky, as in the
-// checkpointed sweep runner: a checkpoint that cannot be written means
-// the crash-safety the caller asked for is gone).
+// Flush makes one completed point durable: the first call atomically
+// rewrites the file, later calls append one line. It returns the
+// store's first write error (sticky, as in the checkpointed sweep
+// runner: a checkpoint that cannot be written means the crash-safety the
+// caller asked for is gone).
 func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
 	if point < 0 || point >= c.w.points {
 		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.w.points)
