@@ -11,14 +11,18 @@ package campaignd
 //	                point, fsynced before any watcher sees the event
 //	report.txt      the final rendering, written once on completion
 //
-// Everything a restarted server needs is in that directory: the spec
-// re-parses and re-compiles deterministically, the checkpoint restores
+// The files are the only copy: streams read events.ndjson and report
+// requests read report.txt, so memory holds only the work in progress.
+// Everything a restarted server needs is in that directory: a finished
+// job restores from state.json alone, an unfinished one re-parses and
+// re-compiles its spec deterministically, the checkpoint restores
 // completed points bit-identically, and the event log preserves the
 // stream offsets watchers hold — a client reconnecting across a kill -9
 // with `Last-Point: k` receives exactly the events it has not seen,
 // because an event is appended and fsynced before it is broadcast.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -111,7 +115,9 @@ type EndEvent struct {
 
 // job is the server-side state of one campaign. spec, compiled and seen
 // serve only a job that can still run; a terminal transition releases
-// them, and a finished job serves info, events and report alone.
+// them, and a finished job holds its info alone — its events and report
+// are read from its directory. info.Committed counts the complete lines
+// of events.ndjson that streams may read.
 type job struct {
 	id  string
 	dir string
@@ -120,11 +126,9 @@ type job struct {
 	info     JobInfo
 	spec     *scenario.Spec
 	compiled *scenario.Compiled
-	events   []json.RawMessage // encoded PointEvents, log order
-	seen     map[int]bool      // point index -> already in the log
-	update   chan struct{}     // closed and replaced on every change
-	report   []byte            // final rendering, once done
-	elog     *os.File          // events.ndjson append handle while running
+	seen     map[int]bool  // point index -> already in the log
+	update   chan struct{} // closed and replaced on every change
+	elog     *os.File      // events.ndjson append handle while running
 }
 
 func newJob(id, dir string, spec *scenario.Spec, compiled *scenario.Compiled, filename, submittedAt string) *job {
@@ -210,9 +214,11 @@ func (j *job) endEventLocked() json.RawMessage {
 }
 
 // commitPoint appends one committed point to the event log: durable
-// first (append + fsync), visible second (broadcast). Replayed
-// completions of points already in the log — checkpoint-restored points
-// on resume — are skipped, so the log holds every point exactly once.
+// first (append + fsync), visible second (Committed grows, broadcast).
+// Replayed completions of points already in the log — checkpoint-restored
+// points on resume — are skipped, so the log holds every point exactly
+// once. A failed append closes the log: a later line must never land
+// after a partial one.
 func (j *job) commitPoint(p int, res core.CampaignResult) (appended bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -222,10 +228,12 @@ func (j *job) commitPoint(p int, res core.CampaignResult) (appended bool, err er
 	if j.seen[p] {
 		return false, nil
 	}
-	j.seen[p] = true
+	if j.elog == nil {
+		return false, fmt.Errorf("job %s: event log is not open", j.id)
+	}
 	ev := PointEvent{
 		Type:         "point",
-		Seq:          len(j.events),
+		Seq:          j.info.Committed,
 		Point:        p,
 		Label:        j.compiled.Meta[p].Label,
 		Rounds:       res.Rounds,
@@ -238,16 +246,17 @@ func (j *job) commitPoint(p int, res core.CampaignResult) (appended bool, err er
 	if merr != nil {
 		return false, merr
 	}
-	if j.elog != nil {
-		if _, werr := j.elog.Write(append(line, '\n')); werr != nil {
-			return false, werr
-		}
-		if serr := j.elog.Sync(); serr != nil {
-			return false, serr
-		}
+	_, err = j.elog.Write(append(line, '\n'))
+	if err == nil {
+		err = j.elog.Sync()
 	}
-	j.events = append(j.events, line)
-	j.info.Committed = len(j.events)
+	if err != nil {
+		j.elog.Close()
+		j.elog = nil
+		return false, err
+	}
+	j.seen[p] = true
+	j.info.Committed++
 	j.bump()
 	return true, nil
 }
@@ -274,12 +283,13 @@ func (j *job) closeEventLog() {
 	}
 }
 
-// loadJob restores a job from its directory. Every job's spec re-parses
-// and re-compiles — both are deterministic — so a spec that no longer
+// loadJob restores a job from its directory. A done job whose report
+// exists, and a failed job, are their files: state.json restores the
+// info, and nothing is parsed, compiled or replayed. Any other job is
+// made ready to resume: its spec re-parses and re-compiles — both are
+// deterministic — and its event log is recounted. A spec that no longer
 // loads (a hand-edited directory) surfaces as a failed job rather than a
-// crashed server. A job in a non-terminal (or interrupted) state keeps
-// the compiled grid and is ready to resume from its checkpoint; a done
-// or failed job keeps only what it serves.
+// crashed server.
 func loadJob(dir string) (*job, error) {
 	var info JobInfo
 	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
@@ -294,11 +304,18 @@ func loadJob(dir string) (*job, error) {
 		id:     info.ID,
 		dir:    dir,
 		info:   info,
-		seen:   make(map[int]bool),
 		update: make(chan struct{}),
 	}
-	if err := j.loadEventLog(); err != nil {
-		return nil, err
+	switch info.State {
+	case StateFailed:
+		return j, nil
+	case StateDone:
+		if _, err := os.Stat(j.reportPath()); err == nil {
+			return j, nil
+		}
+		// The state said done but the report is gone: re-run from the
+		// checkpoint (every point restores; only the rendering redoes).
+		j.info.State = StateInterrupted
 	}
 	specData, err := os.ReadFile(j.specPath())
 	if err != nil {
@@ -315,24 +332,22 @@ func loadJob(dir string) (*job, error) {
 		j.releaseLocked() // not yet shared: no lock needed
 		return j, writeJSONAtomic(j.statePath(), j.info)
 	}
-	if j.info.State == StateDone {
-		if j.report, err = os.ReadFile(j.reportPath()); err != nil {
-			// The state said done but the report is gone: re-run from the
-			// checkpoint (every point restores; only the rendering redoes).
-			j.report = nil
-			j.info.State = StateInterrupted
-		}
-	}
-	if j.info.State == StateDone || j.info.State == StateFailed {
-		j.releaseLocked()
+	j.seen = make(map[int]bool)
+	if err := j.loadEventLog(len(j.compiled.Points)); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
 
-// loadEventLog replays events.ndjson into the in-memory log. A torn
-// final line (kill -9 between write and sync) is dropped; its point is
-// still in the checkpoint, so the resumed run re-emits it.
-func (j *job) loadEventLog() error {
+// loadEventLog recounts a resumable job's events.ndjson. The log is its
+// leading run of complete point lines, each with its own position as
+// seq and a distinct point index below points. Anything after that run
+// — a torn final line from a kill -9 between write and fsync, or a line
+// corrupted on disk — is truncated away, so the resumed run's first
+// append starts on a line boundary instead of gluing onto a fragment.
+// Points cut off are still in the checkpoint and re-emit from it.
+func (j *job) loadEventLog(points int) error {
+	j.info.Committed = 0
 	data, err := os.ReadFile(j.eventsPath())
 	if os.IsNotExist(err) {
 		return nil
@@ -340,32 +355,26 @@ func (j *job) loadEventLog() error {
 	if err != nil {
 		return err
 	}
-	for _, line := range splitLines(data) {
+	n, size := 0, 0
+	for {
+		end := bytes.IndexByte(data[size:], '\n')
+		if end < 0 {
+			break
+		}
 		var ev PointEvent
-		if json.Unmarshal(line, &ev) != nil || ev.Type != "point" {
-			break // torn tail: everything after it re-emits from the checkpoint
+		if json.Unmarshal(data[size:size+end], &ev) != nil || ev.Type != "point" ||
+			ev.Seq != n || ev.Point < 0 || ev.Point >= points || j.seen[ev.Point] {
+			break
 		}
-		j.events = append(j.events, json.RawMessage(line))
 		j.seen[ev.Point] = true
+		n++
+		size += end + 1
 	}
-	j.info.Committed = len(j.events)
+	j.info.Committed = n
+	if size < len(data) {
+		return os.Truncate(j.eventsPath(), int64(size))
+	}
 	return nil
-}
-
-// splitLines splits complete newline-terminated lines; a trailing
-// fragment without its newline is excluded (torn by a crash mid-append).
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			if i > start {
-				lines = append(lines, data[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return lines
 }
 
 // writeJSONAtomic marshals v and atomically replaces path (temp file +

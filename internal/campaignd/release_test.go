@@ -2,8 +2,9 @@ package campaignd
 
 // A finished job keeps only what it serves. These tests pin that every
 // terminal transition — and a restart over a data directory of finished
-// jobs — drops the job's spec, compiled grid and point index, while the
-// cache hit, the event replay and the report stay byte-identical.
+// jobs, even one whose spec file is gone — drops the job's spec, compiled
+// grid and point index, while the cache hit, the event replay and the
+// report, all read from the job's files, stay byte-identical.
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"testing"
 
 	"tocttou/internal/core"
@@ -121,25 +123,55 @@ func TestFinishedJobReleasesGrid(t *testing.T) {
 }
 
 func TestRestartServesDoneJobsWithoutGrids(t *testing.T) {
-	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, dir)
-	info, err := testClient(ts1.URL).Submit("svc-small.yaml", []byte(smallSpec))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if end, err := testClient(ts1.URL).Watch(context.Background(), info.ID, nil); err != nil || end.State != StateDone {
-		t.Fatalf("watch: end %+v, err %v", end, err)
-	}
-	s1.Drain()
+	for _, dropSpec := range []bool{false, true} {
+		name := "with-spec"
+		if dropSpec {
+			name = "spec-deleted"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newTestServer(t, dir)
+			info, err := testClient(ts1.URL).Submit("svc-small.yaml", []byte(smallSpec))
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			if end, err := testClient(ts1.URL).Watch(context.Background(), info.ID, nil); err != nil || end.State != StateDone {
+				t.Fatalf("watch: end %+v, err %v", end, err)
+			}
+			// Every resumable offset's replay, as the server that ran the
+			// job serves it.
+			replays := make([]string, info.Points+1)
+			for k := range replays {
+				replays[k] = string(httpBody(t, ts1.URL+"/v1/campaigns/"+info.ID+"/events", strconv.Itoa(k)))
+			}
+			report := string(httpBody(t, ts1.URL+"/v1/campaigns/"+info.ID+"/report", ""))
+			s1.Drain()
+			if dropSpec {
+				// A finished job is its state, event log and report: a
+				// restart must not need the spec it ran.
+				if err := os.Remove(s1.lookup(info.ID).specPath()); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	s2, ts2 := newTestServer(t, dir)
-	j := s2.lookup(info.ID)
-	if j == nil {
-		t.Fatalf("restarted server lost job %s", info.ID)
+			s2, ts2 := newTestServer(t, dir)
+			j := s2.lookup(info.ID)
+			if j == nil {
+				t.Fatalf("restarted server lost job %s", info.ID)
+			}
+			if st := j.snapshot().State; st != StateDone {
+				t.Fatalf("restored state = %q, want done", st)
+			}
+			checkReleased(t, "restored", j)
+			checkServesFinished(t, "restored", ts2.URL, j)
+			for k, want := range replays {
+				if got := string(httpBody(t, ts2.URL+"/v1/campaigns/"+info.ID+"/events", strconv.Itoa(k))); got != want {
+					t.Errorf("Last-Point: %d replay changed across the restart:\ngot:\n%s\nwant:\n%s", k, got, want)
+				}
+			}
+			if got := string(httpBody(t, ts2.URL+"/v1/campaigns/"+info.ID+"/report", "")); got != report {
+				t.Errorf("report changed across the restart")
+			}
+		})
 	}
-	if st := j.snapshot().State; st != StateDone {
-		t.Fatalf("restored state = %q, want done", st)
-	}
-	checkReleased(t, "restored", j)
-	checkServesFinished(t, "restored", ts2.URL, j)
 }

@@ -31,6 +31,7 @@ package campaignd
 //	                                     hits
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -417,9 +418,6 @@ func (s *Server) finishDone(j *job, results []core.CampaignResult, stats core.Sw
 	if aerr := out.CheckAssertions(); aerr != nil {
 		assertion = aerr.Error()
 	}
-	j.mu.Lock()
-	j.report = report
-	j.mu.Unlock()
 	s.settle(j, func(info *JobInfo) {
 		info.State = StateDone
 		info.Memoized = stats.PointsMemoized
@@ -486,7 +484,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // terminal state, which is sent as the final "end" line. The offset is
 // the number of events the client already holds (Last-Point header or
 // ?last=N); replaying from it can neither duplicate nor drop events
-// because the log is append-only and fsynced before broadcast.
+// because the log is append-only and fsynced before broadcast. Lines are
+// read from events.ndjson itself, never past info.Committed: a line
+// beyond it may be an append still in flight.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -509,25 +509,37 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	var events *bufio.Reader // the event log, positioned at line offset
 	for {
 		j.mu.Lock()
-		var pendingEvents []json.RawMessage
-		if offset < len(j.events) {
-			pendingEvents = append(pendingEvents, j.events[offset:]...)
-		}
-		state := j.info.State
+		committed := j.info.Committed
 		var end json.RawMessage
-		if terminalState(state) {
+		if terminalState(j.info.State) {
 			end = j.endEventLocked()
 		}
 		ch := j.update
 		j.mu.Unlock()
 
-		for _, ev := range pendingEvents {
-			if _, err := fmt.Fprintf(w, "%s\n", ev); err != nil {
+		if offset < committed {
+			if events == nil {
+				f, err := os.Open(j.eventsPath())
+				if err == nil {
+					defer f.Close()
+					events = bufio.NewReader(f)
+					err = copyLines(io.Discard, events, offset)
+				}
+				if err != nil {
+					s.cfg.Logf("campaignd: job %s: streaming events: %v", j.id, err)
+					return
+				}
+			}
+			if err := copyLines(w, events, committed-offset); err != nil {
+				if err != errClientGone {
+					s.cfg.Logf("campaignd: job %s: streaming events: %v", j.id, err)
+				}
 				return
 			}
-			offset++
+			offset = committed
 		}
 		if end != nil {
 			fmt.Fprintf(w, "%s\n", end)
@@ -544,25 +556,49 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// errClientGone reports a failed write to a stream's client.
+var errClientGone = errors.New("stream client gone")
+
+// copyLines copies the next n newline-terminated lines from r to w. A
+// line cut short by the end of the file is an error, never copied.
+func copyLines(w io.Writer, r *bufio.Reader, n int) error {
+	for ; n > 0; n-- {
+		for {
+			chunk, err := r.ReadSlice('\n')
+			if err != nil && err != bufio.ErrBufferFull {
+				return err
+			}
+			if _, werr := w.Write(chunk); werr != nil {
+				return errClientGone
+			}
+			if err == nil {
+				break
+			}
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
 		http.Error(w, "unknown campaign", http.StatusNotFound)
 		return
 	}
-	j.mu.Lock()
-	state := j.info.State
-	jerr := j.info.Error
-	report := j.report
-	j.mu.Unlock()
-	switch state {
+	info := j.snapshot()
+	switch info.State {
 	case StateDone:
+		report, err := os.ReadFile(j.reportPath())
+		if err != nil {
+			http.Error(w, fmt.Sprintf("reading report: %v", err), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(report)
 	case StateFailed:
-		http.Error(w, fmt.Sprintf("campaign failed: %s", jerr), http.StatusConflict)
+		http.Error(w, fmt.Sprintf("campaign failed: %s", info.Error), http.StatusConflict)
 	default:
-		http.Error(w, fmt.Sprintf("campaign is %s; no report yet", state), http.StatusConflict)
+		http.Error(w, fmt.Sprintf("campaign is %s; no report yet", info.State), http.StatusConflict)
 	}
 }
 

@@ -8,8 +8,10 @@ package campaignd
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -416,6 +418,59 @@ func TestTornEventLogRecovers(t *testing.T) {
 	}
 	if want := localReport(t, "svc-small.yaml", smallSpec); string(got) != want {
 		t.Errorf("report after torn-log recovery diverged from the local run")
+	}
+}
+
+// TestTornEventLogSurvivesSecondRestart pins that recovering a torn log
+// repairs the file, not just the stream: the resumed run's re-emitted
+// point must start on a fresh line, so a second restart still restores
+// every event of the finished job and every line of the log parses.
+func TestTornEventLogSurvivesSecondRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, dir)
+	info, err := testClient(ts1.URL).Submit("svc-small.yaml", []byte(smallSpec))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := testClient(ts1.URL).Watch(context.Background(), info.ID, nil); err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	s1.Drain()
+	tearEventLog(t, s1.lookup(info.ID))
+
+	s2, ts2 := newTestServer(t, dir)
+	if end, err := testClient(ts2.URL).Watch(context.Background(), info.ID, nil); err != nil || end.State != StateDone {
+		t.Fatalf("watch resumed job: end %+v, err %v", end, err)
+	}
+	s2.Drain()
+	data, err := os.ReadFile(s2.lookup(info.ID).eventsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if last := lines[len(lines)-1]; last != "" {
+		t.Fatalf("event log ends without a newline: %q", last)
+	}
+	lines = lines[:len(lines)-1]
+	for i, line := range lines {
+		var ev PointEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Type != "point" || ev.Seq != i {
+			t.Errorf("event log line %d is not point event %d (err %v): %q", i, i, err, line)
+		}
+	}
+	if len(lines) != 3 {
+		t.Errorf("event log holds %d lines, want 3", len(lines))
+	}
+
+	_, ts3 := newTestServer(t, dir)
+	var events []PointEvent
+	end, err := testClient(ts3.URL).Watch(context.Background(), info.ID, func(ev PointEvent) { events = append(events, ev) })
+	if err != nil || end.State != StateDone {
+		t.Fatalf("watch after second restart: end %+v, err %v", end, err)
+	}
+	checkEventLog(t, "second restart", events, 3)
+	if end.Committed != 3 {
+		t.Errorf("end.committed = %d after second restart, want 3", end.Committed)
 	}
 }
 

@@ -228,6 +228,27 @@ type roundState struct {
 	// (see fork.go). It survives across rounds and is rebuilt whenever the
 	// scenario's prefix signature changes.
 	prefix prefixState
+	// inj is the context's fault injector, re-armed in place each round
+	// that has a fault plan.
+	inj fault.Injector
+}
+
+// injector arms the round's fault injector for plan p: the context's own,
+// reset in place, or a fresh one on the RunRound path (nil context).
+func (st *roundState) injector(p fault.Plan, seed int64) *fault.Injector {
+	if st == nil {
+		return p.NewInjector(seed)
+	}
+	st.inj.Reset(p, seed)
+	return &st.inj
+}
+
+// release lets go of the context's forked kernel: Drain makes its parked
+// thread shells exit, so nothing outlives the context but garbage.
+func (st *roundState) release() {
+	if st.k != nil {
+		st.k.Drain()
+	}
 }
 
 func runRound(sc Scenario, st *roundState) (Round, error) {
@@ -281,7 +302,7 @@ func runClassicRound(sc Scenario, st *roundState) (Round, error) {
 		if err := sc.Faults.Validate(); err != nil {
 			return Round{}, fmt.Errorf("core: fault plan: %w", err)
 		}
-		inj = sc.Faults.NewInjector(sc.Seed)
+		inj = st.injector(sc.Faults, sc.Seed)
 		simCfg.Interrupter = inj
 		fsCfg.Faults = inj
 	}

@@ -155,7 +155,7 @@ func runPrefixedRound(sc Scenario, st *roundState) (Round, error) {
 		if err := sc.Faults.Validate(); err != nil {
 			return Round{}, fmt.Errorf("core: fault plan: %w", err)
 		}
-		inj = sc.Faults.NewInjector(sc.Seed)
+		inj = st.injector(sc.Faults, sc.Seed)
 	}
 	sig := sigOf(sc)
 	if st.k == nil || !px.valid || px.sig != sig {

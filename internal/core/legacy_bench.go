@@ -30,6 +30,7 @@ func RunCampaignBaseline(sc Scenario, rounds int) (CampaignResult, error) {
 		go func() {
 			defer wg.Done()
 			var st roundState
+			defer st.release()
 			for i := range next {
 				rsc := sc
 				rsc.Seed = sc.Seed + int64(i+1)*SeedStride

@@ -259,9 +259,9 @@ func runSweepPointsDirect(points []SweepPoint, opt SweepOptions) ([]CampaignResu
 		helpers = max
 	}
 	dispatch(r, &r.wg, helpers)
-	st := statePool.Get().(*roundState)
+	st := getCallerState()
 	r.work(st)
-	statePool.Put(st)
+	putCallerState(st)
 	r.wg.Wait()
 
 	stats := SweepStats{RoundsExecuted: int(r.executed.Load())}
@@ -484,9 +484,9 @@ func FindRound(sc Scenario, maxTries int, stride int64, want func(Round) bool) (
 		}
 		f := &findRun{sc: sc, stride: stride, lo: lo, hi: hi, want: want, best: -1, errIdx: -1}
 		dispatch(f, &f.wg, hi-lo-1)
-		st := statePool.Get().(*roundState)
+		st := getCallerState()
 		f.work(st)
-		statePool.Put(st)
+		putCallerState(st)
 		f.wg.Wait()
 		if f.errIdx >= 0 && (f.best < 0 || f.errIdx < f.best) {
 			return Round{}, 0, 0, f.err
@@ -626,10 +626,39 @@ func dispatch(j poolJob, wg *sync.WaitGroup, n int) {
 	}
 }
 
-// statePool recycles round contexts for submitting goroutines, extending
-// the pool workers' cross-campaign reuse to the caller's own share of the
-// work.
-var statePool = sync.Pool{New: func() any { return new(roundState) }}
+// callerStates recycles round contexts for submitting goroutines,
+// extending the pool workers' cross-campaign reuse to the caller's own
+// share of the work. It is a bounded free list rather than a sync.Pool
+// because a forked context parks its kernel's thread shells on goroutines
+// that reference it: a context the GC-driven pool silently dropped would
+// stay reachable from those goroutines, with its kernel, fs and prefix
+// images, for the life of the process. Here a context that does not fit
+// is released (its shells drained) instead. The capacity is parallelism():
+// at most that many sweeps make progress at once, so that many spare
+// contexts cover every concurrent caller on a busy host, and callers
+// beyond it pay one fresh context per sweep, not a leak.
+var callerStates = make(chan *roundState, parallelism())
+
+// getCallerState takes a spare round context, or builds a fresh one.
+func getCallerState() *roundState {
+	select {
+	case st := <-callerStates:
+		return st
+	default:
+		return new(roundState)
+	}
+}
+
+// putCallerState returns a context to the free list, releasing it when
+// the list is full. Only a context between rounds may be put back; one a
+// panicking round abandoned was reset by runRoundSafe and holds no kernel.
+func putCallerState(st *roundState) {
+	select {
+	case callerStates <- st:
+	default:
+		st.release()
+	}
+}
 
 // errAs is a tiny local alias to keep campaign.go's imports tidy.
 func sweepErrorAs(err error) (*SweepError, bool) {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
@@ -343,5 +345,63 @@ func TestFindRoundNoMatch(t *testing.T) {
 	_, _, _, err := FindRound(sc, 16, 9973, func(Round) bool { return false })
 	if err == nil {
 		t.Fatal("FindRound with an unsatisfiable predicate succeeded, want error")
+	}
+}
+
+// TestSweepCallerStatesBounded pins that the caller's round contexts do
+// not outlive their sweeps. A forked context parks its kernel's thread
+// shells on goroutines, so every context a sweep's caller drops without
+// draining strands them for the life of the process. Many forked,
+// faulted sweeps — each followed by a GC, which is what empties a
+// sync.Pool — must leave the goroutine count where the first left it:
+// run from one goroutine, from a fresh goroutine per sweep, and from
+// more concurrent callers than the free list holds, whose surplus
+// contexts must be drained.
+func TestSweepCallerStatesBounded(t *testing.T) {
+	const sweeps = 50
+	for _, mode := range []struct {
+		name    string
+		callers int // concurrent goroutines per sweep; 0 runs inline
+	}{{"one-goroutine", 0}, {"goroutine-per-sweep", 1}, {"concurrent-callers", 2*parallelism() + 1}} {
+		t.Run(mode.name, func(t *testing.T) {
+			sweep := func(i int) {
+				pts := []SweepPoint{{Scenario: faultViSc(int64(70001 + i)), Rounds: 16}}
+				if _, _, err := RunSweepPoints(pts, SweepOptions{}); err != nil {
+					t.Errorf("sweep %d: %v", i, err)
+				}
+			}
+			var first int
+			for i := 0; i < sweeps; i++ {
+				if mode.callers == 0 {
+					sweep(i)
+				} else {
+					var wg sync.WaitGroup
+					for c := 0; c < mode.callers; c++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							sweep(i)
+						}()
+					}
+					wg.Wait()
+				}
+				runtime.GC()
+				if i == 0 {
+					first = runtime.NumGoroutine()
+				}
+			}
+			// Contexts that live on are the pool workers' and the free
+			// list's, at most parallelism() each; every one parks at most
+			// one shell per thread a faulted round spawns (victim,
+			// attacker, the fault process, a restarted victim).
+			bound := first + 2*parallelism()*4
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > bound && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > bound {
+				t.Fatalf("goroutines grew from %d after the first sweep to %d after %d (bound %d): caller round contexts are leaking", first, got, sweeps, bound)
+			}
+		})
 	}
 }

@@ -139,7 +139,7 @@ func (c Counters) Total() int64 {
 // Injector is one round's instantiation of a Plan: a dedicated RNG stream
 // plus the delivered-fault tally. It implements fs.FaultHook and
 // sim.Interrupter. Not safe for concurrent use — one injector serves
-// exactly one round on one worker, like the kernel it rides in.
+// one round at a time on one worker, like the kernel it rides in.
 type Injector struct {
 	plan   Plan
 	rng    *rand.Rand
@@ -159,6 +159,16 @@ var (
 // independent sequence, disjoint by construction from the kernel's
 // scheduling stream (a separate generator that never shares state).
 func (p Plan) NewInjector(roundSeed int64) *Injector {
+	in := &Injector{}
+	in.Reset(p, roundSeed)
+	return in
+}
+
+// Reset re-arms the injector for a new round exactly as
+// p.NewInjector(roundSeed) would build it — plan, operation mask, zeroed
+// counters and a restarted stream — reusing its generator, so a worker
+// that keeps one injector allocates nothing per round.
+func (in *Injector) Reset(p Plan, roundSeed int64) {
 	var mask uint32
 	if len(p.FSOps) == 0 {
 		mask = ^uint32(0)
@@ -167,10 +177,12 @@ func (p Plan) NewInjector(roundSeed int64) *Injector {
 			mask |= 1 << uint(op)
 		}
 	}
-	return &Injector{
-		plan:   p,
-		rng:    rand.New(rand.NewSource(mixSeed(p.Seed, roundSeed))),
-		opMask: mask,
+	in.plan, in.opMask, in.Counters = p, mask, Counters{}
+	seed := mixSeed(p.Seed, roundSeed)
+	if in.rng == nil {
+		in.rng = sim.NewRand(seed)
+	} else {
+		in.rng.Seed(seed)
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -228,5 +229,31 @@ func TestRestartDelayOrDefault(t *testing.T) {
 	in := Plan{RestartDelay: 5 * time.Millisecond}.NewInjector(1)
 	if d := in.RestartDelayOrDefault(); d != 5*time.Millisecond {
 		t.Errorf("restart delay = %v, want 5ms", d)
+	}
+}
+
+// TestResetMatchesFreshInjector pins that re-arming an injector in place
+// is indistinguishable from building a new one: after a round of draws
+// and tallies under one plan, Reset onto another plan yields the stdlib
+// stream of the new (plan, round) seed, the new operation mask and zeroed
+// counters.
+func TestResetMatchesFreshInjector(t *testing.T) {
+	in := Plan{Seed: 5, FSRate: 1, KillVictimRate: 1}.NewInjector(11)
+	for i := 0; i < 50; i++ {
+		in.DrawKill(1)
+	}
+	in.Counters.Kills = 3
+	p := Plan{Seed: 1303, FSRate: 0.5, FSOps: []fs.Op{fs.OpRename}}
+	in.Reset(p, 90107)
+	fresh := p.NewInjector(90107)
+	if in.opMask != fresh.opMask || in.Counters != (Counters{}) {
+		t.Fatalf("reset injector: mask %#x counters %+v, want mask %#x and zero counters", in.opMask, in.Counters, fresh.opMask)
+	}
+	ref := rand.New(rand.NewSource(mixSeed(p.Seed, 90107)))
+	for i := 0; i < 1000; i++ {
+		a, b, want := in.rng.Int63(), fresh.rng.Int63(), ref.Int63()
+		if a != want || b != want {
+			t.Fatalf("draw %d: reset %d, fresh %d, stdlib %d", i, a, b, want)
+		}
 	}
 }

@@ -191,3 +191,13 @@ func newKernelSource(seed int64) (rand.Source, *fastSource) {
 	}
 	return rand.NewSource(seed), nil
 }
+
+// NewRand returns a generator whose stream equals
+// rand.New(rand.NewSource(seed)), backed by the validated fast replica
+// when available and by the stdlib source otherwise. Its Seed method then
+// restarts the stream in place without the stdlib's 1841-step seeding
+// chain, so a per-round generator can be reused instead of reallocated.
+func NewRand(seed int64) *rand.Rand {
+	src, _ := newKernelSource(seed)
+	return rand.New(src)
+}
