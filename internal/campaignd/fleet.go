@@ -1,84 +1,41 @@
 package campaignd
 
 // Fleet execution: when the server is configured with Workers > 0, a
-// running job's points are executed by a supervised fleet of worker
-// subprocesses (internal/workerpool) instead of the in-process sweep.
-// The durability seams are identical — the same checkpoint file, the
-// same event log, the same report bytes — so a campaign can be run
-// in-process, killed, and resumed under a fleet (or vice versa) without
-// the client seeing the difference. What the fleet adds is isolation: a
-// crashing, stalling, or corrupted worker costs one process and a
-// lease requeue, never the daemon or the other campaigns.
+// running job's pending points are executed by a supervised fleet of
+// worker subprocesses (internal/workerpool) instead of the in-process
+// sweep. Everything else is runJob's, shared with the in-process path —
+// the same resume step, the same checkpoint file, the same event log,
+// the same report bytes — so a campaign can be run in-process, killed,
+// and resumed under a fleet (or vice versa) without the client seeing
+// the difference. What the fleet adds is isolation: a crashing,
+// stalling, or corrupted worker costs one process and a lease requeue,
+// never the daemon or the other campaigns.
 
 import (
-	"errors"
 	"fmt"
 	"os"
-	"sort"
 
 	"tocttou/internal/core"
 	"tocttou/internal/workerpool"
 )
 
-// runJobFleet drives one campaign over the worker fleet. Called from
-// runJob with the active slot held and the event log open; settles the
-// job's terminal state before returning.
-func (s *Server) runJobFleet(j *job) {
+// runFleet is runJob's fleet executor: it runs the resume's pending
+// points over a worker fleet, committing each result through rs.Commit
+// on the supervisor's event loop, and returns the quarantined points.
+func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine, error) {
 	spec, err := os.ReadFile(j.specPath())
 	if err != nil {
-		s.settle(j, func(info *JobInfo) {
-			info.State = StateFailed
-			info.Error = fmt.Sprintf("reading stored spec: %v", err)
-		})
-		return
+		return nil, fmt.Errorf("reading stored spec: %w", err)
 	}
-	cp, err := core.OpenCheckpoint(j.checkpointPath(), j.compiled.Points, core.AdaptiveStop{})
-	if err != nil {
-		s.settle(j, func(info *JobInfo) {
-			info.State = StateFailed
-			info.Error = fmt.Sprintf("opening checkpoint: %v", err)
-		})
-		return
+	points := j.compiled.Points
+	// The resume step settled every point outside Pending; the fleet runs
+	// the rest.
+	settled := make(map[int]core.CampaignResult, len(points)-len(rs.Pending))
+	for i := range points {
+		settled[i] = core.CampaignResult{}
 	}
-	// Replay checkpoint-restored points through the event log in index
-	// order before any worker runs: commitPoint's seen map makes the
-	// replay idempotent across resumes, exactly as the in-process
-	// runner's restored-point callbacks are.
-	restored := cp.Restored()
-	replay := make([]int, 0, len(restored))
-	for idx := range restored {
-		replay = append(replay, idx)
-	}
-	sort.Ints(replay)
-	for _, idx := range replay {
-		appended, err := j.commitPoint(idx, restored[idx])
-		if err != nil {
-			s.settle(j, func(info *JobInfo) {
-				info.State = StateFailed
-				info.Error = fmt.Sprintf("event log: %v", err)
-			})
-			return
-		}
-		if appended {
-			s.pointsCommitted.Add(1)
-		}
-	}
-
-	// onPoint runs on the supervisor's event loop, exactly once per
-	// newly committed point: durable in the checkpoint first, then the
-	// event log (append + fsync), then visible to watchers.
-	onPoint := func(idx int, res core.CampaignResult) error {
-		if err := cp.Flush(idx, res); err != nil {
-			return err
-		}
-		appended, err := j.commitPoint(idx, res)
-		if err != nil {
-			return fmt.Errorf("event log: %w", err)
-		}
-		if appended {
-			s.pointsCommitted.Add(1)
-		}
-		return nil
+	for _, i := range rs.Pending {
+		delete(settled, i)
 	}
 	cfg := workerpool.Config{
 		Workers:           s.cfg.Workers,
@@ -90,30 +47,9 @@ func (s *Server) runJobFleet(j *job) {
 		Interrupt:         s.interrupt,
 		Logf:              s.cfg.Logf,
 	}
-	committed, fstats, err := workerpool.Run(cfg, j.info.Filename, spec, j.compiled.Points, restored, onPoint)
+	_, fstats, err := workerpool.Run(cfg, j.info.Filename, spec, points, settled, rs.Commit)
 	s.workerRestarts.Add(int64(fstats.Restarts))
 	s.leasesRequeued.Add(int64(fstats.LeasesRequeued))
 	s.pointsDeduped.Add(int64(fstats.PointsDeduped))
-	switch {
-	case errors.Is(err, workerpool.ErrInterrupted):
-		s.cfg.Logf("campaignd: job %s fleet interrupted for drain (%d/%d points committed)", j.id, j.snapshot().Committed, j.snapshot().Points)
-		s.settle(j, func(info *JobInfo) { info.State = StateInterrupted })
-	case err != nil:
-		s.cfg.Logf("campaignd: job %s fleet failed: %v", j.id, err)
-		s.settle(j, func(info *JobInfo) {
-			info.State = StateFailed
-			info.Error = err.Error()
-		})
-	default:
-		// Quarantined points render as zero-valued rows: the campaign
-		// completed around them, and the report appendix names them.
-		results := make([]core.CampaignResult, len(j.compiled.Points))
-		for idx, res := range committed {
-			results[idx] = res
-		}
-		// Restored points count as memoized, matching the in-process
-		// checkpointed runner's accounting on resume.
-		stats := core.SweepStats{PointsMemoized: len(restored)}
-		s.finishDone(j, results, stats, fstats.Quarantined)
-	}
+	return fstats.Quarantined, err
 }

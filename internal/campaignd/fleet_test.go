@@ -119,9 +119,12 @@ func TestFleetModeReportMatchesLocal(t *testing.T) {
 // incarnations — one before its first result, one between committing a
 // result and acking the lease (the exactly-once seam) — and requires
 // the campaign to still deliver every point exactly once with a
-// byte-identical report, surfacing the recovery in /v1/stats.
+// byte-identical report, surfacing the recovery in /v1/stats. The fleet
+// has one live worker, so each incarnation in turn takes the first
+// pending lease and both deaths always fire: with two, one worker could
+// finish the grid before the other ever loaded.
 func TestFleetModeChaosRecoveryExactlyOnce(t *testing.T) {
-	_, ts := newFleetServer(t, t.TempDir(), 2, "w0:crash@1;w1:crash-after@1")
+	_, ts := newFleetServer(t, t.TempDir(), 1, "w0:crash@1;w1:crash-after@1")
 	c := testClient(ts.URL)
 	info, err := c.Submit("svc-small.yaml", []byte(smallSpec))
 	if err != nil {

@@ -5,8 +5,8 @@ package campaignd
 //
 //	spec            the submitted scenario bytes, verbatim
 //	state.json      the job's metadata and state (atomic replace)
-//	checkpoint.json core's crash-safe sweep checkpoint (one appended line
-//	                per committed point)
+//	checkpoint.json core's crash-safe sweep checkpoint (format 3: one
+//	                appended line per committed point)
 //	events.ndjson   the point-event log, one JSON line per committed
 //	                point, fsynced before any watcher sees the event
 //	report.txt      the final rendering, written once on completion
@@ -61,8 +61,12 @@ type JobInfo struct {
 	State       string `json:"state"`
 	SubmittedAt string `json:"submitted_at"`
 	// Points is the compiled grid size; Committed counts point events in
-	// the log; Memoized counts points the engine copied instead of
-	// simulating (in-process dedupe plus checkpoint-restored copies).
+	// the log. Memoized counts the points the finishing run copied from
+	// a checkpoint-restored point with the same key instead of
+	// simulating them (core.SweepResume.Memoized). The resume step counts
+	// them before any executor runs, so the number is the same
+	// in-process and over a worker fleet; restored points themselves do
+	// not count.
 	Points    int `json:"points"`
 	Committed int `json:"committed"`
 	Memoized  int `json:"memoized"`

@@ -1,0 +1,267 @@
+package campaignd
+
+// Tests of the job identity and the single resume path: job ids follow
+// every point's full key, a job resumes the same way whichever executor
+// finishes it, and a checkpoint from before point keys fails its job
+// instead of the server.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// policySpec is a one-point faulty vi/v1 campaign under a custom
+// robustness policy. With retries 0 it fails all 40 rounds; with
+// retries 4 it wins 39.
+func policySpec(retries, backoffUS int) string {
+	return fmt.Sprintf(`name: policy-key
+machine: smp
+rounds: 40
+seed: 6007
+seed_stride: 7121
+victim: vi
+attacker: v1
+sizes_kb: [100]
+policies:
+  - name: custom
+    retries: %d
+    backoff_us: %d
+fault_rates: [0.2]
+faults:
+  seed: 9973
+  fs_scale: 1
+  sem_intr_scale: 1
+  kill_victim_scale: 0.5
+  kill_attacker_scale: 0.5
+  sem_intr_delay_us: 1
+  kill_window_ms: 4
+  restart: true
+watchdog_ms: 5000
+`, retries, backoffUS)
+}
+
+// submitAndWatch submits a spec and watches it to its end event.
+func submitAndWatch(t *testing.T, c *Client, filename, spec string) (JobInfo, *EndEvent) {
+	t.Helper()
+	info, err := c.Submit(filename, []byte(spec))
+	if err != nil {
+		t.Fatalf("submit %s: %v", filename, err)
+	}
+	end, err := c.Watch(context.Background(), info.ID, func(PointEvent) {})
+	if err != nil {
+		t.Fatalf("watch %s: %v", info.ID, err)
+	}
+	return info, end
+}
+
+// TestJobIDSeparatesProgramParameters is the regression test for a job
+// identity that named programs without their parameters: a spec edited
+// only in a custom policy's retries or backoff is a new job, not a cache
+// hit serving the old report.
+func TestJobIDSeparatesProgramParameters(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	c := testClient(ts.URL)
+	first, end := submitAndWatch(t, c, "policy.yaml", policySpec(0, 20))
+	if end.State != StateDone {
+		t.Fatalf("first job ended %q (%s)", end.State, end.Error)
+	}
+	firstReport, err := c.Report(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]string{
+		"retries": policySpec(4, 20),
+		"backoff": policySpec(0, 21),
+	} {
+		info, end := submitAndWatch(t, c, "policy.yaml", spec)
+		if info.ID == first.ID || info.Cached {
+			t.Errorf("%s: edited spec got job %s (cached %v), the unedited spec's id is %s", name, info.ID, info.Cached, first.ID)
+			continue
+		}
+		if end.State != StateDone {
+			t.Fatalf("%s: job ended %q (%s)", name, end.State, end.Error)
+		}
+		got, err := c.Report(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := localReport(t, "policy.yaml", spec); string(got) != want {
+			t.Errorf("%s: report diverged from the local run:\n--- service ---\n%s--- local ---\n%s", name, got, want)
+		}
+		if name == "retries" && bytes.Equal(got, firstReport) {
+			t.Errorf("retries 0 and 4 rendered the same report; the fixture no longer separates them")
+		}
+	}
+}
+
+// finishedJob runs spec to completion on an in-process server and
+// returns the job's info and directory.
+func finishedJob(t *testing.T, filename, spec string) (JobInfo, string) {
+	t.Helper()
+	dir := t.TempDir()
+	s, ts := newTestServer(t, dir)
+	info, end := submitAndWatch(t, testClient(ts.URL), filename, spec)
+	if end.State != StateDone {
+		t.Fatalf("reference job ended %q (%s)", end.State, end.Error)
+	}
+	s.Drain()
+	return info, filepath.Join(dir, "jobs", info.ID)
+}
+
+// stageInterrupted writes, under dataDir, the job directory a server
+// killed mid-campaign leaves behind: the stored spec, state
+// "interrupted", the given checkpoint bytes, and an empty event log.
+func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, checkpoint []byte) {
+	t.Helper()
+	dst := filepath.Join(dataDir, "jobs", info.ID)
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := os.ReadFile(filepath.Join(src, "spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.State, info.Committed, info.Memoized, info.Cached = StateInterrupted, 0, 0, false
+	state, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"spec":            spec,
+		"state.json":      state,
+		"checkpoint.json": checkpoint,
+		"events.ndjson":   nil,
+	} {
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResumeMemoizedSameInProcessAndFleet resumes one interrupted job
+// twice, in-process and over a two-worker fleet: both runs go through
+// the same resume step, so they must stream the same points, render the
+// same report and report the same memoized count, in state.json and in
+// the end event.
+func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
+	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
+	full, err := os.ReadFile(filepath.Join(src, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the header and the first committed point: the cut a crash
+	// after one commit leaves.
+	lines := bytes.SplitAfter(full, []byte{'\n'})
+	cut := bytes.Join(lines[:2], nil)
+
+	type outcome struct {
+		end      *EndEvent
+		stored   JobInfo
+		report   string
+		streamed int
+	}
+	resume := func(cfg func(dir string) Config) outcome {
+		dir := t.TempDir()
+		stageInterrupted(t, info, src, dir, cut)
+		s, err := New(cfg(dir))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer s.Drain()
+		var out outcome
+		j := s.lookup(info.ID)
+		if j == nil {
+			t.Fatalf("staged job %s not restored", info.ID)
+		}
+		s.wg.Wait() // the resumed job runs to its terminal state
+		out.stored = readState(t, j)
+		out.end = endEvent(t, j)
+		out.streamed = j.snapshot().Committed
+		report, err := os.ReadFile(j.reportPath())
+		if err != nil {
+			t.Fatalf("report: %v", err)
+		}
+		out.report = string(report)
+		return out
+	}
+	inproc := resume(func(dir string) Config { return Config{DataDir: dir, Logf: t.Logf} })
+	fleet := resume(func(dir string) Config { return fleetConfig(t, dir, 2, "") })
+
+	want := localReport(t, "svc-small.yaml", smallSpec)
+	for name, out := range map[string]outcome{"in-process": inproc, "fleet": fleet} {
+		if out.end.State != StateDone {
+			t.Fatalf("%s: resumed job ended %q (%s)", name, out.end.State, out.end.Error)
+		}
+		if out.streamed != info.Points {
+			t.Errorf("%s: event log holds %d points, want %d", name, out.streamed, info.Points)
+		}
+		if out.report != want {
+			t.Errorf("%s: resumed report diverged from the local run:\n%s", name, out.report)
+		}
+		if out.stored.Memoized != out.end.Memoized {
+			t.Errorf("%s: state.json memoized %d, end event %d", name, out.stored.Memoized, out.end.Memoized)
+		}
+	}
+	if inproc.end.Memoized != fleet.end.Memoized || inproc.stored.Memoized != fleet.stored.Memoized {
+		t.Errorf("memoized differs by executor: in-process %d/%d, fleet %d/%d (state.json/end event)",
+			inproc.stored.Memoized, inproc.end.Memoized, fleet.stored.Memoized, fleet.end.Memoized)
+	}
+}
+
+// readState decodes a job's persisted state.json.
+func readState(t *testing.T, j *job) JobInfo {
+	t.Helper()
+	data, err := os.ReadFile(j.statePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info JobInfo
+	if err := json.Unmarshal(data, &info); err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// endEvent decodes the end event a stream of the job would close with.
+func endEvent(t *testing.T, j *job) *EndEvent {
+	t.Helper()
+	j.mu.Lock()
+	data := j.endEventLocked()
+	j.mu.Unlock()
+	var ev EndEvent
+	if err := json.Unmarshal(data, &ev); err != nil {
+		t.Fatal(err)
+	}
+	return &ev
+}
+
+// TestPreKeyCheckpointFailsJob restarts a server over a job left
+// interrupted on a version-2 checkpoint. The file predates point keys,
+// so the job must fail with the loader's version message — and the
+// server must keep serving.
+func TestPreKeyCheckpointFailsJob(t *testing.T) {
+	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
+	dir := t.TempDir()
+	v2 := fmt.Sprintf("{\"version\":2,\"fingerprint\":1,\"points\":%d}\n", info.Points)
+	stageInterrupted(t, info, src, dir, []byte(v2))
+	s, ts := newTestServer(t, dir)
+	s.wg.Wait()
+	c := testClient(ts.URL)
+	got, err := c.Job(info.ID)
+	if err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	const want = "checkpoint version 2 predates point keys (want 3); delete it to start over"
+	if got.State != StateFailed || !strings.Contains(got.Error, want) {
+		t.Fatalf("job over a version-2 checkpoint: state %q, error %q; want failed with %q", got.State, got.Error, want)
+	}
+	if _, end := submitAndWatch(t, c, "policy.yaml", policySpec(4, 20)); end.State != StateDone {
+		t.Errorf("server stopped serving after the failed resume: new job ended %q (%s)", end.State, end.Error)
+	}
+}

@@ -2,19 +2,21 @@ package campaignd
 
 // Package campaignd is the campaign-as-a-service sweep server: an HTTP
 // service (stdlib net/http only) that accepts the scenario DSL's
-// YAML/JSON specs, compiles them onto core.RunSweepPointsCheckpoint,
-// shards their points across the process-wide bounded worker pool, and
-// streams per-point results to clients as NDJSON as each point commits.
+// YAML/JSON specs, resumes them through core.ResumeSweep, runs their
+// points on the process-wide bounded worker pool (or a supervised
+// worker fleet), and streams per-point results to clients as NDJSON as
+// each point commits.
 //
 // Correctness contract: a watched campaign's report is byte-identical to
 // running the same scenario file locally, and a server killed (-9) and
 // restarted resumes every in-flight campaign bit-identically from its
 // checkpoint — every point is a deterministic pure function of its spec
 // and seed, which is what makes sharding and resumption safe at all.
-// Idempotency rides the same determinism: jobs are keyed by the FNV-1a
-// fingerprint of their compiled sweep (plus the rendering-shaping spec
-// fields), so an identical re-submission is a cache hit served from the
-// completed store, never a re-simulation.
+// Idempotency rides the same determinism: jobs are keyed by the sweep
+// fingerprint of their compiled points — the hash of every point's key,
+// programs included — plus the rendering-shaping spec fields, so an
+// identical re-submission is a cache hit served from the completed
+// store, never a re-simulation.
 //
 // API:
 //
@@ -215,8 +217,8 @@ func (s *Server) routes() {
 // maxSpecBytes bounds a submission body; scenario files are small.
 const maxSpecBytes = 4 << 20
 
-// jobKey derives a job's identity: core's sweep fingerprint (the full
-// result-determining configuration of every compiled point) extended
+// jobKey derives a job's identity: core's sweep fingerprint (the hash of
+// every compiled point's key, core.PointKey) extended
 // with the spec fields that shape rendering and verdicts but not
 // simulation (name, report style, labels, assertions). Two submissions
 // with equal keys produce byte-identical reports, so the key is safe to
@@ -317,9 +319,11 @@ func (s *Server) schedule(j *job) {
 	go s.runJob(j)
 }
 
-// runJob drives one campaign: acquire an active slot, run the
-// checkpointed sweep with the server's interrupt wired in, then settle
-// the terminal state (done + report, failed, or interrupted for resume).
+// runJob drives one campaign: acquire an active slot, resume the job's
+// checkpoint, run the pending points — in-process, or over the worker
+// fleet when Workers > 0 — with the server's interrupt wired in, then
+// settle the terminal state (done + report, failed, or interrupted for
+// resume). The executor is the only difference between the two modes.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	select {
@@ -347,34 +351,36 @@ func (s *Server) runJob(j *job) {
 	if err := j.setState(func(info *JobInfo) { info.State = StateRunning }); err != nil {
 		s.cfg.Logf("campaignd: job %s: persisting running state: %v", j.id, err)
 	}
-	if s.cfg.Workers > 0 {
-		s.runJobFleet(j)
-		return
-	}
 
-	var logErr atomic.Value
-	opt := core.SweepOptions{
-		Interrupt: s.interrupt,
-		OnPointDone: func(p int, res core.CampaignResult) {
-			appended, err := j.commitPoint(p, res)
-			if err != nil {
-				// A point that cannot be made durable must not be silently
-				// streamed; remember the first failure and fail the job.
-				logErr.CompareAndSwap(nil, err)
-				return
-			}
-			if appended {
-				s.pointsCommitted.Add(1)
-			}
-		},
+	results := make([]core.CampaignResult, len(j.compiled.Points))
+	// onPoint sees every point exactly once, after its checkpoint flush:
+	// replayed by the resume step or committed by the executor. The
+	// event log append + fsync makes it durable before watchers see it;
+	// commitPoint skips points a previous run already logged.
+	onPoint := func(idx int, res core.CampaignResult) error {
+		results[idx] = res
+		appended, err := j.commitPoint(idx, res)
+		if err != nil {
+			return fmt.Errorf("event log: %w", err)
+		}
+		if appended {
+			s.pointsCommitted.Add(1)
+		}
+		return nil
 	}
-	results, stats, err := core.RunSweepPointsCheckpoint(j.compiled.Points, opt, j.checkpointPath())
-	if werr, ok := logErr.Load().(error); ok && err == nil {
-		err = fmt.Errorf("event log: %w", werr)
+	var quarantined []workerpool.Quarantine
+	rs, err := core.ResumeSweep(j.checkpointPath(), j.compiled.Points, core.SweepOptions{}, onPoint)
+	if err == nil {
+		if s.cfg.Workers > 0 {
+			quarantined, err = s.runFleet(j, rs)
+		} else {
+			_, err = rs.RunPending(core.SweepOptions{Interrupt: s.interrupt})
+		}
 	}
 	switch {
-	case errors.Is(err, core.ErrSweepInterrupted):
-		s.cfg.Logf("campaignd: job %s interrupted for drain (%d/%d points committed)", j.id, j.snapshot().Committed, j.snapshot().Points)
+	case errors.Is(err, core.ErrSweepInterrupted) || errors.Is(err, workerpool.ErrInterrupted):
+		info := j.snapshot()
+		s.cfg.Logf("campaignd: job %s interrupted for drain (%d/%d points committed)", j.id, info.Committed, info.Points)
 		s.settle(j, func(info *JobInfo) { info.State = StateInterrupted })
 	case err != nil:
 		s.cfg.Logf("campaignd: job %s failed: %v", j.id, err)
@@ -384,7 +390,7 @@ func (s *Server) runJob(j *job) {
 			info.Watchdog = strings.Contains(err.Error(), "core: watchdog:")
 		})
 	default:
-		s.finishDone(j, results, stats, nil)
+		s.finishDone(j, results, rs.Memoized, quarantined)
 	}
 }
 
@@ -393,8 +399,8 @@ func (s *Server) runJob(j *job) {
 // evaluates the spec's assertions. Quarantined points (fleet mode only)
 // are appended after the rendering so an unchaosed report stays
 // byte-identical to the local golden.
-func (s *Server) finishDone(j *job, results []core.CampaignResult, stats core.SweepStats, quarantined []workerpool.Quarantine) {
-	out := &scenario.Outcome{Spec: j.spec, Compiled: j.compiled, Results: results, Stats: stats}
+func (s *Server) finishDone(j *job, results []core.CampaignResult, memoized int, quarantined []workerpool.Quarantine) {
+	out := &scenario.Outcome{Spec: j.spec, Compiled: j.compiled, Results: results, Stats: core.SweepStats{PointsMemoized: memoized}}
 	var buf strings.Builder
 	if err := out.Render(&buf); err != nil {
 		s.settle(j, func(info *JobInfo) {
@@ -420,14 +426,14 @@ func (s *Server) finishDone(j *job, results []core.CampaignResult, stats core.Sw
 	}
 	s.settle(j, func(info *JobInfo) {
 		info.State = StateDone
-		info.Memoized = stats.PointsMemoized
+		info.Memoized = memoized
 		info.AssertionFailure = assertion
 		info.Quarantined = nil
 		for _, q := range quarantined {
 			info.Quarantined = append(info.Quarantined, q.Point)
 		}
 	})
-	s.cfg.Logf("campaignd: job %s done (%d points, %d memoized, %d quarantined)", j.id, len(results), stats.PointsMemoized, len(quarantined))
+	s.cfg.Logf("campaignd: job %s done (%d points, %d memoized, %d quarantined)", j.id, len(results), memoized, len(quarantined))
 }
 
 // renderQuarantine is the report appendix describing poison points: the

@@ -2,52 +2,51 @@ package core
 
 // Crash-safe sweep checkpointing. A checkpoint file holds the committed
 // per-point results of an interrupted sweep. Every time a point finishes
-// (the onPointDone hook, which fires exactly once per completed point, in
+// (the OnPointDone hook, which fires exactly once per completed point, in
 // commit order, and never for points cut short by cancellation), one
 // line recording it is appended to the file, so committing a point costs
-// the same whatever the sweep's size. Resuming validates a fingerprint of
-// the sweep configuration, restores the completed points verbatim, and
-// runs only the remainder. Because each point's result depends solely on
-// its own scenario and seed (workers share nothing across points but the
-// pool), entries are independent of each other and the merged output is
-// bit-identical to an uninterrupted run.
+// the same whatever the sweep's size. Resuming validates the sweep's
+// fingerprint (the hash of its point keys, key.go), restores the
+// completed points verbatim, and runs only the remainder. Because each
+// point's result depends solely on its own scenario and seed (workers
+// share nothing across points but the pool), entries are independent of
+// each other and the merged output is bit-identical to an uninterrupted
+// run.
 //
-// Format 2 is line-oriented:
+// Format 3 is line-oriented:
 //
-//	{"version":2,"fingerprint":F,"points":N}
+//	{"version":3,"fingerprint":F,"points":N}
 //	{"point":i,"result":{...}}     one line per committed point
 //
 // A writer's first flush atomically replaces the file (temp file +
 // rename) with the header, the entries it restored and the new one; that
-// drops a torn tail and upgrades a version-1 file. Every later flush
-// appends one line. A crash mid-append can leave only a final line
-// without its newline, which the loader drops (its point re-runs) — the
-// same rule as campaignd's events.ndjson. A complete line that does not
-// decode is corruption and is rejected. Version-1 files (one JSON object
-// holding a "done" array, only ever replaced atomically) still load.
+// drops a torn tail. Every later flush appends one line. A crash
+// mid-append can leave only a final line without its newline, which the
+// loader drops (its point re-runs) — the same rule as campaignd's
+// events.ndjson. A complete line that does not decode is corruption and
+// is rejected. Versions 1 and 2 carried a fingerprint that left program
+// parameters out of a point's identity; they are rejected by version,
+// never trusted.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// checkpointVersion is the on-disk format the writer produces; the
-// loader also reads version 1.
-const checkpointVersion = 2
+// checkpointVersion is the on-disk format the writer produces and the
+// only one the loader reads.
+const checkpointVersion = 3
 
-// checkpointHeader is a file's first line. A version-1 file is a single
-// line that also carries every entry in Done.
+// checkpointHeader is a file's first line.
 type checkpointHeader struct {
-	Version     int               `json:"version"`
-	Fingerprint uint64            `json:"fingerprint"`
-	Points      int               `json:"points"`
-	Done        []checkpointEntry `json:"done,omitempty"`
+	Version     int    `json:"version"`
+	Fingerprint uint64 `json:"fingerprint"`
+	Points      int    `json:"points"`
 }
 
 type checkpointEntry struct {
@@ -55,165 +54,131 @@ type checkpointEntry struct {
 	Result CampaignResult `json:"result"`
 }
 
+// SweepResume is a checkpointed sweep after its restore-and-replay step:
+// the points an executor still has to run, and the commit path every
+// executed point goes through. Build it with ResumeSweep.
+type SweepResume struct {
+	// Pending lists, ascending, the points the executor must run.
+	Pending []int
+	// Memoized counts the restored copies: pending points whose exact key
+	// a checkpoint-restored point holds, settled with its result instead
+	// of being simulated. Restored points themselves do not count.
+	Memoized int
+
+	points []SweepPoint
+	store  *CheckpointStore
+	done   func(point int, res CampaignResult) error
+}
+
+// ResumeSweep is the one restore-and-replay step of every checkpointed
+// sweep, in-process (RunSweepPointsCheckpoint) or over a worker fleet
+// (campaignd). It opens the checkpoint at path for the sweep — a file
+// written for a different sweep is rejected by fingerprint, never merged
+// — and then, in ascending index order and before any simulation,
+// reports through done every point the file settles: a restored point
+// as it is, and a pending point whose exact key a restored point holds
+// as a copy of it, flushed to the file first. Copies follow the rules
+// of memo.go: with options that make per-point execution observable,
+// only restored points replay.
+//
+// done must be safe for concurrent calls with different points when the
+// executor commits concurrently; an error from it stops the replay and
+// is returned.
+func ResumeSweep(path string, points []SweepPoint, opt SweepOptions, done func(point int, res CampaignResult) error) (*SweepResume, error) {
+	keys, exact := pointKeys(points)
+	store, err := openStore(path, fingerprintKeys(keys, opt.Adaptive), len(points))
+	if err != nil {
+		return nil, err
+	}
+	restored := store.Restored()
+	var rep []int
+	if !memoObservable(opt) {
+		rep = memoReps(keys, exact, restored)
+	}
+	r := &SweepResume{points: points, store: store, done: done}
+	for i := range points {
+		if res, ok := restored[i]; ok {
+			if err := done(i, res); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if rep != nil {
+			if res, ok := restored[rep[i]]; ok {
+				if err := r.Commit(i, res); err != nil {
+					return nil, err
+				}
+				r.Memoized++
+				continue
+			}
+		}
+		r.Pending = append(r.Pending, i)
+	}
+	return r, nil
+}
+
+// Commit settles one pending point: it is flushed to the checkpoint,
+// then reported through done. It returns the first flush or done error.
+func (r *SweepResume) Commit(point int, res CampaignResult) error {
+	if err := r.store.Flush(point, res); err != nil {
+		return err
+	}
+	return r.done(point, res)
+}
+
+// RunPending is the in-process executor: it runs the pending points
+// through RunSweepSubset with opt (its OnPointDone replaced by Commit),
+// so pending duplicates of one another are memoized there. The stats
+// cover the executed work, plus Memoized in PointsMemoized. A
+// Commit error fails the run ahead of the sweep's own outcome: a point
+// that cannot be made durable must not pass for a completed one.
+func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
+	var commitErr atomic.Pointer[error]
+	opt.OnPointDone = func(p int, res CampaignResult) {
+		if err := r.Commit(p, res); err != nil {
+			commitErr.CompareAndSwap(nil, &err)
+		}
+	}
+	_, st, err := RunSweepSubset(r.points, r.Pending, opt)
+	st.PointsMemoized += r.Memoized
+	if cerr := commitErr.Load(); cerr != nil {
+		return st, *cerr
+	}
+	return st, err
+}
+
 // RunSweepPointsCheckpoint is RunSweepPoints with opt-in crash-safe
 // checkpointing. With an empty path it is RunSweepPoints exactly. With a
-// path, completed points already recorded in the file are restored
-// without re-simulation, the remaining points run as a sub-sweep whose
-// completions are made durable as they commit, and the merged
-// results are bit-identical to an uninterrupted RunSweepPoints over the
-// same points (per-point results never depend on other points). The
-// returned SweepStats covers only the work this call performed; restored
-// points contribute nothing to it.
+// path it is ResumeSweep followed by SweepResume.RunPending: the
+// merged results are bit-identical to an uninterrupted RunSweepPoints
+// over the same points (per-point results never depend on other
+// points). The returned SweepStats covers only the work this call
+// performed (see RunPending).
 //
-// A file written for a different sweep (point count, scenarios, seeds,
-// budgets, or adaptive config) is rejected by fingerprint, not silently
-// merged. SuccessCheck, NewGuard, and Chooser hooks cannot be
-// fingerprinted (they are code); resuming with different hook behavior is
-// the caller's responsibility, as with any seed-reuse mistake.
+// SuccessCheck, NewGuard, and Chooser hooks cannot be fingerprinted
+// (they are code); resuming with different hook behavior is the
+// caller's responsibility, as with any seed-reuse mistake.
 func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string) ([]CampaignResult, SweepStats, error) {
 	if path == "" {
 		return RunSweepPoints(points, opt)
 	}
-	fp := sweepFingerprint(points, opt.Adaptive)
-	done, err := loadCheckpoint(path, fp, len(points))
+	results := make([]CampaignResult, len(points))
+	user := opt.OnPointDone
+	rs, err := ResumeSweep(path, points, opt, func(p int, res CampaignResult) error {
+		results[p] = res
+		if user != nil {
+			user(p, res)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
-
-	results := make([]CampaignResult, len(points))
-	// A restored point can stand in for an identically-configured pending
-	// one exactly as in-process memoization would (memo.go states the
-	// conditions): the copy is flushed to the file like a simulated
-	// completion and the duplicate never re-runs, so a resumed sweep does
-	// not re-simulate — or double-count — work the first run already
-	// recorded for the same configuration.
-	var restored map[memoKey]CampaignResult
-	memoOK := !memoObservable(opt)
-	if memoOK {
-		restored = make(map[memoKey]CampaignResult, len(done))
-	}
-	for i := range points {
-		if res, ok := done[i]; ok {
-			results[i] = res
-			if memoOK {
-				if k, keyable := memoKeyOf(points[i]); keyable {
-					restored[k] = res
-				}
-			}
-		}
-	}
-	w := &checkpointWriter{path: path, fp: fp, points: len(points), restored: done}
-	var remaining []SweepPoint
-	var remapped []int // remapped[subIdx] = original point index
-	restoredCopies := 0
-	for i, p := range points {
-		if res, ok := done[i]; ok {
-			// Restored points replay through the public completion hook in
-			// ascending index order, before any simulation: a resumed sweep's
-			// observer (the campaign service's event stream) sees every
-			// point exactly once, whether it was simulated this run or last.
-			if opt.OnPointDone != nil {
-				opt.OnPointDone(i, res)
-			}
-			continue
-		}
-		if memoOK && p.Rounds > 0 {
-			if k, keyable := memoKeyOf(p); keyable {
-				if res, hit := restored[k]; hit {
-					results[i] = res
-					w.flush(i, res)
-					if opt.OnPointDone != nil {
-						opt.OnPointDone(i, res)
-					}
-					restoredCopies++
-					continue
-				}
-			}
-		}
-		remaining = append(remaining, p)
-		remapped = append(remapped, i)
-	}
-	if len(remaining) == 0 {
-		st := SweepStats{PointsMemoized: restoredCopies}
-		if werr := w.firstErr(); werr != nil {
-			return nil, st, fmt.Errorf("core: checkpoint: %w", werr)
-		}
-		return results, st, nil
-	}
-
-	sub := opt
-	user := opt.OnPointDone
-	sub.OnPointDone = nil // re-dispatched below with the caller's indices
-	sub.onPointDone = func(p int, res CampaignResult) {
-		w.flush(remapped[p], res)
-		if user != nil {
-			user(remapped[p], res)
-		}
-	}
-	subRes, st, err := RunSweepPoints(remaining, sub)
-	st.PointsMemoized += restoredCopies
-	if werr := w.firstErr(); werr != nil {
-		// A checkpoint that cannot be written is a failed run: continuing
-		// would silently drop the crash-safety the caller asked for.
-		return nil, st, fmt.Errorf("core: checkpoint: %w", werr)
-	}
+	st, err := rs.RunPending(opt)
 	if err != nil {
-		if se, ok := sweepErrorAs(err); ok {
-			// Translate the sub-sweep's point index back to the caller's.
-			return nil, st, &SweepError{Point: remapped[se.Point], Round: se.Round, Seed: se.Seed, Err: se.Err}
-		}
 		return nil, st, err
 	}
-	for si, r := range subRes {
-		results[remapped[si]] = r
-	}
 	return results, st, nil
-}
-
-// SweepFingerprint is the FNV-1a hash of a sweep's result-determining
-// configuration — the same value the checkpoint file embeds. External
-// result stores (the campaign service's completed-job cache) key on it:
-// two sweeps with equal fingerprints run bit-identical campaigns, modulo
-// the code-valued hooks the hash cannot see (SuccessCheck, NewGuard,
-// Chooser — it records only their presence).
-func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
-	return sweepFingerprint(points, ad)
-}
-
-// sweepFingerprint hashes the sweep-shaping configuration: everything
-// plain-valued that changes per-point results. Function and interface
-// fields (SuccessCheck, NewGuard, Chooser) are code and cannot be hashed.
-func sweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
-	h := fnv.New64a()
-	// The "v1" tag is frozen: campaignd's job ids and the worker fleet's
-	// fingerprint checks key on this hash, and the checkpoint format is
-	// versioned by its header instead.
-	fmt.Fprintf(h, "v1 n=%d adaptive=%v|", len(points), ad)
-	for _, p := range points {
-		hashPoint(h, p)
-	}
-	return h.Sum64()
-}
-
-// hashPoint writes one point's result-determining record into a
-// fingerprint hash — the shared unit of sweepFingerprint and the
-// exported per-point PointFingerprint (subset.go), so the two can never
-// drift apart.
-func hashPoint(h io.Writer, p SweepPoint) {
-	sc := p.Scenario
-	victim, attacker := "", ""
-	if sc.Victim != nil {
-		victim = sc.Victim.Name()
-	}
-	if sc.Attacker != nil {
-		attacker = sc.Attacker.Name()
-	}
-	fmt.Fprintf(h, "r=%d m=%s/%d v=%s a=%s sys=%s size=%d seed=%d trace=%v su=%v uid=%d gid=%d load=%d nice=%d chooser=%v ph=%d ns=%v sb=%d hz=%v wd=%v faults=%v|",
-		p.Rounds, sc.Machine.Name, sc.Machine.CPUs, victim, attacker,
-		sc.UseSyscall, sc.FileSize, sc.Seed, sc.Trace, sc.VictimStartupMax,
-		sc.AttackerUID, sc.AttackerGID, sc.LoadThreads, sc.AttackerNice,
-		sc.Chooser != nil, sc.PhaseSlots, sc.NoiseSlots, sc.StallBound,
-		sc.Horizon, sc.Watchdog, sc.Faults)
 }
 
 // loadCheckpoint reads and validates an existing checkpoint file. A
@@ -234,48 +199,28 @@ func loadCheckpoint(path string, fp uint64, npoints int) (map[int]CampaignResult
 	return done, nil
 }
 
-// parseCheckpoint decodes a version-1 or version-2 checkpoint (see the
-// file comment for both layouts) written for the sweep with fingerprint
-// fp over npoints points. Entries for the same point overwrite each
-// other in file order.
+// parseCheckpoint decodes a format-3 checkpoint (see the file comment)
+// written for the sweep with fingerprint fp over npoints points. Entries
+// for the same point overwrite each other in file order.
 func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResult, error) {
 	first, rest, complete := bytes.Cut(data, []byte{'\n'})
 	var h checkpointHeader
 	if err := json.Unmarshal(first, &h); err != nil {
 		return nil, fmt.Errorf("corrupt: %w", err)
 	}
-	var entries []checkpointEntry
-	switch h.Version {
-	case 1:
-		if len(bytes.TrimSpace(rest)) > 0 {
-			return nil, fmt.Errorf("corrupt: data after the version-1 object")
-		}
-		entries, rest = h.Done, nil
-	case checkpointVersion:
-		if !complete || h.Done != nil {
-			return nil, fmt.Errorf("corrupt: malformed version-%d header", checkpointVersion)
-		}
-	default:
-		return nil, fmt.Errorf("version %d, want %d or 1", h.Version, checkpointVersion)
-	}
-	if h.Fingerprint != fp || h.Points != npoints {
+	switch {
+	case h.Version == 1 || h.Version == 2:
+		return nil, fmt.Errorf("checkpoint version %d predates point keys (want %d); delete it to start over", h.Version, checkpointVersion)
+	case h.Version != checkpointVersion:
+		return nil, fmt.Errorf("checkpoint version %d, want %d", h.Version, checkpointVersion)
+	case !complete:
+		return nil, fmt.Errorf("corrupt: header line has no newline")
+	case h.Fingerprint != fp || h.Points != npoints:
 		return nil, fmt.Errorf("written for a different sweep configuration (delete it to start over)")
 	}
-	done := make(map[int]CampaignResult, len(entries))
-	add := func(e checkpointEntry) error {
-		if e.Point < 0 || e.Point >= npoints {
-			return fmt.Errorf("point %d out of range [0, %d)", e.Point, npoints)
-		}
-		done[e.Point] = e.Result
-		return nil
-	}
-	for _, e := range entries {
-		if err := add(e); err != nil {
-			return nil, err
-		}
-	}
-	// Version 2: every newline-terminated line after the header is an
-	// entry; a final fragment without its newline is a torn append.
+	done := make(map[int]CampaignResult)
+	// Every newline-terminated line after the header is an entry; a final
+	// fragment without its newline is a torn append.
 	for line := 2; len(rest) > 0; line++ {
 		var text []byte
 		if text, rest, complete = bytes.Cut(rest, []byte{'\n'}); !complete {
@@ -288,15 +233,16 @@ func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResul
 		if err := json.Unmarshal(text, &e); err != nil || e.Point == nil || e.Result == nil {
 			return nil, fmt.Errorf("corrupt: line %d is not a checkpoint entry", line)
 		}
-		if err := add(checkpointEntry{Point: *e.Point, Result: *e.Result}); err != nil {
-			return nil, err
+		if *e.Point < 0 || *e.Point >= npoints {
+			return nil, fmt.Errorf("point %d out of range [0, %d)", *e.Point, npoints)
 		}
+		done[*e.Point] = *e.Result
 	}
 	return done, nil
 }
 
 // checkpointWriter makes completed points durable. flush is called from
-// onPointDone under a point's fold lock; the writer's own mutex orders
+// OnPointDone under a point's fold lock; the writer's own mutex orders
 // concurrent completions of different points. Write errors are sticky —
 // the first one is reported once the sweep drains.
 type checkpointWriter struct {
@@ -389,15 +335,11 @@ func (w *checkpointWriter) firstErr() error {
 	return w.err
 }
 
-// CheckpointStore exposes the sweep checkpoint file to an external
-// scheduler — the campaign service's worker-fleet supervisor, which
-// commits points as lease results arrive instead of through a single
-// in-process sweep. OpenCheckpoint validates the file against the sweep
-// configuration exactly as RunSweepPointsCheckpoint would, and Flush
-// makes one more completed point durable through the same writer, so a
-// file written through a CheckpointStore and one written by
-// RunSweepPointsCheckpoint over the same points are interchangeable:
-// either runner resumes from either file.
+// CheckpointStore is a sweep's checkpoint file, open for commits.
+// ResumeSweep opens one for every checkpointed sweep; OpenCheckpoint
+// exposes the same store to external schedulers. Flush makes one more
+// completed point durable, so any file a store wrote resumes under any
+// runner.
 type CheckpointStore struct {
 	w        *checkpointWriter
 	restored map[int]CampaignResult
@@ -408,16 +350,19 @@ type CheckpointStore struct {
 // rejected by fingerprint, never merged. Flush is safe for concurrent
 // use; write errors are sticky and surface from every later Flush.
 func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*CheckpointStore, error) {
+	return openStore(path, SweepFingerprint(points, ad), len(points))
+}
+
+func openStore(path string, fp uint64, npoints int) (*CheckpointStore, error) {
 	if path == "" {
 		return nil, fmt.Errorf("core: checkpoint: empty path")
 	}
-	fp := sweepFingerprint(points, ad)
-	done, err := loadCheckpoint(path, fp, len(points))
+	done, err := loadCheckpoint(path, fp, npoints)
 	if err != nil {
 		return nil, err
 	}
 	return &CheckpointStore{
-		w:        &checkpointWriter{path: path, fp: fp, points: len(points), restored: done},
+		w:        &checkpointWriter{path: path, fp: fp, points: npoints, restored: done},
 		restored: done,
 	}, nil
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // TestSweepFingerprintPinned pins the sweep fingerprint of the shipped
-// fig6 scenario. campaignd job ids and the worker fleet's load checks key
-// on it, so a change to the hash (or to its frozen "v1" tag) would orphan
-// every stored job and every running worker.
+// fig6 scenario. campaignd job ids, checkpoint headers and the worker
+// fleet's load checks key on it, so a change to the point key encoding
+// (or to its "v2" tag) orphans every stored job and every running worker
+// and must be deliberate.
 func TestSweepFingerprintPinned(t *testing.T) {
 	data, err := os.ReadFile("../../examples/scenarios/fig6.yaml")
 	if err != nil {
@@ -25,7 +26,7 @@ func TestSweepFingerprintPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 0xf38c935ad9d6e8a3
+	const want = 0xfd490c57b9a7e272
 	if got := core.SweepFingerprint(compiled.Points, core.AdaptiveStop{}); got != want {
 		t.Errorf("fig6 sweep fingerprint = %#016x, want %#016x", got, uint64(want))
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // The sweep identity the committed seed corpus
-// (testdata/fuzz/FuzzLoadCheckpoint: a version-1 file, a version-2 file
-// and a torn version-2 file) is written for.
+// (testdata/fuzz/FuzzLoadCheckpoint: a version-3 file and a torn one,
+// plus version-1 and version-2 files the loader must reject) is written
+// for.
 const (
 	fuzzFingerprint = 0x5eed
 	fuzzPoints      = 4
@@ -17,7 +18,7 @@ const (
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader. It
 // must never panic, every restored point must be in range, and a result
 // may come only from a complete line: dropping everything after the
-// last newline, or tearing another fragment onto a version-2 file,
+// last newline, or tearing another fragment onto a loadable file,
 // restores exactly the same points.
 func FuzzLoadCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

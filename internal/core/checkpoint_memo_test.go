@@ -45,7 +45,7 @@ func TestCheckpointFlushesMemoizedPoints(t *testing.T) {
 	// Every point — including the memoized duplicates — must be in the
 	// file, so a resume after any crash restores them instead of
 	// re-running or miscounting them.
-	fp := sweepFingerprint(points, AdaptiveStop{})
+	fp := SweepFingerprint(points, AdaptiveStop{})
 	done, err := loadCheckpoint(path, fp, len(points))
 	if err != nil {
 		t.Fatalf("reading checkpoint back: %v", err)
@@ -90,27 +90,27 @@ func TestCheckpointMemoResumeBitIdentical(t *testing.T) {
 	// expected workload from what the crash actually left behind: one
 	// execution per distinct configuration neither restored nor already
 	// claimed by an earlier pending duplicate.
-	fp := sweepFingerprint(points, AdaptiveStop{})
+	fp := SweepFingerprint(points, AdaptiveStop{})
 	done, err := loadCheckpoint(path, fp, len(points))
 	if err != nil {
 		t.Fatalf("reading crashed checkpoint: %v", err)
 	}
-	restored := make(map[memoKey]bool)
+	restored := make(map[string]bool)
 	for i := range done {
-		k, ok := memoKeyOf(points[i])
+		k, ok := PointKey(points[i])
 		if !ok {
 			t.Fatalf("point %d unexpectedly not memoizable", i)
 		}
 		restored[k] = true
 	}
 	execRounds, execPoints, pending := 0, 0, 0
-	claimed := make(map[memoKey]bool)
+	claimed := make(map[string]bool)
 	for i, p := range points {
 		if _, ok := done[i]; ok {
 			continue
 		}
 		pending++
-		k, _ := memoKeyOf(p)
+		k, _ := PointKey(p)
 		if restored[k] || claimed[k] {
 			continue
 		}
@@ -165,7 +165,7 @@ func TestCheckpointResumeRemapsErrorPoint(t *testing.T) {
 	// reported index must still be the caller's coordinate 2, not the
 	// dense post-skip index 0.
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeV1Checkpoint(t, path, points, []checkpointEntry{{Point: 0, Result: aRes[0]}})
+	writeCheckpoint(t, path, points, []checkpointEntry{{Point: 0, Result: aRes[0]}})
 
 	_, _, err = RunSweepPointsCheckpoint(points, SweepOptions{}, path)
 	if err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,21 +157,18 @@ func TestCheckpointUnwritablePathFailsRun(t *testing.T) {
 	}
 }
 
-// writeV1Checkpoint hand-writes a version-1 checkpoint: a single JSON
-// object holding every entry, the layout written before format 2.
-func writeV1Checkpoint(t *testing.T, path string, points []SweepPoint, done []checkpointEntry) {
+// writeCheckpoint commits entries through a fresh store, as if a first
+// run crashed right after committing them.
+func writeCheckpoint(t *testing.T, path string, points []SweepPoint, done []checkpointEntry) {
 	t.Helper()
-	data, err := json.Marshal(map[string]any{
-		"version":     1,
-		"fingerprint": sweepFingerprint(points, AdaptiveStop{}),
-		"points":      len(points),
-		"done":        done,
-	})
+	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	for _, e := range done {
+		if err := store.Flush(e.Point, e.Result); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -233,45 +231,35 @@ func TestCheckpointTornTailResumesBitIdentical(t *testing.T) {
 	if got := checkpointLines(t, path); len(got) != 1+len(points) {
 		t.Errorf("resumed checkpoint has %d lines, want %d", len(got), 1+len(points))
 	}
-	if done, err := loadCheckpoint(path, sweepFingerprint(points, AdaptiveStop{}), len(points)); err != nil || len(done) != len(points) {
+	if done, err := loadCheckpoint(path, SweepFingerprint(points, AdaptiveStop{}), len(points)); err != nil || len(done) != len(points) {
 		t.Errorf("resumed checkpoint reloads %d points (err %v), want %d", len(done), err, len(points))
 	}
 }
 
-func TestCheckpointVersion1ResumesAndUpgrades(t *testing.T) {
-	points := checkpointTestPoints()
-	want, _, err := RunSweepPoints(points, SweepOptions{})
-	if err != nil {
-		t.Fatalf("reference sweep: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeV1Checkpoint(t, path, points, []checkpointEntry{
-		{Point: 4, Result: want[4]}, {Point: 0, Result: want[0]}, {Point: 2, Result: want[2]},
-	})
-
-	got, stats, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
-	if err != nil {
-		t.Fatalf("resume from version 1: %v", err)
-	}
-	resultsEqual(t, "version-1 resume", got, want)
-	if want := roundsOf(points, 1, 3, 5); stats.RoundsExecuted != want {
-		t.Errorf("resume executed %d rounds, want %d (restored points must not re-run)", stats.RoundsExecuted, want)
-	}
-	lines := checkpointLines(t, path)
-	var h checkpointHeader
-	if err := json.Unmarshal(lines[0], &h); err != nil || h.Version != 2 {
-		t.Fatalf("header after the first flush = %s (err %v), want version 2", lines[0], err)
-	}
-	if len(lines) != 1+len(points) {
-		t.Errorf("upgraded checkpoint has %d lines, want header + %d entries", len(lines), len(points))
-	}
-	again, stats, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
-	if err != nil {
-		t.Fatalf("rerun over the upgraded file: %v", err)
-	}
-	resultsEqual(t, "upgraded rerun", again, want)
-	if stats.RoundsExecuted != 0 {
-		t.Errorf("complete upgraded checkpoint still executed %d rounds", stats.RoundsExecuted)
+// TestCheckpointPreKeyVersionsRejected pins the format-3 cut: files of
+// versions 1 and 2 carry a fingerprint that left program parameters out
+// of a point's identity, so even one whose fingerprint happens to match
+// is rejected by version, untouched, with a message saying what to do.
+func TestCheckpointPreKeyVersionsRejected(t *testing.T) {
+	points := checkpointTestPoints()[:2]
+	fp := SweepFingerprint(points, AdaptiveStop{})
+	for _, version := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		data := []byte(fmt.Sprintf("{\"version\":%d,\"fingerprint\":%d,\"points\":%d}\n", version, fp, len(points)))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
+		want := fmt.Sprintf("checkpoint version %d predates point keys (want 3); delete it to start over", version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: err = %v, want %q", version, err, want)
+		}
+		if _, err := OpenCheckpoint(path, points, AdaptiveStop{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: OpenCheckpoint err = %v, want %q", version, err, want)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+			t.Errorf("version %d: rejected file was rewritten", version)
+		}
 	}
 }
 
@@ -310,7 +298,7 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 		t.Fatalf("reference sweep: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeV1Checkpoint(t, path, points, []checkpointEntry{{Point: 5, Result: want[5]}})
+	writeCheckpoint(t, path, points, []checkpointEntry{{Point: 5, Result: want[5]}})
 	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +329,7 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 			t.Fatalf("flush of point %d: file grew by %d bytes, want exactly its %d-byte entry line", p, len(after)-len(before), len(line))
 		}
 	}
-	done, err := loadCheckpoint(path, sweepFingerprint(points, AdaptiveStop{}), len(points))
+	done, err := loadCheckpoint(path, SweepFingerprint(points, AdaptiveStop{}), len(points))
 	if err != nil {
 		t.Fatal(err)
 	}

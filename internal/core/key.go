@@ -1,0 +1,185 @@
+package core
+
+// The point key: one canonical identity for a sweep point. Every round
+// is a pure function of its scenario and seed, so a point is fully
+// identified by its defaulted configuration and round budget — and
+// every identity the engine trusts derives from this one encoding:
+// in-process memoization compares keys exactly, PointFingerprint and
+// SweepFingerprint hash them, and through those the checkpoint header,
+// the worker fleet's lease checks and campaignd's job ids.
+//
+// The encoding follows the scenario by value: every plain field, the
+// full machine profile and the victim and attacker programs, pointers
+// and interfaces followed to what they hold. It never contains an
+// address and never depends on map order, so a worker process that
+// recompiles the same spec computes the same key. Code cannot be
+// encoded: SuccessCheck, NewGuard, Chooser and func-valued program
+// fields contribute only their presence, and make the point
+// non-memoizable.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
+	"slices"
+	"strconv"
+)
+
+// PointKey returns the canonical encoding of a point's result-
+// determining configuration, and whether it is exact: false when the
+// point carries code (a hook, a chooser, a func-valued program field)
+// whose behavior the key records only by presence. Two points with
+// equal exact keys run bit-identical campaigns.
+func PointKey(p SweepPoint) (key string, exact bool) {
+	sc := p.Scenario.withDefaults()
+	chooser := sc.Chooser != nil
+	sc.Chooser = nil
+	w := keyWriter{exact: !chooser}
+	w.b = fmt.Appendf(w.b, "rounds=%d chooser=%t ", p.Rounds, chooser)
+	w.value(reflect.ValueOf(sc))
+	return string(w.b), w.exact
+}
+
+// PointFingerprint is the FNV-1a hash of PointKey. The worker fleet tags
+// every committed result with it, so the supervisor can verify a
+// requeued lease's completions against its own view of the grid.
+func PointFingerprint(p SweepPoint) uint64 {
+	key, _ := PointKey(p)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
+}
+
+// SweepFingerprint is the FNV-1a hash of a sweep's point keys and
+// adaptive configuration — the value the checkpoint header embeds. The
+// worker fleet's load check and campaignd's job ids key on it: two
+// sweeps with equal fingerprints run bit-identical campaigns, modulo
+// the code the keys record only by presence.
+func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
+	keys, _ := pointKeys(points)
+	return fingerprintKeys(keys, ad)
+}
+
+// pointKeys computes every point's key; exact[i] reports PointKey's
+// second result.
+func pointKeys(points []SweepPoint) (keys []string, exact []bool) {
+	keys = make([]string, len(points))
+	exact = make([]bool, len(points))
+	for i, p := range points {
+		keys[i], exact[i] = PointKey(p)
+	}
+	return keys, exact
+}
+
+// fingerprintKeys is SweepFingerprint over precomputed keys. The "v2"
+// tag names the key encoding; checkpoint files carry their own format
+// version.
+func fingerprintKeys(keys []string, ad AdaptiveStop) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "v2 n=%d adaptive=%v|", len(keys), ad)
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{'|'})
+	}
+	return h.Sum64()
+}
+
+// keyWriter appends the canonical encoding of a value to b.
+type keyWriter struct {
+	b     []byte
+	exact bool
+	// path holds the pointers being followed, so a cyclic structure
+	// terminates (and makes the key inexact) instead of recursing.
+	path []uintptr
+}
+
+func (w *keyWriter) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		w.b = strconv.AppendBool(w.b, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		w.b = strconv.AppendInt(w.b, v.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		w.b = strconv.AppendUint(w.b, v.Uint(), 10)
+	case reflect.Float32, reflect.Float64:
+		w.b = strconv.AppendFloat(w.b, v.Float(), 'g', -1, 64)
+	case reflect.Complex64, reflect.Complex128:
+		w.b = fmt.Appendf(w.b, "%v", v.Complex())
+	case reflect.String:
+		w.b = strconv.AppendQuote(w.b, v.String())
+	case reflect.Struct:
+		w.b = append(w.b, '{')
+		t := v.Type()
+		for i := 0; i < v.NumField(); i++ {
+			w.b = append(append(w.b, t.Field(i).Name...), ':')
+			w.value(v.Field(i))
+			w.b = append(w.b, ' ')
+		}
+		w.b = append(w.b, '}')
+	case reflect.Pointer:
+		if v.IsNil() {
+			w.b = append(w.b, "nil"...)
+			return
+		}
+		if slices.Contains(w.path, v.Pointer()) {
+			w.b = append(w.b, "cycle"...)
+			w.exact = false
+			return
+		}
+		w.path = append(w.path, v.Pointer())
+		w.b = append(w.b, '&')
+		w.value(v.Elem())
+		w.path = w.path[:len(w.path)-1]
+	case reflect.Interface:
+		if v.IsNil() {
+			w.b = append(w.b, "nil"...)
+			return
+		}
+		// The dynamic type names the program: two types with equal
+		// fields (V1 and V2 both hold a DetectCompute) must differ.
+		w.b = append(w.b, typeName(v.Elem().Type())...)
+		w.value(v.Elem())
+	case reflect.Slice, reflect.Array:
+		w.b = append(w.b, '[')
+		for i := 0; i < v.Len(); i++ {
+			w.value(v.Index(i))
+			w.b = append(w.b, ' ')
+		}
+		w.b = append(w.b, ']')
+	case reflect.Map:
+		entries := make([]string, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			e := keyWriter{exact: true, path: w.path}
+			e.value(it.Key())
+			e.b = append(e.b, ':')
+			e.value(it.Value())
+			w.exact = w.exact && e.exact
+			entries = append(entries, string(e.b))
+		}
+		slices.Sort(entries)
+		w.b = append(w.b, "map["...)
+		for _, e := range entries {
+			w.b = append(append(w.b, e...), ' ')
+		}
+		w.b = append(w.b, ']')
+	default:
+		// Func, Chan, UnsafePointer: code or an address; presence only.
+		if v.IsNil() {
+			w.b = append(w.b, "nil"...)
+			return
+		}
+		w.b = append(w.b, "set"...)
+		w.exact = false
+	}
+}
+
+// typeName qualifies a named type with its package path.
+func typeName(t reflect.Type) string {
+	if t.Kind() == reflect.Pointer {
+		return "*" + typeName(t.Elem())
+	}
+	if t.Name() == "" {
+		return t.String()
+	}
+	return t.PkgPath() + "." + t.Name()
+}

@@ -1,191 +1,69 @@
 package core
 
-import (
-	"fmt"
-	"hash/fnv"
-	"time"
-
-	"tocttou/internal/fault"
-)
-
 // In-process sweep-point memoization. A sweep's points are frequently not
 // all distinct — ablation grids repeat their control column, and
 // explorer-driven re-sweeps repeat converged points verbatim. Every round
-// is a pure function of its scenario and seed, so two points with
-// identical result-determining configuration and identical round budgets
-// provably produce identical CampaignResults; RunSweepPoints therefore
-// executes only the first of each duplicate class and copies its result
-// to the rest (CampaignResult is a pure value — fixed arrays, no
-// pointers — so the copies share no storage). This is the first concrete
-// step toward a campaign-as-a-service result cache: the dedupe key is
-// exactly the cache key such a service would use.
+// is a pure function of its scenario and seed, so two points with equal
+// exact keys (key.go) provably produce identical CampaignResults;
+// RunSweepPoints therefore executes only the first of each duplicate
+// class and copies its result to the rest (CampaignResult is a pure
+// value — fixed arrays, no pointers — so the copies share no storage).
+// A checkpointed resume applies the same rule against the points its
+// file restored (ResumeSweep).
 //
 // Memoization must never change what a caller observes, so it stands
 // down whenever per-point execution is observable: a round callback
 // installed (each executed round must be reported), adaptive stopping
 // enabled (PointsStopped accounting is per executed point), the
-// crash-test stop knob set, or a point carrying code the key cannot
-// capture (success-check, guard, or chooser hooks, or a program whose
-// dynamic type is not comparable). The onPointDone completion hook is
-// the one observer memoization composes with: a duplicate point
-// completes the moment its representative does, so RunSweepPoints fans
-// the representative's completion out to every duplicate — the
-// checkpoint writer therefore flushes memoized points like executed
-// ones. Execution-shaping results are still exact for memoized sweeps:
-// duplicate points simply contribute no RoundsExecuted/RoundsCommitted,
-// which SweepStats.PointsMemoized makes visible.
-
-// planKey is fault.Plan flattened into a comparable value (FSOps, the
-// one slice field, collapses to a canonical string).
-type planKey struct {
-	seed         int64
-	fsRate       float64
-	fsOps        string
-	semIntrRate  float64
-	semIntrDelay time.Duration
-	killVictim   float64
-	killAttacker float64
-	killWindow   time.Duration
-	restart      bool
-	restartDelay time.Duration
-}
-
-func planKeyOf(pl fault.Plan) planKey {
-	ops := ""
-	for _, op := range pl.FSOps {
-		ops += fmt.Sprintf("%d,", op)
-	}
-	return planKey{
-		seed:         pl.Seed,
-		fsRate:       pl.FSRate,
-		fsOps:        ops,
-		semIntrRate:  pl.SemIntrRate,
-		semIntrDelay: pl.SemIntrDelay,
-		killVictim:   pl.KillVictimRate,
-		killAttacker: pl.KillAttackerRate,
-		killWindow:   pl.KillWindow,
-		restart:      pl.Restart,
-		restartDelay: pl.RestartDelay,
-	}
-}
-
-// memoKey is a sweep point's full result-determining identity: the
-// prefix signature (machine, programs, fixture, scheduling knobs) plus
-// everything per-round the signature deliberately excludes, plus the
-// round budget. Two points with equal keys run bit-identical campaigns.
-type memoKey struct {
-	sig    prefixSig
-	rounds int
-	seed   int64
-	sys    string
-	trace  bool
-	plan   planKey
-}
-
-// fingerprint is the key's FNV-1a hash — the dedupe bucket. Exact key
-// equality is still checked within a bucket, so a hash collision costs
-// only a missed dedupe, never a wrong result.
-func (k memoKey) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", k)
-	return h.Sum64()
-}
-
-// memoKeyOf builds a point's memo key, or reports that the point is not
-// memoizable (it carries code whose behavior the key cannot capture).
-func memoKeyOf(p SweepPoint) (memoKey, bool) {
-	sc := p.Scenario
-	if sc.SuccessCheck != nil || sc.NewGuard != nil || sc.Chooser != nil ||
-		sc.Victim == nil || sc.Attacker == nil ||
-		!comparableProg(sc.Victim) || !comparableProg(sc.Attacker) {
-		return memoKey{}, false
-	}
-	sc = sc.withDefaults()
-	return memoKey{
-		sig:    sigOf(sc),
-		rounds: p.Rounds,
-		seed:   sc.Seed,
-		sys:    sc.UseSyscall,
-		trace:  sc.Trace,
-		plan:   planKeyOf(sc.Faults),
-	}, true
-}
-
-// memoPlan maps a sweep with duplicate points onto its unique
-// representatives.
-type memoPlan struct {
-	rep    []int // original index -> its representative's original index
-	uniq   []int // representative original indices, in original order
-	toUniq []int // representative original index -> position in uniq (-1 elsewhere)
-}
+// crash-test stop knob set, or a point whose key is not exact (it
+// carries a success-check, guard or chooser hook, or a func-valued
+// program field). The OnPointDone completion hook is the one observer
+// memoization composes with: a duplicate point completes the moment its
+// representative does, so RunSweepPoints fans the representative's
+// completion out to every duplicate — the checkpoint writer therefore
+// flushes memoized points like executed ones. Execution-shaping results
+// are still exact for memoized sweeps: duplicate points simply
+// contribute no RoundsExecuted/RoundsCommitted, which
+// SweepStats.PointsMemoized makes visible.
 
 // memoObservable reports whether the options make per-point execution
-// observable in a way memoization cannot reproduce. onPointDone is
-// deliberately absent: completions of duplicates are fanned out by
-// RunSweepPoints, so the hook composes with memoization (checkpointed
-// sweeps dedupe like plain ones).
+// observable in a way memoization cannot reproduce. OnPointDone is
+// deliberately absent: completions of duplicates are fanned out, so the
+// hook composes with memoization (checkpointed sweeps dedupe like plain
+// ones).
 func memoObservable(opt SweepOptions) bool {
 	return opt.OnRound != nil || opt.stopAfterPoints != 0 || opt.Adaptive.enabled()
 }
 
-// memoizeSweep plans the dedupe, or returns nil when memoization is
-// inapplicable or would save nothing (the common all-distinct case costs
-// one fingerprint per point and no allocation beyond the key map).
-func memoizeSweep(points []SweepPoint, opt SweepOptions) *memoPlan {
-	if memoObservable(opt) || len(points) < 2 {
-		return nil
+// memoReps maps every point to the point whose result it copies:
+// rep[i] == i for a point that must run (or was restored), otherwise the
+// index of the first point with the same exact key. Restored points
+// claim their keys before any other point. keys and exact are
+// pointKeys(points). It returns nil when there is no duplicate; callers
+// consult memoObservable first.
+func memoReps(keys []string, exact []bool, restored map[int]CampaignResult) []int {
+	first := make(map[string]int, len(keys))
+	for i := range restored {
+		if r, ok := first[keys[i]]; exact[i] && (!ok || i < r) {
+			first[keys[i]] = i
+		}
 	}
-	type slot struct {
-		key memoKey
-		idx int
-	}
-	groups := make(map[uint64][]slot, len(points))
-	rep := make([]int, len(points))
+	rep := make([]int, len(keys))
 	dups := 0
-	for i, p := range points {
-		key, ok := memoKeyOf(p)
-		if !ok {
-			rep[i] = i
+	for i, key := range keys {
+		rep[i] = i
+		if _, ok := restored[i]; ok || !exact[i] {
 			continue
 		}
-		fp := key.fingerprint()
-		rep[i] = i
-		for _, s := range groups[fp] {
-			if s.key == key {
-				rep[i] = s.idx
-				dups++
-				break
-			}
-		}
-		if rep[i] == i {
-			groups[fp] = append(groups[fp], slot{key, i})
+		if r, ok := first[key]; ok {
+			rep[i] = r
+			dups++
+		} else {
+			first[key] = i
 		}
 	}
 	if dups == 0 {
 		return nil
 	}
-	plan := &memoPlan{rep: rep, toUniq: make([]int, len(points))}
-	for i := range plan.toUniq {
-		plan.toUniq[i] = -1
-	}
-	for i, r := range rep {
-		if r == i {
-			plan.toUniq[i] = len(plan.uniq)
-			plan.uniq = append(plan.uniq, i)
-		}
-	}
-	return plan
-}
-
-// duplicates maps each representative's original index to the original
-// indices of the points it stands in for, in original order. Only
-// representatives with at least one duplicate appear.
-func (p *memoPlan) duplicates() map[int][]int {
-	d := make(map[int][]int)
-	for i, r := range p.rep {
-		if r != i {
-			d[r] = append(d[r], i)
-		}
-	}
-	return d
+	return rep
 }

@@ -16,12 +16,21 @@ import (
 // per-point execution is observable or a point's identity cannot be
 // captured in the key.
 
+// memoizes reports whether RunSweepPoints would dedupe the points.
+func memoizes(points []SweepPoint, opt SweepOptions) bool {
+	if memoObservable(opt) {
+		return false
+	}
+	keys, exact := pointKeys(points)
+	return memoReps(keys, exact, nil) != nil
+}
+
 func TestSweepMemoizationDedupesIdenticalPoints(t *testing.T) {
 	a := viSc(machine.Uniprocessor(), 50<<10, 41011, false)
 	b := viSc(machine.SMP2(), 20<<10, 41013, true)
 	c := viSc(machine.MultiCore(), 4<<10, 41017, false)
 	// Duplicate FSOps slices with distinct backing arrays must still
-	// merge: the key canonicalizes the one slice field.
+	// merge: the key encodes slices by value.
 	a.Faults = fault.Plan{Seed: 7, FSRate: 0.02, FSOps: []fs.Op{fs.OpOpen, fs.OpWrite}}
 	aDup := a
 	aDup.Faults.FSOps = []fs.Op{fs.OpOpen, fs.OpWrite}
@@ -75,7 +84,7 @@ func TestSweepMemoizationKeySeparatesConfigs(t *testing.T) {
 			{Scenario: base, Rounds: 12},
 		}
 		mutate(&points[1])
-		if plan := memoizeSweep(points, SweepOptions{}); plan != nil {
+		if memoizes(points, SweepOptions{}) {
 			t.Errorf("%s: points differing in %s were merged", name, name)
 		}
 	}
@@ -84,7 +93,7 @@ func TestSweepMemoizationKeySeparatesConfigs(t *testing.T) {
 		{Scenario: base, Rounds: 12},
 		{Scenario: base, Rounds: 12},
 	}
-	if plan := memoizeSweep(points, SweepOptions{}); plan == nil {
+	if !memoizes(points, SweepOptions{}) {
 		t.Fatal("identical pair was not merged")
 	}
 }
@@ -95,22 +104,22 @@ func TestSweepMemoizationStandsDown(t *testing.T) {
 		{Scenario: base, Rounds: 12},
 		{Scenario: base, Rounds: 12},
 	}
-	if memoizeSweep(dup, SweepOptions{OnRound: func(int, int, Round) {}}) != nil {
+	if memoizes(dup, SweepOptions{OnRound: func(int, int, Round) {}}) {
 		t.Error("memoized despite OnRound callback")
 	}
-	if memoizeSweep(dup, SweepOptions{onPointDone: func(int, CampaignResult) {}}) == nil {
-		t.Error("onPointDone alone suppressed memoization; completions fan out, so it must compose")
+	if !memoizes(dup, SweepOptions{OnPointDone: func(int, CampaignResult) {}}) {
+		t.Error("OnPointDone alone suppressed memoization; completions fan out, so it must compose")
 	}
-	if memoizeSweep(dup, SweepOptions{stopAfterPoints: 1}) != nil {
+	if memoizes(dup, SweepOptions{stopAfterPoints: 1}) {
 		t.Error("memoized despite stopAfterPoints")
 	}
-	if memoizeSweep(dup, SweepOptions{Adaptive: AdaptiveStop{MinRounds: 4, HalfWidth: 0.05}}) != nil {
+	if memoizes(dup, SweepOptions{Adaptive: AdaptiveStop{MinRounds: 4, HalfWidth: 0.05}}) {
 		t.Error("memoized despite adaptive stopping")
 	}
 	hooked := append([]SweepPoint(nil), dup...)
 	hooked[0].Scenario.SuccessCheck = func(*fs.FS, Paths, int) bool { return false }
 	hooked[1].Scenario.SuccessCheck = func(*fs.FS, Paths, int) bool { return false }
-	if memoizeSweep(hooked, SweepOptions{}) != nil {
+	if memoizes(hooked, SweepOptions{}) {
 		t.Error("memoized points carrying SuccessCheck hooks")
 	}
 

@@ -10,10 +10,7 @@ package core
 // is what makes lease requeue after a worker crash a checkable
 // invariant instead of a hope.
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // RunSweepSubset runs the points selected by indices — a worker's lease
 // — out of the full sweep grid, returning their results in indices
@@ -53,17 +50,4 @@ func RunSweepSubset(points []SweepPoint, indices []int, opt SweepOptions) ([]Cam
 		return nil, stats, err
 	}
 	return res, stats, nil
-}
-
-// PointFingerprint is the FNV-1a hash of one point's result-determining
-// configuration — the exact per-point record SweepFingerprint folds
-// over the whole grid. The worker fleet tags every committed result
-// with it so the supervisor can verify a requeued lease's completions
-// against its own view of the grid before deduplicating them; as with
-// the sweep fingerprint, code-valued hooks contribute only their
-// presence.
-func PointFingerprint(p SweepPoint) uint64 {
-	h := fnv.New64a()
-	hashPoint(h, p)
-	return h.Sum64()
 }

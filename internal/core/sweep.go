@@ -92,10 +92,10 @@ type SweepOptions struct {
 	// Interrupt never fire. Unlike OnRound it composes with sweep-point
 	// memoization: a memoized duplicate fires the moment its
 	// representative completes, with the duplicate's own index. Under
-	// RunSweepPointsCheckpoint it additionally replays restored points
-	// (ascending index order, before any simulation), so a resumed sweep
-	// reports every point exactly once — the streaming seam the campaign
-	// service is built on.
+	// RunSweepPointsCheckpoint it additionally replays the points the
+	// checkpoint settles (ResumeSweep: ascending index order, before any
+	// simulation), so a resumed sweep reports every point exactly once —
+	// the streaming seam the campaign service is built on.
 	OnPointDone func(point int, res CampaignResult)
 	// Interrupt, when non-nil, requests a graceful mid-sweep stop the
 	// moment it is closed: workers stop claiming rounds, in-flight
@@ -104,12 +104,6 @@ type SweepOptions struct {
 	// have already reached OnPointDone (and, under checkpointing, the
 	// checkpoint file), so an interrupted sweep resumes bit-identically.
 	Interrupt <-chan struct{}
-	// onPointDone, when non-nil, observes each point the moment its last
-	// round commits (full budget spent or adaptive rule satisfied), under
-	// that point's fold lock. It fires exactly once per completed point
-	// and never for points cut short by cancellation. Unexported: it is
-	// the checkpoint writer's hook (see checkpoint.go), not public API.
-	onPointDone func(point int, res CampaignResult)
 	// stopAfterPoints, when positive, cancels the sweep right after that
 	// many points complete and makes RunSweepPoints return
 	// ErrSweepInterrupted. Unexported: it simulates a mid-sweep crash for
@@ -174,24 +168,10 @@ func RunSweep(scs []Scenario, rounds int, opt SweepOptions) ([]CampaignResult, e
 }
 
 // RunSweepPoints is RunSweep with per-point budgets and execution stats.
-// Points that are provably duplicates — identical result-determining
-// configuration and identical round budgets — are simulated once and
-// share the result (see memo.go for the exact conditions).
+// Points that are provably duplicates — equal exact point keys — are
+// simulated once and share the result (see memo.go for the exact
+// conditions).
 func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, SweepStats, error) {
-	// The public completion hook folds into the internal one so a single
-	// dispatch point (fold, plus the memo fan-out below) serves both; the
-	// checkpoint runner clears OnPointDone before its sub-sweep and
-	// re-dispatches with original indices itself.
-	if opt.OnPointDone != nil {
-		user, inner := opt.OnPointDone, opt.onPointDone
-		opt.OnPointDone = nil
-		opt.onPointDone = func(p int, res CampaignResult) {
-			if inner != nil {
-				inner(p, res)
-			}
-			user(p, res)
-		}
-	}
 	// Budgets are validated before memoization so the reported index is
 	// the caller's grid coordinate, never a post-dedupe dense index.
 	for i, p := range points {
@@ -199,26 +179,37 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 			return nil, SweepStats{}, fmt.Errorf("core: sweep point %d needs rounds > 0, got %d", i, p.Rounds)
 		}
 	}
-	plan := memoizeSweep(points, opt)
-	if plan == nil {
+	var rep []int
+	if !memoObservable(opt) && len(points) > 1 {
+		keys, exact := pointKeys(points)
+		rep = memoReps(keys, exact, nil)
+	}
+	if rep == nil {
 		return runSweepPointsDirect(points, opt)
 	}
-	sub := make([]SweepPoint, len(plan.uniq))
-	for u, i := range plan.uniq {
+	var uniq []int              // representatives, ascending
+	dups := make(map[int][]int) // representative -> its duplicates
+	for i, r := range rep {
+		if r == i {
+			uniq = append(uniq, i)
+		} else {
+			dups[r] = append(dups[r], i)
+		}
+	}
+	sub := make([]SweepPoint, len(uniq))
+	for u, i := range uniq {
 		sub[u] = points[i]
 	}
 	subOpt := opt
-	if opt.onPointDone != nil {
+	if user := opt.OnPointDone; user != nil {
 		// A memoized duplicate completes the moment its representative
 		// does: fan the completion out under the same fold lock, with the
 		// duplicate's own index, so observers (the checkpoint writer) see
 		// every point exactly once.
-		dups := plan.duplicates()
-		subOpt.onPointDone = func(u int, res CampaignResult) {
-			orig := plan.uniq[u]
-			opt.onPointDone(orig, res)
-			for _, d := range dups[orig] {
-				opt.onPointDone(d, res)
+		subOpt.OnPointDone = func(u int, res CampaignResult) {
+			user(uniq[u], res)
+			for _, d := range dups[uniq[u]] {
+				user(d, res)
 			}
 		}
 	}
@@ -227,13 +218,16 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 	if err != nil {
 		var se *SweepError
 		if errors.As(err, &se) {
-			se.Point = plan.uniq[se.Point]
+			se.Point = uniq[se.Point]
 		}
 		return nil, stats, err
 	}
 	out := make([]CampaignResult, len(points))
-	for i, r := range plan.rep {
-		out[i] = res[plan.toUniq[r]]
+	for u, i := range uniq {
+		out[i] = res[u]
+		for _, d := range dups[i] {
+			out[d] = res[u]
+		}
 	}
 	return out, stats, nil
 }
@@ -270,7 +264,7 @@ func runSweepPointsDirect(points []SweepPoint, opt SweepOptions) ([]CampaignResu
 	}
 	if r.interrupted.Load() {
 		// Deliberate mid-sweep stop: completed points already reached
-		// onPointDone; the rest are intentionally unfinished, so the
+		// OnPointDone; the rest are intentionally unfinished, so the
 		// committed-budget invariant below does not apply.
 		for i := range r.aggs {
 			stats.RoundsCommitted += r.aggs[i].res.Rounds
@@ -457,8 +451,8 @@ func (r *sweepRun) fold(p int, agg *pointAgg, round Round) {
 	// A point completes by exhausting its budget or by stopping early;
 	// either way this is the unique fold that finished it.
 	if agg.done.Load() || agg.next == r.points[p].Rounds {
-		if r.opt.onPointDone != nil {
-			r.opt.onPointDone(p, agg.res)
+		if r.opt.OnPointDone != nil {
+			r.opt.OnPointDone(p, agg.res)
 		}
 		if n := r.completed.Add(1); r.opt.stopAfterPoints > 0 && n >= int64(r.opt.stopAfterPoints) {
 			r.interrupted.Store(true)

@@ -58,17 +58,11 @@ type Config struct {
 	// MaxPointRetries is the number of worker kills one point may be
 	// blamed for before it is quarantined; 0 selects 3.
 	MaxPointRetries int
-	// LeasePoints is the maximum points per lease; 0 selects 2. Small
-	// leases bound the work a crash can strand behind a dead worker.
-	LeasePoints int
 	// BackoffBase/BackoffMax shape the restart delay: min(BackoffMax,
 	// BackoffBase << consecutiveFailures) plus deterministic jitter in
 	// [0, BackoffBase). Zero values select 50ms and 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BackoffSeed seeds the jitter stream; 0 selects 1. Same seed, same
-	// death sequence → same delays, keeping soak timings reproducible.
-	BackoffSeed uint64
 	// MaxRestarts bounds total worker replacements; 0 selects 100.
 	MaxRestarts int
 	// Interrupt, when closed, stops the fleet at the next event: workers
@@ -100,17 +94,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxPointRetries <= 0 {
 		c.MaxPointRetries = 3
 	}
-	if c.LeasePoints <= 0 {
-		c.LeasePoints = 2
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 50 * time.Millisecond
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
-	}
-	if c.BackoffSeed == 0 {
-		c.BackoffSeed = 1
 	}
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 100
@@ -150,6 +138,14 @@ type Stats struct {
 	// Quarantined lists poison points, ascending by point index.
 	Quarantined []Quarantine
 }
+
+// leasePoints is the maximum points per lease. Small leases bound the
+// work a crash can strand behind a dead worker.
+const leasePoints = 2
+
+// backoffSeed seeds the restart jitter stream: the same death sequence
+// gives the same delays, keeping soak timings reproducible.
+const backoffSeed = 1
 
 // ErrInterrupted reports a fleet stopped by the Interrupt channel with
 // every result committed so far already delivered through onPoint.
@@ -455,7 +451,7 @@ func (r *fleetRun) assign(p *proc) {
 	if !p.loaded || p.lease != nil || len(r.pending) == 0 || p.killed {
 		return
 	}
-	n := r.cfg.LeasePoints
+	n := leasePoints
 	if n > len(r.pending) {
 		n = len(r.pending)
 	}
@@ -515,7 +511,7 @@ func (r *fleetRun) handleExit(p *proc, werr error) error {
 	}
 	r.stats.Restarts++
 	r.failStreak++
-	delay := backoffDelay(r.cfg.BackoffSeed, p.id, r.failStreak, r.cfg.BackoffBase, r.cfg.BackoffMax)
+	delay := backoffDelay(backoffSeed, p.id, r.failStreak, r.cfg.BackoffBase, r.cfg.BackoffMax)
 	r.cfg.Logf("workerpool: restarting worker in %v (replacement %d/%d)", delay, r.stats.Restarts, r.cfg.MaxRestarts)
 	r.timers = append(r.timers, time.AfterFunc(delay, func() {
 		r.post(fleetEvent{kind: evSpawn})
