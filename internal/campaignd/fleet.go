@@ -20,8 +20,9 @@ import (
 )
 
 // runFleet is runJob's fleet executor: it runs the resume's pending
-// points over a worker fleet, committing each result through rs.Commit
-// on the supervisor's event loop, and returns the quarantined points.
+// points over a worker fleet, handing each result to rs.Commit on the
+// supervisor's event loop (a queue hand-off: the loop never waits on
+// disk), and returns the quarantined points. runJob drains rs.
 func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine, error) {
 	spec, err := os.ReadFile(j.specPath())
 	if err != nil {

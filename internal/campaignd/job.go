@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -132,7 +133,7 @@ type job struct {
 	compiled *scenario.Compiled
 	seen     map[int]bool  // point index -> already in the log
 	update   chan struct{} // closed and replaced on every change
-	elog     *os.File      // events.ndjson append handle while running
+	elog     logFile       // events.ndjson append handle while running
 }
 
 func newJob(id, dir string, spec *scenario.Spec, compiled *scenario.Compiled, filename, submittedAt string) *job {
@@ -217,57 +218,95 @@ func (j *job) endEventLocked() json.RawMessage {
 	return data
 }
 
-// commitPoint appends one committed point to the event log: durable
-// first (append + fsync), visible second (Committed grows, broadcast).
-// Replayed completions of points already in the log — checkpoint-restored
-// points on resume — are skipped, so the log holds every point exactly
-// once. A failed append closes the log: a later line must never land
-// after a partial one.
-func (j *job) commitPoint(p int, res core.CampaignResult) (appended bool, err error) {
+// commitPoints appends a batch of committed points to the event log:
+// durable first (one write, one fsync for the whole batch), visible
+// second (Committed grows by the batch, one broadcast). Points already
+// in the log — checkpoint-restored points on resume — are skipped, so
+// the log holds every point exactly once. Only the job's committer
+// calls it, one batch at a time, so the log's tail cannot move between
+// numbering the lines and publishing them; j.mu guards the reads and
+// the publish, never the file I/O. A failed write or sync closes the
+// log: a later line must never land after a partial one. buf is the
+// caller's reused line buffer.
+func (j *job) commitPoints(batch []core.PointResult, buf *bytes.Buffer) (appended int, err error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if terminalState(j.info.State) {
-		return false, fmt.Errorf("job %s is %s: point %d cannot commit", j.id, j.info.State, p)
+		state := j.info.State
+		j.mu.Unlock()
+		return 0, fmt.Errorf("job %s is %s: %d points cannot commit", j.id, state, len(batch))
 	}
-	if j.seen[p] {
-		return false, nil
+	elog, seen, meta, seq := j.elog, j.seen, j.compiled.Meta, j.info.Committed
+	j.mu.Unlock()
+	if elog == nil {
+		return 0, fmt.Errorf("job %s: event log is not open", j.id)
 	}
-	if j.elog == nil {
-		return false, fmt.Errorf("job %s: event log is not open", j.id)
+	// seen changes only in the publish step below, on this goroutine.
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	for _, pr := range batch {
+		if seen[pr.Point] {
+			continue
+		}
+		res := pr.Result
+		ev := PointEvent{
+			Type:         "point",
+			Seq:          seq + appended,
+			Point:        pr.Point,
+			Label:        meta[pr.Point].Label,
+			Rounds:       res.Rounds,
+			Successes:    res.Successes,
+			Rate:         res.Rate(),
+			VictimErrors: res.VictimErrors,
+			AttackErrors: res.AttackErrors,
+		}
+		if err := enc.Encode(ev); err != nil {
+			return 0, err
+		}
+		appended++
 	}
-	ev := PointEvent{
-		Type:         "point",
-		Seq:          j.info.Committed,
-		Point:        p,
-		Label:        j.compiled.Meta[p].Label,
-		Rounds:       res.Rounds,
-		Successes:    res.Successes,
-		Rate:         res.Rate(),
-		VictimErrors: res.VictimErrors,
-		AttackErrors: res.AttackErrors,
+	if appended == 0 {
+		return 0, nil
 	}
-	line, merr := json.Marshal(ev)
-	if merr != nil {
-		return false, merr
-	}
-	_, err = j.elog.Write(append(line, '\n'))
+	_, err = elog.Write(buf.Bytes())
 	if err == nil {
-		err = j.elog.Sync()
+		err = elog.Sync()
 	}
+	j.mu.Lock()
 	if err != nil {
-		j.elog.Close()
 		j.elog = nil
-		return false, err
+		j.mu.Unlock()
+		elog.Close()
+		return 0, err
 	}
-	j.seen[p] = true
-	j.info.Committed++
+	for _, pr := range batch {
+		seen[pr.Point] = true
+	}
+	j.info.Committed += appended
 	j.bump()
-	return true, nil
+	j.mu.Unlock()
+	return appended, nil
 }
 
-// openEventLog opens the append handle commitPoint writes through.
+// logFile is the event log's append handle.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// openLogFile opens events.ndjson for appending. Tests replace it to
+// inject write and sync failures.
+var openLogFile = func(path string) (logFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// openEventLog opens the append handle commitPoints writes through.
 func (j *job) openEventLog() error {
-	f, err := os.OpenFile(j.eventsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openLogFile(j.eventsPath())
 	if err != nil {
 		return err
 	}

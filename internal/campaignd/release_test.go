@@ -7,6 +7,7 @@ package campaignd
 // report, all read from the job's files, stay byte-identical.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -112,8 +113,9 @@ func TestFinishedJobReleasesGrid(t *testing.T) {
 
 			// A completion arriving after the terminal transition is refused,
 			// not written into the released index.
-			if appended, err := j.commitPoint(0, core.CampaignResult{}); err == nil || appended {
-				t.Errorf("commitPoint on a done job = %v, %v; want an error", appended, err)
+			batch := []core.PointResult{{Point: 0}}
+			if appended, err := j.commitPoints(batch, new(bytes.Buffer)); err == nil || appended != 0 {
+				t.Errorf("commitPoints on a done job = %v, %v; want an error", appended, err)
 			}
 			if got := j.snapshot().Committed; got != 3 {
 				t.Errorf("committed = %d after a refused commit, want 3", got)

@@ -34,6 +34,7 @@ package campaignd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -348,33 +349,45 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	defer j.closeEventLog()
-	if err := j.setState(func(info *JobInfo) { info.State = StateRunning }); err != nil {
-		s.cfg.Logf("campaignd: job %s: persisting running state: %v", j.id, err)
-	}
+	// A restart resumes queued, running and interrupted jobs alike, so
+	// the move to running is not persisted: state.json is rewritten only
+	// where a restart would act differently.
+	j.mu.Lock()
+	j.info.State = StateRunning
+	j.bump()
+	j.mu.Unlock()
 
 	results := make([]core.CampaignResult, len(j.compiled.Points))
-	// onPoint sees every point exactly once, after its checkpoint flush:
-	// replayed by the resume step or committed by the executor. The
-	// event log append + fsync makes it durable before watchers see it;
-	// commitPoint skips points a previous run already logged.
-	onPoint := func(idx int, res core.CampaignResult) error {
-		results[idx] = res
-		appended, err := j.commitPoint(idx, res)
+	// onBatch sees every point exactly once, after its checkpoint line
+	// is written: replayed by the resume step or committed by the
+	// executor, one batch at a time. commitPoints makes the batch
+	// durable (one append, one fsync) before watchers see it, and skips
+	// points a previous run already logged.
+	var lines bytes.Buffer
+	onBatch := func(batch []core.PointResult) error {
+		for _, pr := range batch {
+			results[pr.Point] = pr.Result
+		}
+		n, err := j.commitPoints(batch, &lines)
 		if err != nil {
 			return fmt.Errorf("event log: %w", err)
 		}
-		if appended {
-			s.pointsCommitted.Add(1)
-		}
+		s.pointsCommitted.Add(int64(n))
 		return nil
 	}
 	var quarantined []workerpool.Quarantine
-	rs, err := core.ResumeSweep(j.checkpointPath(), j.compiled.Points, core.SweepOptions{}, onPoint)
+	rs, err := core.ResumeSweep(j.checkpointPath(), j.compiled.Points, core.SweepOptions{}, onBatch)
 	if err == nil {
 		if s.cfg.Workers > 0 {
 			quarantined, err = s.runFleet(j, rs)
 		} else {
 			_, err = rs.RunPending(core.SweepOptions{Interrupt: s.interrupt})
+		}
+		// Settle only once every point the executor finished is durable
+		// and logged: an interrupted job's checkpoint and log then hold
+		// all of them. A commit failure outranks the executor's outcome.
+		if derr := rs.Drain(); derr != nil {
+			err = derr
 		}
 	}
 	switch {

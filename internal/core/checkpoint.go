@@ -1,32 +1,33 @@
 package core
 
 // Crash-safe sweep checkpointing. A checkpoint file holds the committed
-// per-point results of an interrupted sweep. Every time a point finishes
-// (the OnPointDone hook, which fires exactly once per completed point, in
-// commit order, and never for points cut short by cancellation), one
-// line recording it is appended to the file, so committing a point costs
-// the same whatever the sweep's size. Resuming validates the sweep's
-// fingerprint (the hash of its point keys, key.go), restores the
-// completed points verbatim, and runs only the remainder. Because each
-// point's result depends solely on its own scenario and seed (workers
-// share nothing across points but the pool), entries are independent of
-// each other and the merged output is bit-identical to an uninterrupted
-// run.
+// per-point results of an interrupted sweep. Every point that finishes
+// (the OnPointDone hook, which fires exactly once per completed point
+// and never for points cut short by cancellation) is handed to the
+// sweep's committer, which appends the lines of every point queued since
+// its last write in one write, so committing a point costs the same
+// whatever the sweep's size and never stalls the goroutine that
+// finished it. Resuming validates the sweep's fingerprint (the hash of
+// its point keys, key.go), restores the completed points verbatim, and
+// runs only the remainder. Because each point's result depends solely on
+// its own scenario and seed (workers share nothing across points but the
+// pool), entries are independent of each other and the merged output is
+// bit-identical to an uninterrupted run.
 //
 // Format 3 is line-oriented:
 //
 //	{"version":3,"fingerprint":F,"points":N}
 //	{"point":i,"result":{...}}     one line per committed point
 //
-// A writer's first flush atomically replaces the file (temp file +
-// rename) with the header, the entries it restored and the new one; that
-// drops a torn tail. Every later flush appends one line. A crash
-// mid-append can leave only a final line without its newline, which the
-// loader drops (its point re-runs) — the same rule as campaignd's
-// events.ndjson. A complete line that does not decode is corruption and
-// is rejected. Versions 1 and 2 carried a fingerprint that left program
-// parameters out of a point's identity; they are rejected by version,
-// never trusted.
+// A writer's first write atomically replaces the file (temp file +
+// rename) with the header, the entries it restored and the new ones;
+// that drops a torn tail. Every later write appends one line per point.
+// A crash mid-append can leave only a final line without its newline,
+// which the loader drops (its point re-runs) — the same rule as
+// campaignd's events.ndjson. A complete line that does not decode is
+// corruption and is rejected. Versions 1 and 2 carried a fingerprint
+// that left program parameters out of a point's identity; they are
+// rejected by version, never trusted.
 
 import (
 	"bytes"
@@ -35,7 +36,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // checkpointVersion is the on-disk format the writer produces and the
@@ -49,14 +49,24 @@ type checkpointHeader struct {
 	Points      int    `json:"points"`
 }
 
-type checkpointEntry struct {
+// PointResult is one committed point: its index in the sweep grid and
+// its result. It is also a checkpoint entry line's encoding.
+type PointResult struct {
 	Point  int            `json:"point"`
 	Result CampaignResult `json:"result"`
 }
 
 // SweepResume is a checkpointed sweep after its restore-and-replay step:
 // the points an executor still has to run, and the commit path every
-// executed point goes through. Build it with ResumeSweep.
+// executed point goes through. Build it with ResumeSweep and end it with
+// Drain.
+//
+// Committing is a hand-off. Commit queues the point and returns; one
+// committer goroutine makes the queued points durable in batches — a
+// batch is whatever is queued when it wakes — by appending their
+// checkpoint lines with one write and then handing the batch to done.
+// A point therefore reaches done only after its checkpoint line is
+// written, and every point reaches done exactly once.
 type SweepResume struct {
 	// Pending lists, ascending, the points the executor must run.
 	Pending []int
@@ -66,83 +76,168 @@ type SweepResume struct {
 	Memoized int
 
 	points []SweepPoint
-	store  *CheckpointStore
-	done   func(point int, res CampaignResult) error
+	sums   []keySum // every point's key hash, for RunPending's memo pass
+	w      *checkpointWriter
+	done   func(batch []PointResult) error
+
+	mu      sync.Mutex
+	wake    sync.Cond
+	queue   []PointResult // committed, not yet written
+	err     error         // the first failed batch's error; sticky
+	closing bool          // Drain has begun: empty the queue and exit
+	exited  chan struct{} // non-nil once the committer runs; closed on exit
 }
 
 // ResumeSweep is the one restore-and-replay step of every checkpointed
 // sweep, in-process (RunSweepPointsCheckpoint) or over a worker fleet
 // (campaignd). It opens the checkpoint at path for the sweep — a file
 // written for a different sweep is rejected by fingerprint, never merged
-// — and then, in ascending index order and before any simulation,
-// reports through done every point the file settles: a restored point
-// as it is, and a pending point whose exact key a restored point holds
-// as a copy of it, flushed to the file first. Copies follow the rules
-// of memo.go: with options that make per-point execution observable,
-// only restored points replay.
+// — and then, before any simulation, settles every point the file can:
+// a restored point as it is, and a pending point whose exact key a
+// restored point holds as a copy of it. The copies' checkpoint lines
+// are written first; then all settled points reach done as one batch,
+// in ascending index order. Copies follow the rules of memo.go: with
+// options that make per-point execution observable, only restored
+// points replay.
 //
-// done must be safe for concurrent calls with different points when the
-// executor commits concurrently; an error from it stops the replay and
-// is returned.
-func ResumeSweep(path string, points []SweepPoint, opt SweepOptions, done func(point int, res CampaignResult) error) (*SweepResume, error) {
-	keys, exact := pointKeys(points)
-	store, err := openStore(path, fingerprintKeys(keys, opt.Adaptive), len(points))
+// done receives batches from one goroutine at a time: this replay, then
+// the committer. It must not retain a batch, whose slice is reused. An
+// error from it fails the batch: the replay's is returned, a committer
+// batch's is sticky (see Commit).
+func ResumeSweep(path string, points []SweepPoint, opt SweepOptions, done func(batch []PointResult) error) (*SweepResume, error) {
+	sums := make([]keySum, len(points))
+	store, err := openStore(path, fingerprints(points, opt.Adaptive, sums), len(points))
 	if err != nil {
 		return nil, err
 	}
 	restored := store.Restored()
 	var rep []int
-	if !memoObservable(opt) {
-		rep = memoReps(keys, exact, restored)
+	if len(restored) > 0 && !memoObservable(opt) {
+		rep = memoReps(points, restored, sums)
 	}
-	r := &SweepResume{points: points, store: store, done: done}
+	r := &SweepResume{points: points, sums: sums, w: store.w, done: done}
+	r.wake.L = &r.mu
+	var settled, copies []PointResult
 	for i := range points {
 		if res, ok := restored[i]; ok {
-			if err := done(i, res); err != nil {
-				return nil, err
-			}
+			settled = append(settled, PointResult{i, res})
 			continue
 		}
 		if rep != nil {
 			if res, ok := restored[rep[i]]; ok {
-				if err := r.Commit(i, res); err != nil {
-					return nil, err
-				}
-				r.Memoized++
+				copies = append(copies, PointResult{i, res})
+				settled = append(settled, PointResult{i, res})
 				continue
 			}
 		}
 		r.Pending = append(r.Pending, i)
 	}
+	r.Memoized = len(copies)
+	if len(copies) > 0 {
+		err = r.w.write(copies, true)
+	}
+	if err == nil && len(settled) > 0 {
+		err = done(settled)
+	}
+	if err != nil {
+		r.w.close()
+		return nil, err
+	}
 	return r, nil
 }
 
-// Commit settles one pending point: it is flushed to the checkpoint,
-// then reported through done. It returns the first flush or done error.
+// Commit queues one executed pending point for the committer and
+// returns without I/O. Once a batch has failed, Commit returns that
+// error instead, as it does after Drain: a point that cannot be made
+// durable must not pass for a completed one.
 func (r *SweepResume) Commit(point int, res CampaignResult) error {
-	if err := r.store.Flush(point, res); err != nil {
-		return err
+	if point < 0 || point >= len(r.points) {
+		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, len(r.points))
 	}
-	return r.done(point, res)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.closing:
+		return fmt.Errorf("core: checkpoint: point %d committed after Drain", point)
+	}
+	r.queue = append(r.queue, PointResult{point, res})
+	if r.exited == nil {
+		r.exited = make(chan struct{})
+		go r.commitLoop()
+	}
+	r.wake.Signal()
+	return nil
+}
+
+// commitLoop is the committer: it swaps the queue for its spare batch,
+// writes the batch's checkpoint lines, hands it to done, and repeats
+// until Drain has begun and the queue is empty. After a failure it
+// drops what is still queued.
+func (r *SweepResume) commitLoop() {
+	defer close(r.exited)
+	var batch []PointResult
+	r.mu.Lock()
+	for {
+		for len(r.queue) == 0 && !r.closing {
+			r.wake.Wait()
+		}
+		if len(r.queue) == 0 {
+			r.mu.Unlock()
+			return
+		}
+		batch, r.queue = r.queue, batch[:0]
+		failed := r.err != nil
+		r.mu.Unlock()
+		var err error
+		if !failed {
+			if err = r.w.write(batch, true); err == nil {
+				err = r.done(batch)
+			}
+		}
+		r.mu.Lock()
+		if err != nil && r.err == nil {
+			r.err = err
+		}
+	}
+}
+
+// Drain waits until every committed point has been written and handed
+// to done, closes the checkpoint, and returns the first error of any
+// batch. It is safe to call more than once; Commit fails after it.
+func (r *SweepResume) Drain() error {
+	r.mu.Lock()
+	r.closing = true
+	exited := r.exited
+	r.wake.Signal()
+	r.mu.Unlock()
+	if exited != nil {
+		<-exited
+	}
+	cerr := r.w.close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = cerr
+	}
+	return r.err
 }
 
 // RunPending is the in-process executor: it runs the pending points
 // through RunSweepSubset with opt (its OnPointDone replaced by Commit),
-// so pending duplicates of one another are memoized there. The stats
-// cover the executed work, plus Memoized in PointsMemoized. A
-// Commit error fails the run ahead of the sweep's own outcome: a point
-// that cannot be made durable must not pass for a completed one.
+// so pending duplicates of one another are memoized there, then drains
+// the committer. The stats cover the executed work, plus Memoized in
+// PointsMemoized. A commit error fails the run ahead of the sweep's own
+// outcome.
 func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
-	var commitErr atomic.Pointer[error]
-	opt.OnPointDone = func(p int, res CampaignResult) {
-		if err := r.Commit(p, res); err != nil {
-			commitErr.CompareAndSwap(nil, &err)
-		}
-	}
+	// Commit errors are sticky; Drain reports the first.
+	opt.OnPointDone = func(p int, res CampaignResult) { r.Commit(p, res) }
+	opt.keySums = r.sums
 	_, st, err := RunSweepSubset(r.points, r.Pending, opt)
 	st.PointsMemoized += r.Memoized
-	if cerr := commitErr.Load(); cerr != nil {
-		return st, *cerr
+	if derr := r.Drain(); derr != nil {
+		return st, derr
 	}
 	return st, err
 }
@@ -152,7 +247,9 @@ func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
 // path it is ResumeSweep followed by SweepResume.RunPending: the
 // merged results are bit-identical to an uninterrupted RunSweepPoints
 // over the same points (per-point results never depend on other
-// points). The returned SweepStats covers only the work this call
+// points). OnPointDone fires from the commit path, after the point's
+// checkpoint line is written, and every call has been made by the time
+// this returns. The returned SweepStats covers only the work this call
 // performed (see RunPending).
 //
 // SuccessCheck, NewGuard, and Chooser hooks cannot be fingerprinted
@@ -164,10 +261,12 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	}
 	results := make([]CampaignResult, len(points))
 	user := opt.OnPointDone
-	rs, err := ResumeSweep(path, points, opt, func(p int, res CampaignResult) error {
-		results[p] = res
-		if user != nil {
-			user(p, res)
+	rs, err := ResumeSweep(path, points, opt, func(batch []PointResult) error {
+		for _, pr := range batch {
+			results[pr.Point] = pr.Result
+			if user != nil {
+				user(pr.Point, pr.Result)
+			}
 		}
 		return nil
 	})
@@ -241,10 +340,11 @@ func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResul
 	return done, nil
 }
 
-// checkpointWriter makes completed points durable. flush is called from
-// OnPointDone under a point's fold lock; the writer's own mutex orders
-// concurrent completions of different points. Write errors are sticky —
-// the first one is reported once the sweep drains.
+// checkpointWriter makes completed points durable. A SweepResume's
+// committer calls write from its own goroutine, one batch at a time;
+// CheckpointStore.Flush may call it from any goroutine. The mutex
+// orders the two. Write errors are sticky: after the first, every write
+// returns it.
 type checkpointWriter struct {
 	path   string
 	fp     uint64
@@ -252,87 +352,114 @@ type checkpointWriter struct {
 
 	mu sync.Mutex
 	// restored holds the entries loaded from the file until the first
-	// flush rewrites them; nil from then on, when flushes only append.
+	// write rewrites them; nil from then on, when writes only append.
 	restored  map[int]CampaignResult
 	appending bool
-	err       error
+	// f is the append handle the first write of a committer-driven
+	// writer opens; it stays open until close. A writer that never
+	// commits through a SweepResume opens the file for every append.
+	f   *os.File
+	buf bytes.Buffer // the batch's encoded lines, reused
+	enc *json.Encoder
+	err error
 }
 
-func (w *checkpointWriter) flush(point int, res CampaignResult) {
+// write makes a batch durable in file order. The first write atomically
+// replaces the file (temp file + rename) with the header, the restored
+// entries and the batch's entries — a crash mid-write leaves the
+// previous file or the new one, never a torn header — and, with hold,
+// opens an append handle that stays open until close. Every later write
+// appends the batch's lines with one write: through the handle while it
+// is open, else by opening and closing the file.
+func (w *checkpointWriter) write(batch []PointResult, hold bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	entry, err := appendEntry(nil, point, res)
-	if err != nil {
-		w.err = err
-		return
-	}
-	if w.appending {
-		w.err = appendFile(w.path, entry)
-		return
-	}
-	data, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Fingerprint: w.fp, Points: w.points})
-	if err != nil {
-		w.err = err
-		return
-	}
-	data = append(data, '\n')
-	idx := make([]int, 0, len(w.restored))
-	for p := range w.restored {
-		if p != point {
-			idx = append(idx, p)
+	if w.err == nil {
+		if w.err = w.writeLocked(batch, hold); w.err != nil {
+			w.err = fmt.Errorf("core: checkpoint: %w", w.err)
 		}
 	}
-	sort.Ints(idx)
-	for _, p := range idx {
-		if data, err = appendEntry(data, p, w.restored[p]); err != nil {
-			w.err = err
-			return
+	return w.err
+}
+
+func (w *checkpointWriter) writeLocked(batch []PointResult, hold bool) error {
+	w.buf.Reset()
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.buf)
+	}
+	if !w.appending {
+		if err := w.enc.Encode(checkpointHeader{Version: checkpointVersion, Fingerprint: w.fp, Points: w.points}); err != nil {
+			return err
+		}
+		inBatch := make(map[int]bool, len(batch))
+		for _, e := range batch {
+			inBatch[e.Point] = true
+		}
+		idx := make([]int, 0, len(w.restored))
+		for p := range w.restored {
+			if !inBatch[p] {
+				idx = append(idx, p)
+			}
+		}
+		sort.Ints(idx)
+		for _, p := range idx {
+			if err := w.enc.Encode(PointResult{p, w.restored[p]}); err != nil {
+				return err
+			}
 		}
 	}
-	// Atomic replace: a crash mid-write leaves either the previous
-	// checkpoint or the new one, never a torn header.
+	for _, e := range batch {
+		if err := w.enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	switch {
+	case w.f != nil:
+		_, err := w.f.Write(w.buf.Bytes())
+		return err
+	case w.appending:
+		return appendFile(w.path, w.buf.Bytes())
+	}
 	tmp := w.path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, entry...), 0o644); err != nil {
-		w.err = err
-		return
+	if err := os.WriteFile(tmp, w.buf.Bytes(), 0o644); err != nil {
+		return err
 	}
 	if err := os.Rename(tmp, w.path); err != nil {
-		w.err = err
-		return
+		return err
 	}
 	w.restored = nil
 	w.appending = true
-}
-
-// appendEntry appends one newline-terminated entry line to buf.
-func appendEntry(buf []byte, point int, res CampaignResult) ([]byte, error) {
-	line, err := json.Marshal(checkpointEntry{Point: point, Result: res})
-	if err != nil {
-		return buf, err
+	if !hold {
+		return nil
 	}
-	return append(append(buf, line...), '\n'), nil
+	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0)
+	w.f = f
+	return err
 }
 
-// appendFile writes line to the end of an existing file in one write.
-func appendFile(path string, line []byte) error {
+// close releases the append handle, if one is open.
+func (w *checkpointWriter) close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return nil
+	}
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// appendFile writes data to the end of an existing file in one write.
+func appendFile(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(line)
+	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-func (w *checkpointWriter) firstErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // CheckpointStore is a sweep's checkpoint file, open for commits.
@@ -380,9 +507,5 @@ func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
 	if point < 0 || point >= c.w.points {
 		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.w.points)
 	}
-	c.w.flush(point, res)
-	if err := c.w.firstErr(); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
+	return c.w.write([]PointResult{{point, res}}, false)
 }

@@ -165,7 +165,7 @@ func TestCheckpointResumeRemapsErrorPoint(t *testing.T) {
 	// reported index must still be the caller's coordinate 2, not the
 	// dense post-skip index 0.
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeCheckpoint(t, path, points, []checkpointEntry{{Point: 0, Result: aRes[0]}})
+	writeCheckpoint(t, path, points, []PointResult{{Point: 0, Result: aRes[0]}})
 
 	_, _, err = RunSweepPointsCheckpoint(points, SweepOptions{}, path)
 	if err == nil {

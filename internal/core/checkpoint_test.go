@@ -159,7 +159,7 @@ func TestCheckpointUnwritablePathFailsRun(t *testing.T) {
 
 // writeCheckpoint commits entries through a fresh store, as if a first
 // run crashed right after committing them.
-func writeCheckpoint(t *testing.T, path string, points []SweepPoint, done []checkpointEntry) {
+func writeCheckpoint(t *testing.T, path string, points []SweepPoint, done []PointResult) {
 	t.Helper()
 	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
@@ -209,7 +209,7 @@ func TestCheckpointTornTailResumesBitIdentical(t *testing.T) {
 	// Crash mid-append: the last entry loses its second half and its
 	// newline.
 	last := lines[len(lines)-1]
-	var torn checkpointEntry
+	var torn PointResult
 	if err := json.Unmarshal(last, &torn); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 		t.Fatalf("reference sweep: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeCheckpoint(t, path, points, []checkpointEntry{{Point: 5, Result: want[5]}})
+	writeCheckpoint(t, path, points, []PointResult{{Point: 5, Result: want[5]}})
 	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
 		t.Fatal(err)
@@ -321,10 +321,11 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line, err := appendEntry(nil, p, want[p])
+		line, err := json.Marshal(PointResult{Point: p, Result: want[p]})
 		if err != nil {
 			t.Fatal(err)
 		}
+		line = append(line, '\n')
 		if !bytes.Equal(after, append(before, line...)) {
 			t.Fatalf("flush of point %d: file grew by %d bytes, want exactly its %d-byte entry line", p, len(after)-len(before), len(line))
 		}

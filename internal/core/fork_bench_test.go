@@ -82,3 +82,46 @@ func TestForkedRoundAllocBudget(t *testing.T) {
 	}
 	t.Logf("forked round: %.1f allocs/round (budget %d)", avg, budget)
 }
+
+// geditV2Scenario is the gedit/v2 multicore campaign's point (Table 2's
+// multicore column): the attacker's symlink flip-flop unlinks and
+// recreates a name on every iteration.
+func geditV2Scenario() Scenario {
+	return Scenario{
+		Machine:    machine.MultiCore(),
+		Victim:     victim.NewGedit(),
+		Attacker:   attack.NewV2(),
+		UseSyscall: "chmod",
+		FileSize:   2 << 10,
+		Seed:       10007,
+	}
+}
+
+// TestForkedGeditRoundAllocBudget pins the per-round allocation count of
+// a forked gedit/v2 multicore round. The inodes the flip-flop frees
+// mid-round must return to the free list at the next Fork; dropping
+// them to the GC allocates a fresh inode and semaphore per iteration
+// and roughly doubles the count.
+func TestForkedGeditRoundAllocBudget(t *testing.T) {
+	sc := geditV2Scenario()
+	var st roundState
+	if _, err := runRound(sc, &st); err != nil {
+		t.Fatal(err)
+	}
+	if !st.prefix.valid {
+		t.Fatal("prefix not captured; scenario unexpectedly not forkable")
+	}
+	seed := int64(1)
+	avg := testing.AllocsPerRun(50, func() {
+		sc.Seed = 10007 + seed*SeedStride
+		seed++
+		if _, err := runRound(sc, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 200
+	if avg > budget {
+		t.Fatalf("forked gedit/v2 round allocates %.1f objects/round, budget %d", avg, budget)
+	}
+	t.Logf("forked gedit/v2 round: %.1f allocs/round (budget %d)", avg, budget)
+}

@@ -23,6 +23,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // PointKey returns the canonical encoding of a point's result-
@@ -31,12 +32,8 @@ import (
 // whose behavior the key records only by presence. Two points with
 // equal exact keys run bit-identical campaigns.
 func PointKey(p SweepPoint) (key string, exact bool) {
-	sc := p.Scenario.withDefaults()
-	chooser := sc.Chooser != nil
-	sc.Chooser = nil
-	w := keyWriter{exact: !chooser}
-	w.b = fmt.Appendf(w.b, "rounds=%d chooser=%t ", p.Rounds, chooser)
-	w.value(reflect.ValueOf(sc))
+	var w keyWriter
+	w.point(p)
 	return string(w.b), w.exact
 }
 
@@ -44,10 +41,9 @@ func PointKey(p SweepPoint) (key string, exact bool) {
 // every committed result with it, so the supervisor can verify a
 // requeued lease's completions against its own view of the grid.
 func PointFingerprint(p SweepPoint) uint64 {
-	key, _ := PointKey(p)
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+	var w keyWriter
+	w.point(p)
+	return fnv64a(w.b)
 }
 
 // SweepFingerprint is the FNV-1a hash of a sweep's point keys and
@@ -56,31 +52,51 @@ func PointFingerprint(p SweepPoint) uint64 {
 // sweeps with equal fingerprints run bit-identical campaigns, modulo
 // the code the keys record only by presence.
 func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
-	keys, _ := pointKeys(points)
-	return fingerprintKeys(keys, ad)
+	return fingerprints(points, ad, nil)
 }
 
-// pointKeys computes every point's key; exact[i] reports PointKey's
-// second result.
-func pointKeys(points []SweepPoint) (keys []string, exact []bool) {
-	keys = make([]string, len(points))
-	exact = make([]bool, len(points))
-	for i, p := range points {
-		keys[i], exact[i] = PointKey(p)
+// Fingerprints returns SweepFingerprint and every point's
+// PointFingerprint, encoding each key once.
+func Fingerprints(points []SweepPoint, ad AdaptiveStop) (sweep uint64, perPoint []uint64) {
+	sums := make([]keySum, len(points))
+	sweep = fingerprints(points, ad, sums)
+	perPoint = make([]uint64, len(points))
+	for i, s := range sums {
+		perPoint[i] = s.hash
 	}
-	return keys, exact
+	return sweep, perPoint
 }
 
-// fingerprintKeys is SweepFingerprint over precomputed keys. The "v2"
-// tag names the key encoding; checkpoint files carry their own format
-// version.
-func fingerprintKeys(keys []string, ad AdaptiveStop) uint64 {
+// keySum is what the memo pass matches a point on before it compares
+// keys: the key's FNV-1a hash (its PointFingerprint) and exactness.
+type keySum struct {
+	hash  uint64
+	exact bool
+}
+
+// fingerprints streams the sweep's keys through one reused buffer: no
+// key outlives its hashing. With sums non-nil it also fills sums[i] for
+// every point. The "v2" tag names the key encoding; checkpoint files
+// carry their own format version.
+func fingerprints(points []SweepPoint, ad AdaptiveStop, sums []keySum) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v2 n=%d adaptive=%v|", len(keys), ad)
-	for _, k := range keys {
-		h.Write([]byte(k))
+	fmt.Fprintf(h, "v2 n=%d adaptive=%v|", len(points), ad)
+	var w keyWriter
+	for i, p := range points {
+		w.point(p)
+		h.Write(w.b)
 		h.Write([]byte{'|'})
+		if sums != nil {
+			sums[i] = keySum{fnv64a(w.b), w.exact}
+		}
 	}
+	return h.Sum64()
+}
+
+// fnv64a is the FNV-1a hash of b.
+func fnv64a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 
@@ -91,6 +107,16 @@ type keyWriter struct {
 	// path holds the pointers being followed, so a cyclic structure
 	// terminates (and makes the key inexact) instead of recursing.
 	path []uintptr
+}
+
+// point replaces w's contents with p's key, reusing the buffer.
+func (w *keyWriter) point(p SweepPoint) {
+	sc := p.Scenario.withDefaults()
+	chooser := sc.Chooser != nil
+	sc.Chooser = nil
+	w.b, w.exact, w.path = w.b[:0], !chooser, w.path[:0]
+	w.b = fmt.Appendf(w.b, "rounds=%d chooser=%t ", p.Rounds, chooser)
+	w.value(reflect.ValueOf(sc))
 }
 
 func (w *keyWriter) value(v reflect.Value) {
@@ -109,9 +135,8 @@ func (w *keyWriter) value(v reflect.Value) {
 		w.b = strconv.AppendQuote(w.b, v.String())
 	case reflect.Struct:
 		w.b = append(w.b, '{')
-		t := v.Type()
-		for i := 0; i < v.NumField(); i++ {
-			w.b = append(append(w.b, t.Field(i).Name...), ':')
+		for i, name := range structLabels(v.Type()) {
+			w.b = append(w.b, name...)
 			w.value(v.Field(i))
 			w.b = append(w.b, ' ')
 		}
@@ -137,7 +162,7 @@ func (w *keyWriter) value(v reflect.Value) {
 		}
 		// The dynamic type names the program: two types with equal
 		// fields (V1 and V2 both hold a DetectCompute) must differ.
-		w.b = append(w.b, typeName(v.Elem().Type())...)
+		w.b = append(w.b, typeLabel(v.Elem().Type())...)
 		w.value(v.Elem())
 	case reflect.Slice, reflect.Array:
 		w.b = append(w.b, '[')
@@ -171,6 +196,35 @@ func (w *keyWriter) value(v reflect.Value) {
 		w.b = append(w.b, "set"...)
 		w.exact = false
 	}
+}
+
+// fieldLabels and typeLabels cache per-type metadata every key repeats
+// — a struct's "Field:" labels, an interface value's qualified type name
+// — because every key walks the same few types. They hold no key, and
+// grow only with the set of types a scenario can hold.
+var fieldLabels, typeLabels sync.Map // reflect.Type -> []string, string
+
+// structLabels returns "Name:" for each field of struct type t.
+func structLabels(t reflect.Type) []string {
+	if l, ok := fieldLabels.Load(t); ok {
+		return l.([]string)
+	}
+	l := make([]string, t.NumField())
+	for i := range l {
+		l[i] = t.Field(i).Name + ":"
+	}
+	fieldLabels.Store(t, l)
+	return l
+}
+
+// typeLabel is typeName, cached.
+func typeLabel(t reflect.Type) string {
+	if l, ok := typeLabels.Load(t); ok {
+		return l.(string)
+	}
+	l := typeName(t)
+	typeLabels.Store(t, l)
+	return l
 }
 
 // typeName qualifies a named type with its package path.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -21,8 +22,7 @@ func memoizes(points []SweepPoint, opt SweepOptions) bool {
 	if memoObservable(opt) {
 		return false
 	}
-	keys, exact := pointKeys(points)
-	return memoReps(keys, exact, nil) != nil
+	return memoReps(points, nil, nil) != nil
 }
 
 func TestSweepMemoizationDedupesIdenticalPoints(t *testing.T) {
@@ -153,5 +153,45 @@ func TestSweepMemoizationRemapsErrorPoint(t *testing.T) {
 	}
 	if se.Point != 2 {
 		t.Errorf("failing point = %d, want the original index 2", se.Point)
+	}
+}
+
+// TestMemoRepsMatchOnKeysNotHashes pins memoReps' grouping against its
+// hash shortcut: hashes precomputed by the fingerprint pass group points
+// exactly as encoding every key does, restored points claim their keys
+// first, and when every hash collides only the key bytes decide.
+func TestMemoRepsMatchOnKeysNotHashes(t *testing.T) {
+	a := viSc(machine.Uniprocessor(), 50<<10, 41011, false)
+	b := viSc(machine.SMP2(), 20<<10, 41013, true)
+	points := []SweepPoint{
+		{Scenario: a, Rounds: 30},
+		{Scenario: b, Rounds: 20},
+		{Scenario: a, Rounds: 30},
+		{Scenario: b, Rounds: 20},
+		{Scenario: a, Rounds: 31},
+	}
+	sums := make([]keySum, len(points))
+	fingerprints(points, AdaptiveStop{}, sums)
+	collided := make([]keySum, len(sums))
+	for i, s := range sums {
+		collided[i] = keySum{hash: 7, exact: s.exact}
+	}
+	restored := map[int]CampaignResult{2: {}, 3: {}}
+	for _, tc := range []struct {
+		name     string
+		restored map[int]CampaignResult
+		want     []int
+	}{
+		{"fresh", nil, []int{0, 1, 0, 1, 4}},
+		{"restored", restored, []int{2, 3, 2, 3, 4}},
+	} {
+		for _, s := range []struct {
+			name string
+			sums []keySum
+		}{{"encoded", nil}, {"precomputed", sums}, {"collided", collided}} {
+			if got := memoReps(points, tc.restored, s.sums); !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %s hashes: rep = %v, want %v", tc.name, s.name, got, tc.want)
+			}
+		}
 	}
 }

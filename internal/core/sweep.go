@@ -92,10 +92,12 @@ type SweepOptions struct {
 	// Interrupt never fire. Unlike OnRound it composes with sweep-point
 	// memoization: a memoized duplicate fires the moment its
 	// representative completes, with the duplicate's own index. Under
-	// RunSweepPointsCheckpoint it additionally replays the points the
-	// checkpoint settles (ResumeSweep: ascending index order, before any
-	// simulation), so a resumed sweep reports every point exactly once —
-	// the streaming seam the campaign service is built on.
+	// RunSweepPointsCheckpoint it fires from the sweep's committer, one
+	// call at a time, once the point's checkpoint line is written, and
+	// additionally replays the points the checkpoint settles
+	// (ResumeSweep: ascending index order, before any simulation), so a
+	// resumed sweep reports every point exactly once — the streaming
+	// seam the campaign service is built on.
 	OnPointDone func(point int, res CampaignResult)
 	// Interrupt, when non-nil, requests a graceful mid-sweep stop the
 	// moment it is closed: workers stop claiming rounds, in-flight
@@ -104,6 +106,11 @@ type SweepOptions struct {
 	// have already reached OnPointDone (and, under checkpointing, the
 	// checkpoint file), so an interrupted sweep resumes bit-identically.
 	Interrupt <-chan struct{}
+	// keySums, when set, holds every point's key hash and exactness,
+	// computed by ResumeSweep's fingerprint pass, so the memo pass need
+	// not encode every key again. Unexported: the resume step's hand-off
+	// to RunPending.
+	keySums []keySum
 	// stopAfterPoints, when positive, cancels the sweep right after that
 	// many points complete and makes RunSweepPoints return
 	// ErrSweepInterrupted. Unexported: it simulates a mid-sweep crash for
@@ -181,8 +188,7 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 	}
 	var rep []int
 	if !memoObservable(opt) && len(points) > 1 {
-		keys, exact := pointKeys(points)
-		rep = memoReps(keys, exact, nil)
+		rep = memoReps(points, nil, opt.keySums)
 	}
 	if rep == nil {
 		return runSweepPointsDirect(points, opt)

@@ -138,8 +138,12 @@ type FS struct {
 	guard   Guard
 	// inodeCount tracks live inodes for leak assertions in tests.
 	inodeCount int
-	// free holds recycled inode shells harvested by Reset.
+	// free holds recycled inode shells harvested by Reset and Fork.
 	free []*inode
+	// dead holds inodes freed mid-round (last link gone, last
+	// descriptor closed). A File may still point at one until the round
+	// ends, so Reset and Fork move them to free, never freeInode.
+	dead []*inode
 
 	// gen is the namespace/attribute generation: every mutation that can
 	// change the outcome of a path resolution (bind, unbind, rename,
@@ -182,6 +186,7 @@ func New(cfg Config) *FS {
 // deterministic fixture build assigns every file the same ino (and the
 // same trace labels) it would get from a brand-new FS.
 func (f *FS) Reset(cfg Config) {
+	f.reclaimDead()
 	f.harvest(f.root)
 	f.cfg = cfg
 	f.guard = nil
@@ -274,6 +279,18 @@ func (n *inode) dlock() *sim.Sem {
 func (f *FS) freeInode(n *inode) {
 	f.inodeCount--
 	n.data = nil
+	f.dead = append(f.dead, n)
+}
+
+// reclaimDead moves the inodes freed since the last Reset or Fork to the
+// free list. Snapshot members are skipped (Fork restores them in place),
+// and freeExtra's freed flag keeps an inode from being recycled twice.
+func (f *FS) reclaimDead() {
+	for i, n := range f.dead {
+		f.freeExtra(n)
+		f.dead[i] = nil
+	}
+	f.dead = f.dead[:0]
 }
 
 // InodeCount returns the number of live inodes (for leak checks in tests).

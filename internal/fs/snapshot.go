@@ -102,6 +102,7 @@ func (f *FS) Fork(img *Image, faults FaultHook) {
 	if img.owner != f {
 		panic("fs: Fork with an Image captured from a different FS")
 	}
+	f.reclaimDead()
 	cfg := img.cfg
 	cfg.Faults = faults
 	f.cfg = cfg

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,5 +268,57 @@ func TestLogNormalMedian(t *testing.T) {
 	med := Percentile(xs, 50)
 	if math.Abs(med-1e6)/1e6 > 0.03 {
 		t.Errorf("median = %v, want within 3%% of 1e6", med)
+	}
+}
+
+// TestSummaryMarshalJSONMatchesEncodingJSON pins the hand-written
+// encoder to json.Marshal of the wire struct, byte for byte, across the
+// float formatting edges: signed zeros, the 1e-6 and 1e21 exponent
+// cutoffs, subnormals, large integers and random bit patterns.
+func TestSummaryMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1e-7, -1e-7, 1e-6, 9.999999e-7,
+		1e20, 1e21, -1e21, 123456789e13, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64,
+		1 << 53, 1<<53 + 2, -(1 << 62), 1.0 / 3, 2.5e-10, 1.5e300,
+	}
+	rng := rand.New(rand.NewSource(9))
+	for len(floats) < 2000 {
+		f := math.Float64frombits(rng.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			floats = append(floats, f)
+		}
+	}
+	for i, f := range floats {
+		g := floats[(i*7+3)%len(floats)]
+		s := Summary{n: rng.Int63() - rng.Int63(), mean: f, m2: g, min: -f, max: f * 3}
+		if math.IsInf(s.max, 0) {
+			s.max = f
+		}
+		want, err := json.Marshal(summaryJSON{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON(%v) = %s, %v\nwant %s", f, got, err, want)
+		}
+		// Nested in a struct, the outer encoder must see the same bytes.
+		nested, err := json.Marshal(struct{ S Summary }{s})
+		if err != nil || !bytes.Equal(nested, append(append([]byte(`{"S":`), want...), '}')) {
+			t.Fatalf("nested encoding of %v = %s, %v", f, nested, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 4; field++ {
+			s := Summary{n: 1}
+			*[]*float64{&s.mean, &s.m2, &s.min, &s.max}[field] = bad
+			if _, err := s.MarshalJSON(); err == nil {
+				t.Errorf("MarshalJSON with %v in field %d: no error", bad, field)
+			}
+			if _, err := json.Marshal(s); err == nil {
+				t.Errorf("json.Marshal with %v in field %d: no error", bad, field)
+			}
+		}
 	}
 }

@@ -164,13 +164,14 @@ func Run(cfg Config, filename string, spec []byte, points []core.SweepPoint, res
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	sweepFP, fps := core.Fingerprints(points, core.AdaptiveStop{})
 	r := &fleetRun{
 		cfg:         cfg,
 		filename:    filename,
 		spec:        spec,
 		points:      points,
-		sweepFP:     core.SweepFingerprint(points, core.AdaptiveStop{}),
-		fps:         make([]uint64, len(points)),
+		sweepFP:     sweepFP,
+		fps:         fps,
 		committed:   make(map[int]core.CampaignResult, len(points)),
 		kills:       make(map[int]int),
 		quarantined: make(map[int]int),
@@ -179,8 +180,7 @@ func Run(cfg Config, filename string, spec []byte, points []core.SweepPoint, res
 		done:        make(chan struct{}),
 		onPoint:     onPoint,
 	}
-	for i, p := range points {
-		r.fps[i] = core.PointFingerprint(p)
+	for i := range points {
 		if res, ok := restored[i]; ok {
 			r.committed[i] = res
 		} else {

@@ -118,15 +118,11 @@ func (w *worker) load(msg *Message) error {
 	if err != nil {
 		return fmt.Errorf("compiling %s: %w", msg.Filename, err)
 	}
-	fp := core.SweepFingerprint(compiled.Points, core.AdaptiveStop{})
+	fp, fps := core.Fingerprints(compiled.Points, core.AdaptiveStop{})
 	if got := fpString(fp); got != msg.Fingerprint {
 		return fmt.Errorf("workerpool: %s compiles to fingerprint %s here, daemon expects %s (binary version skew?)", msg.Filename, got, msg.Fingerprint)
 	}
-	w.points = compiled.Points
-	w.fps = make([]uint64, len(w.points))
-	for i, p := range w.points {
-		w.fps[i] = core.PointFingerprint(p)
-	}
+	w.points, w.fps = compiled.Points, fps
 	interval := time.Duration(msg.HeartbeatMS) * time.Millisecond
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
