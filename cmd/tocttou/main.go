@@ -11,10 +11,6 @@
 //	tocttou -scenario examples/scenarios/fig6.yaml [-golden dir] [-checkpoint file.ckpt]
 //	tocttou -explore [-sizes 100,500] [-explore-phases 24] [-preemption-bound 1] [-witness-out prefix]
 //	tocttou -trace-out trace.jsonl [-trace-scenario vi-smp] [-trace-kinds enter,exit] [-trace-pid 2] [-trace-path /tmp/x]
-//	tocttou -bench-baseline [-bench-out BENCH_1.json]
-//	tocttou -sweep [-adaptive] [-halfwidth 0.02] [-sweep-out BENCH_2.json]
-//	tocttou -bench-guard [-bench-against BENCH_2.json] [-bench-tolerance 0.10]
-//	tocttou -bench-compare BENCH_3.json,BENCH_4.json [-strict [-alloc-tolerance 0.10]]
 //
 // Each experiment renders the corresponding table or figure of
 // "Multiprocessors May Reduce System Dependability under File-Based Race
@@ -22,11 +18,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -58,10 +52,6 @@ func run(args []string) error {
 	rounds := fl.Int("rounds", 0, "rounds per campaign (0 = experiment default)")
 	seed := fl.Int64("seed", 0, "base seed (0 = fixed default)")
 	sizesArg := fl.String("sizes", "", "comma-separated file sizes in KB, where applicable")
-	benchBase := fl.Bool("bench-baseline", false, "measure per-round campaign cost and write a machine-readable baseline")
-	benchOut := fl.String("bench-out", "BENCH_1.json", "output path for -bench-baseline")
-	sweep := fl.Bool("sweep", false, "benchmark the Fig 6 sweep (serial loop vs sweep scheduler) and write a machine-readable record")
-	sweepOut := fl.String("sweep-out", "BENCH_2.json", "output path for -sweep")
 	adaptive := fl.Bool("adaptive", false, "enable adaptive round budgets (sequential stopping at -halfwidth)")
 	halfWidth := fl.Float64("halfwidth", 0.02, "target 95% Wilson half-width on the success rate for -adaptive")
 	minRounds := fl.Int("minrounds", 0, "minimum rounds per point before -adaptive may stop it (0 = engine default)")
@@ -71,12 +61,6 @@ func run(args []string) error {
 	traceKinds := fl.String("trace-kinds", "", "comma-separated event kinds to keep in -trace-out (default all)")
 	tracePID := fl.Int("trace-pid", 0, "restrict -trace-out to one pid (0 = all)")
 	tracePath := fl.String("trace-path", "", "restrict -trace-out to events on this exact path")
-	benchGuard := fl.Bool("bench-guard", false, "re-time the Fig 6 sweep and fail if it regressed vs -bench-against")
-	benchAgainst := fl.String("bench-against", "BENCH_2.json", "committed baseline record for -bench-guard")
-	benchTol := fl.Float64("bench-tolerance", 0.10, "allowed fractional slowdown for -bench-guard")
-	benchCmp := fl.String("bench-compare", "", "render a benchstat-style comparison of two committed sweep records: old.json,new.json")
-	benchStrict := fl.Bool("strict", false, "with -bench-compare: also diff allocs/op and exit non-zero past -alloc-tolerance")
-	allocTol := fl.Float64("alloc-tolerance", 0.10, "allowed fractional allocs/op growth for -bench-compare -strict")
 	explore := fl.Bool("explore", false, "exhaustively enumerate the schedule space of fig6 uniprocessor points (-sizes) and report exact win probabilities")
 	explorePhases := fl.Int("explore-phases", 0, "startup-phase slots for -explore (0 = engine default)")
 	preemptionBound := fl.Int("preemption-bound", 0, "max injected background preemptions per explored round (0 = none)")
@@ -99,13 +83,11 @@ func run(args []string) error {
 	// Reject contradictory or out-of-range adaptive settings up front
 	// instead of silently running with them.
 	var halfWidthSet, minRoundsSet, explorePhasesSet, preemptionBoundSet, witnessOutSet bool
-	var faultRatesSet, faultSeedSet, allocTolSet bool
+	var faultRatesSet, faultSeedSet bool
 	setFlags := make(map[string]bool)
 	fl.Visit(func(f *flag.Flag) {
 		setFlags[f.Name] = true
 		switch f.Name {
-		case "alloc-tolerance":
-			allocTolSet = true
 		case "halfwidth":
 			halfWidthSet = true
 		case "minrounds":
@@ -152,8 +134,7 @@ func run(args []string) error {
 		for _, conflicting := range []string{
 			"experiment", "rounds", "seed", "sizes", "metrics",
 			"adaptive", "halfwidth", "minrounds", "fault-rates", "fault-seed",
-			"list", "explore", "bench-baseline", "sweep", "bench-guard",
-			"bench-compare", "trace-out",
+			"list", "explore", "trace-out",
 		} {
 			if setFlags[conflicting] {
 				return fmt.Errorf("-%s does not apply to -scenario runs (the scenario file carries the configuration)", conflicting)
@@ -193,24 +174,12 @@ func run(args []string) error {
 	if *minRounds < 0 {
 		return fmt.Errorf("-minrounds must be >= 0, got %d", *minRounds)
 	}
-	if *benchTol <= 0 {
-		return fmt.Errorf("-bench-tolerance must be > 0, got %v", *benchTol)
-	}
-	if *benchStrict && *benchCmp == "" {
-		return fmt.Errorf("-strict only applies with -bench-compare")
-	}
-	if allocTolSet && !*benchStrict {
-		return fmt.Errorf("-alloc-tolerance only applies with -bench-compare -strict")
-	}
-	if *allocTol <= 0 {
-		return fmt.Errorf("-alloc-tolerance must be > 0, got %v", *allocTol)
-	}
 
 	// The fault/checkpoint flags bind to specific experiment selections;
 	// reject mismatches at parse time like the adaptive flags above.
 	names := splitNames(*name)
 	if *checkpoint != "" && *scenarioPath == "" {
-		if *benchBase || *sweep || *benchGuard || *traceOut != "" || *explore {
+		if *traceOut != "" || *explore {
 			return fmt.Errorf("-checkpoint only applies to -experiment and -scenario runs")
 		}
 		if len(names) != 1 || names[0] == "all" {
@@ -282,18 +251,6 @@ func run(args []string) error {
 		}()
 	}
 
-	if *benchBase {
-		return benchBaseline(*benchOut)
-	}
-	if *sweep {
-		return benchSweep(*sweepOut, *adaptive, *halfWidth, *minRounds)
-	}
-	if *benchGuard {
-		return benchGuardRun(*benchAgainst, *benchTol)
-	}
-	if *benchCmp != "" {
-		return benchCompare(*benchCmp, *benchStrict, *allocTol)
-	}
 	if *traceOut != "" {
 		return traceExport(*traceOut, *traceScen, *seed, *traceKinds, *tracePID, *tracePath)
 	}
@@ -481,19 +438,6 @@ func writeWitness(path string, w *core.ScheduleWitness) error {
 	return f.Close()
 }
 
-// provenance records where and when a benchmark record was taken, so a
-// committed BENCH_*.json can be traced back to the build and host that
-// produced it. Every field is best-effort: a record taken outside a git
-// checkout simply omits the commit.
-type provenance struct {
-	GitCommit string `json:"git_commit,omitempty"`
-	Timestamp string `json:"timestamp"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	Hostname  string `json:"hostname,omitempty"`
-}
-
 // scenarioRun executes a declarative scenario file end-to-end: parse-time
 // validation (a malformed spec exits non-zero before any round runs), the
 // sweep itself — through the crash-safe checkpoint runner when -checkpoint
@@ -536,88 +480,6 @@ func scenarioRun(path, goldenDir, checkpoint string) error {
 		fmt.Println()
 	}
 	return out.CheckAssertions()
-}
-
-// captureProvenance gathers the current build/host identity.
-func captureProvenance() provenance {
-	p := provenance{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		p.GitCommit = strings.TrimSpace(string(out))
-	}
-	if h, err := os.Hostname(); err == nil {
-		p.Hostname = h
-	}
-	return p
-}
-
-// benchRecord is the machine-readable perf baseline one -bench-baseline run
-// emits, giving future changes a per-round cost trajectory to compare
-// against (see DESIGN.md's Performance section for the workflow).
-type benchRecord struct {
-	Benchmark      string     `json:"benchmark"`
-	Rounds         int        `json:"rounds"`
-	NsPerRound     int64      `json:"ns_per_round"`
-	AllocsPerRound int64      `json:"allocs_per_round"`
-	BytesPerRound  int64      `json:"bytes_per_round"`
-	SuccessRate    float64    `json:"success_rate"`
-	GoVersion      string     `json:"go_version"`
-	GOMAXPROCS     int        `json:"gomaxprocs"`
-	Provenance     provenance `json:"provenance"`
-}
-
-// benchBaseline times a fixed vi/SMP campaign — the workload the paper's
-// Figures 6–7 and Table 1 are built from — and writes {ns, allocs, bytes}
-// per round to out.
-func benchBaseline(out string) error {
-	sc := core.Scenario{
-		Machine:    machine.SMP2(),
-		Victim:     victim.NewVi(),
-		Attacker:   attack.NewV1(),
-		UseSyscall: "chown",
-		FileSize:   100 << 10,
-		Seed:       7001,
-	}
-	const warmup, rounds = 200, 2000
-	if _, err := core.RunCampaign(sc, warmup); err != nil {
-		return fmt.Errorf("bench warmup: %w", err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res, err := core.RunCampaign(sc, rounds)
-	wall := time.Since(start)
-	if err != nil {
-		return fmt.Errorf("bench campaign: %w", err)
-	}
-	runtime.ReadMemStats(&after)
-	rec := benchRecord{
-		Benchmark:      "vi-smp2-100KB-campaign",
-		Rounds:         rounds,
-		NsPerRound:     wall.Nanoseconds() / rounds,
-		AllocsPerRound: int64(after.Mallocs-before.Mallocs) / rounds,
-		BytesPerRound:  int64(after.TotalAlloc-before.TotalAlloc) / rounds,
-		SuccessRate:    res.Rate(),
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Provenance:     captureProvenance(),
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d ns/round, %d allocs/round, %d B/round (success %.1f%%)\n",
-		out, rec.NsPerRound, rec.AllocsPerRound, rec.BytesPerRound, rec.SuccessRate*100)
-	return nil
 }
 
 // traceScenario builds the traced round a -trace-out export runs. The
@@ -701,513 +563,5 @@ func traceExport(out, scenario string, seed int64, kindsArg string, pid int, pat
 	}
 	fmt.Printf("%s: wrote %d of %d events (%s, seed %d, success %v)\n",
 		out, jw.Count(), len(round.Events), scenario, sc.Seed, round.Success)
-	return nil
-}
-
-// benchGuardRun re-times the Fig 6 sweep with the committed record's
-// configuration and fails when the current build is more than tol slower
-// than the baseline's sweep_ns at the same GOMAXPROCS. Records the
-// baseline lacks (e.g. a Table 2 timing) are reported and skipped rather
-// than failed.
-func benchGuardRun(baselinePath string, tol float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench-guard: read baseline: %w", err)
-	}
-	var base sweepRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench-guard: parse %s: %w", baselinePath, err)
-	}
-	if len(base.Fixed) == 0 {
-		return fmt.Errorf("bench-guard: %s has no fixed sweep records to guard against", baselinePath)
-	}
-	scs := fig6SweepScenarios()
-	if base.Points != len(scs) {
-		return fmt.Errorf("bench-guard: baseline has %d points, current Fig 6 sweep has %d — regenerate %s with -sweep",
-			base.Points, len(scs), baselinePath)
-	}
-	rounds := base.RoundsPerPoint
-	if rounds <= 0 {
-		return fmt.Errorf("bench-guard: baseline rounds_per_point = %d", rounds)
-	}
-	if _, err := core.RunSweep(scs, 20, core.SweepOptions{}); err != nil {
-		return fmt.Errorf("bench-guard warmup: %w", err)
-	}
-	const reps = 3
-	var failures []string
-	for _, f := range base.Fixed {
-		prev := runtime.GOMAXPROCS(f.GOMAXPROCS)
-		wall, err := bestOf(reps, func() error {
-			_, serr := core.RunSweep(scs, rounds, core.SweepOptions{})
-			return serr
-		})
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return fmt.Errorf("bench-guard at GOMAXPROCS=%d: %w", f.GOMAXPROCS, err)
-		}
-		ratio := float64(wall.Nanoseconds()) / float64(f.SweepNs)
-		verdict := "ok"
-		if ratio > 1+tol {
-			verdict = "REGRESSED"
-			failures = append(failures, fmt.Sprintf("GOMAXPROCS=%d: %.1fms vs baseline %.1fms (%.2fx)",
-				f.GOMAXPROCS, float64(wall.Nanoseconds())/1e6, float64(f.SweepNs)/1e6, ratio))
-		}
-		fmt.Printf("bench-guard %s GOMAXPROCS=%d: %.1fms vs baseline %.1fms (%.2fx, tolerance %.2fx) %s\n",
-			base.Benchmark, f.GOMAXPROCS,
-			float64(wall.Nanoseconds())/1e6, float64(f.SweepNs)/1e6, ratio, 1+tol, verdict)
-	}
-	fmt.Printf("bench-guard: baseline %s carries no Table 2 timing; nothing further to compare\n", baselinePath)
-	if len(failures) > 0 {
-		return fmt.Errorf("bench-guard: sweep regressed beyond %.0f%% tolerance:\n  %s",
-			tol*100, strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// benchCompare renders a benchstat-style old-vs-new table from two
-// committed sweep records (e.g. BENCH_2.json vs BENCH_3.json), pairing
-// fixed rows by GOMAXPROCS. It reads committed JSON only — nothing is
-// re-timed — so it is safe to run on any host, including CI runners whose
-// wall times are not comparable to the baselines'. In strict mode it
-// additionally diffs allocs/op per GOMAXPROCS row and returns an error —
-// non-zero exit — when the new record allocates more than allocTol past
-// the old one; rows either record lacks allocation data for (anything
-// before BENCH_4) are reported as n/a and skipped, never failed, so the
-// gate tightens only once both sides carry the data.
-func benchCompare(arg string, strict bool, allocTol float64) error {
-	parts := strings.Split(arg, ",")
-	if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
-		return fmt.Errorf("-bench-compare wants exactly two comma-separated records: old.json,new.json")
-	}
-	oldPath, newPath := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-	load := func(path string) (sweepRecord, error) {
-		var rec sweepRecord
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return rec, fmt.Errorf("bench-compare: %w", err)
-		}
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return rec, fmt.Errorf("bench-compare: parse %s: %w", path, err)
-		}
-		if len(rec.Fixed) == 0 {
-			return rec, fmt.Errorf("bench-compare: %s has no fixed sweep records", path)
-		}
-		return rec, nil
-	}
-	oldRec, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newRec, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	describe := func(path string, r sweepRecord) {
-		fmt.Printf("%s: %s, %d points x %d rounds, %s", path, r.Benchmark, r.Points, r.RoundsPerPoint, r.GoVersion)
-		if c := r.Provenance.GitCommit; len(c) >= 12 {
-			fmt.Printf(", commit %s", c[:12])
-		}
-		if r.Provenance.Timestamp != "" {
-			fmt.Printf(", %s", r.Provenance.Timestamp)
-		}
-		fmt.Println()
-	}
-	describe(oldPath, oldRec)
-	describe(newPath, newRec)
-	fmt.Println()
-
-	ms := func(ns int64) string { return fmt.Sprintf("%.1fms", float64(ns)/1e6) }
-	delta := func(oldNs, newNs int64) string {
-		return fmt.Sprintf("%+.2f%%", (float64(newNs)/float64(oldNs)-1)*100)
-	}
-	fmt.Printf("%-34s %12s %12s %9s\n", "name", "old time/op", "new time/op", "delta")
-	for _, nf := range newRec.Fixed {
-		var of *sweepFixedRecord
-		for i := range oldRec.Fixed {
-			if oldRec.Fixed[i].GOMAXPROCS == nf.GOMAXPROCS {
-				of = &oldRec.Fixed[i]
-				break
-			}
-		}
-		if of == nil {
-			fmt.Printf("%-34s %12s %12s %9s\n",
-				fmt.Sprintf("Fig6Sweep/GOMAXPROCS=%d", nf.GOMAXPROCS), "-", ms(nf.SweepNs), "n/a")
-			continue
-		}
-		rows := []struct {
-			name string
-			o, n int64
-		}{
-			{fmt.Sprintf("Fig6BaselineLoop/GOMAXPROCS=%d", nf.GOMAXPROCS), of.BaselineNs, nf.BaselineNs},
-			{fmt.Sprintf("Fig6SerialLoop/GOMAXPROCS=%d", nf.GOMAXPROCS), of.SerialNs, nf.SerialNs},
-			{fmt.Sprintf("Fig6Sweep/GOMAXPROCS=%d", nf.GOMAXPROCS), of.SweepNs, nf.SweepNs},
-		}
-		for _, r := range rows {
-			fmt.Printf("%-34s %12s %12s %9s\n", r.name, ms(r.o), ms(r.n), delta(r.o, r.n))
-		}
-	}
-	if oldRec.Adaptive != nil && newRec.Adaptive != nil {
-		fmt.Printf("%-34s %12s %12s %9s\n", "Fig6AdaptiveSweep",
-			ms(oldRec.Adaptive.WallNs), ms(newRec.Adaptive.WallNs),
-			delta(oldRec.Adaptive.WallNs, newRec.Adaptive.WallNs))
-	}
-	if !strict {
-		return nil
-	}
-
-	fmt.Println()
-	fmt.Printf("%-34s %12s %12s %9s\n", "name", "old allocs/op", "new allocs/op", "delta")
-	var allocFailures []string
-	for _, nf := range newRec.Fixed {
-		name := fmt.Sprintf("Fig6SweepRound/GOMAXPROCS=%d", nf.GOMAXPROCS)
-		var of *sweepFixedRecord
-		for i := range oldRec.Fixed {
-			if oldRec.Fixed[i].GOMAXPROCS == nf.GOMAXPROCS {
-				of = &oldRec.Fixed[i]
-				break
-			}
-		}
-		if of == nil || of.AllocsPerRound == 0 || nf.AllocsPerRound == 0 {
-			// A zero means the record predates allocation capture.
-			fmt.Printf("%-34s %12s %12s %9s\n", name, allocStr(of), allocStr(&nf), "n/a")
-			continue
-		}
-		growth := nf.AllocsPerRound/of.AllocsPerRound - 1
-		fmt.Printf("%-34s %13.1f %13.1f %+8.2f%%\n", name, of.AllocsPerRound, nf.AllocsPerRound, growth*100)
-		if growth > allocTol {
-			allocFailures = append(allocFailures, fmt.Sprintf("GOMAXPROCS=%d: %.1f vs %.1f allocs/op (%+.1f%%)",
-				nf.GOMAXPROCS, nf.AllocsPerRound, of.AllocsPerRound, growth*100))
-		}
-	}
-	if len(allocFailures) > 0 {
-		return fmt.Errorf("bench-compare -strict: allocs/op regressed beyond %.0f%% tolerance:\n  %s",
-			allocTol*100, strings.Join(allocFailures, "\n  "))
-	}
-	return nil
-}
-
-// allocStr renders a record's allocs/op for the strict table, with "-"
-// standing in for records that predate allocation capture.
-func allocStr(f *sweepFixedRecord) string {
-	if f == nil || f.AllocsPerRound == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f", f.AllocsPerRound)
-}
-
-// sweepFixedRecord compares the three ways of running the Fig 6 sweep at
-// one GOMAXPROCS setting: the pre-sweep per-campaign runner (fresh worker
-// set and O(rounds) buffers per point), the current serial RunCampaign
-// loop, and the interleaved sweep scheduler.
-type sweepFixedRecord struct {
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	BaselineNs      int64   `json:"baseline_loop_ns"`
-	SerialNs        int64   `json:"serial_campaign_loop_ns"`
-	SweepNs         int64   `json:"sweep_ns"`
-	SpeedupVsBase   float64 `json:"sweep_speedup_vs_baseline"`
-	SpeedupVsSerial float64 `json:"sweep_speedup_vs_serial"`
-	BitIdentical    bool    `json:"bit_identical"`
-	RoundsPerSecond float64 `json:"sweep_rounds_per_sec"`
-	// AllocsPerRound is the steady-state heap allocation count per sweep
-	// round (pool bookkeeping included). Added with BENCH_4; absent (0)
-	// in older committed records, which -bench-compare -strict skips.
-	AllocsPerRound float64 `json:"allocs_per_round,omitempty"`
-}
-
-// sweepCoalesceRecord brackets what stretch coalescing buys on the same
-// build: the full Fig 6 sweep and its largest point re-timed with
-// Config.DisableCoalesce forced on (every chunk stepped through the
-// event loop), against the production coalesced path, with bit-identity
-// of the two result sets verified. Measured at GOMAXPROCS=1 so the
-// ratio isolates the fast path from pool scheduling effects.
-type sweepCoalesceRecord struct {
-	SweepNs                  int64   `json:"sweep_ns"`
-	SweepSteppedNs           int64   `json:"sweep_stepped_ns"`
-	SweepSpeedup             float64 `json:"sweep_speedup"`
-	BigFileKB                int     `json:"bigfile_kb"`
-	BigFileNsPerRound        int64   `json:"bigfile_ns_per_round"`
-	BigFileSteppedNsPerRound int64   `json:"bigfile_stepped_ns_per_round"`
-	BigFileSpeedup           float64 `json:"bigfile_speedup"`
-	BitIdentical             bool    `json:"bit_identical"`
-}
-
-// sweepAdaptiveRecord reports what the opt-in sequential-stopping budget
-// saves on the same sweep.
-type sweepAdaptiveRecord struct {
-	HalfWidth       float64 `json:"half_width"`
-	Z               float64 `json:"z"`
-	MinRounds       int     `json:"min_rounds"`
-	FixedTotal      int     `json:"fixed_total_rounds"`
-	RoundsCommitted int     `json:"rounds_committed"`
-	RoundsExecuted  int     `json:"rounds_executed"`
-	RoundsSavedPct  float64 `json:"rounds_saved_pct"`
-	PointsStopped   int     `json:"points_stopped"`
-	WallNs          int64   `json:"wall_ns"`
-	PointsPerSec    float64 `json:"points_per_sec"`
-}
-
-// sweepRecord is the machine-readable -sweep output (BENCH_2.json,
-// BENCH_3.json). Provenance was added with BENCH_3; older committed records
-// simply unmarshal it as zero.
-type sweepRecord struct {
-	Benchmark      string               `json:"benchmark"`
-	Points         int                  `json:"points"`
-	RoundsPerPoint int                  `json:"rounds_per_point"`
-	GoVersion      string               `json:"go_version"`
-	NumCPU         int                  `json:"num_cpu"`
-	Provenance     provenance           `json:"provenance"`
-	Fixed          []sweepFixedRecord   `json:"fixed"`
-	Coalesce       *sweepCoalesceRecord `json:"coalesce,omitempty"`
-	Adaptive       *sweepAdaptiveRecord `json:"adaptive,omitempty"`
-}
-
-// fig6SweepScenarios is the production Fig 6 point set (sizes, seeds,
-// strides exactly as experiments.Fig6 builds them).
-func fig6SweepScenarios() []core.Scenario {
-	sizes := []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
-	m := machine.Uniprocessor()
-	scs := make([]core.Scenario, len(sizes))
-	for i, kb := range sizes {
-		scs[i] = core.Scenario{
-			Machine:    m,
-			Victim:     victim.NewVi(),
-			Attacker:   attack.NewV1(),
-			UseSyscall: "chown",
-			FileSize:   int64(kb) << 10,
-			Seed:       1007 + int64(i)*7919,
-		}
-	}
-	return scs
-}
-
-// bestOf runs f reps times and returns the fastest wall time.
-func bestOf(reps int, f func() error) (time.Duration, error) {
-	best := time.Duration(0)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if wall := time.Since(start); best == 0 || wall < best {
-			best = wall
-		}
-	}
-	return best, nil
-}
-
-// benchSweep times the full Fig 6 sweep three ways (pre-sweep baseline
-// loop, serial RunCampaign loop, RunSweep) across GOMAXPROCS settings,
-// verifies the results are bit-identical, optionally measures the
-// adaptive budget's savings, and writes the record to out.
-func benchSweep(out string, adaptive bool, halfWidth float64, minRounds int) error {
-	scs := fig6SweepScenarios()
-	const rounds, reps = 500, 5
-	rec := sweepRecord{
-		Benchmark:      "fig6-uniprocessor-sweep",
-		Points:         len(scs),
-		RoundsPerPoint: rounds,
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		Provenance:     captureProvenance(),
-	}
-
-	// Warm the shared pool and the page cache equivalent (seed the lazily
-	// started workers) before timing anything.
-	if _, err := core.RunSweep(scs, 20, core.SweepOptions{}); err != nil {
-		return fmt.Errorf("sweep warmup: %w", err)
-	}
-
-	procsList := []int{1, runtime.NumCPU()}
-	if procsList[1] < 2 {
-		procsList[1] = 2 // exercise the concurrent path even on 1-CPU hosts
-	}
-	for _, procs := range procsList {
-		prev := runtime.GOMAXPROCS(procs)
-		var baseRes, serialRes, sweepRes []core.CampaignResult
-		baseNs, err := bestOf(reps, func() error {
-			baseRes = baseRes[:0]
-			for _, sc := range scs {
-				res, err := core.RunCampaignBaseline(sc, rounds)
-				if err != nil {
-					return err
-				}
-				baseRes = append(baseRes, res)
-			}
-			return nil
-		})
-		if err == nil {
-			var serialWall time.Duration
-			serialWall, err = bestOf(reps, func() error {
-				serialRes = serialRes[:0]
-				for _, sc := range scs {
-					res, err := core.RunCampaign(sc, rounds)
-					if err != nil {
-						return err
-					}
-					serialRes = append(serialRes, res)
-				}
-				return nil
-			})
-			if err == nil {
-				var sweepWall time.Duration
-				sweepWall, err = bestOf(reps, func() error {
-					var serr error
-					sweepRes, serr = core.RunSweep(scs, rounds, core.SweepOptions{})
-					return serr
-				})
-				if err == nil {
-					identical := len(sweepRes) == len(scs)
-					for i := range scs {
-						if baseRes[i] != serialRes[i] || serialRes[i] != sweepRes[i] {
-							identical = false
-						}
-					}
-					// One untimed sweep bracketed by memstats reads gives
-					// the steady-state allocation count per round.
-					runtime.GC()
-					var m0, m1 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					if _, err = core.RunSweep(scs, rounds, core.SweepOptions{}); err == nil {
-						runtime.ReadMemStats(&m1)
-						rec.Fixed = append(rec.Fixed, sweepFixedRecord{
-							GOMAXPROCS:      procs,
-							BaselineNs:      baseNs.Nanoseconds(),
-							SerialNs:        serialWall.Nanoseconds(),
-							SweepNs:         sweepWall.Nanoseconds(),
-							SpeedupVsBase:   float64(baseNs) / float64(sweepWall),
-							SpeedupVsSerial: float64(serialWall) / float64(sweepWall),
-							BitIdentical:    identical,
-							RoundsPerSecond: float64(len(scs)*rounds) / sweepWall.Seconds(),
-							AllocsPerRound:  float64(m1.Mallocs-m0.Mallocs) / float64(len(scs)*rounds),
-						})
-					}
-				}
-			}
-		}
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return fmt.Errorf("sweep bench at GOMAXPROCS=%d: %w", procs, err)
-		}
-	}
-
-	// Bracket the coalescing fast path: the same sweep and its largest
-	// point with DisableCoalesce forced, at GOMAXPROCS=1.
-	{
-		stepped := make([]core.Scenario, len(scs))
-		for i, sc := range scs {
-			sc.DisableCoalesce = true
-			stepped[i] = sc
-		}
-		prev := runtime.GOMAXPROCS(1)
-		var coalRes, stepRes []core.CampaignResult
-		coalNs, err := bestOf(3, func() error {
-			var serr error
-			coalRes, serr = core.RunSweep(scs, rounds, core.SweepOptions{})
-			return serr
-		})
-		if err == nil {
-			var stepNs time.Duration
-			stepNs, err = bestOf(3, func() error {
-				var serr error
-				stepRes, serr = core.RunSweep(stepped, rounds, core.SweepOptions{})
-				return serr
-			})
-			if err == nil {
-				big, bigStepped := scs[len(scs)-1], stepped[len(stepped)-1]
-				var bigNs, bigStepNs time.Duration
-				bigNs, err = bestOf(3, func() error {
-					_, cerr := core.RunCampaign(big, rounds)
-					return cerr
-				})
-				if err == nil {
-					bigStepNs, err = bestOf(3, func() error {
-						_, cerr := core.RunCampaign(bigStepped, rounds)
-						return cerr
-					})
-					if err == nil {
-						identical := len(coalRes) == len(stepRes)
-						for i := range coalRes {
-							if coalRes[i] != stepRes[i] {
-								identical = false
-							}
-						}
-						rec.Coalesce = &sweepCoalesceRecord{
-							SweepNs:                  coalNs.Nanoseconds(),
-							SweepSteppedNs:           stepNs.Nanoseconds(),
-							SweepSpeedup:             float64(stepNs) / float64(coalNs),
-							BigFileKB:                int(big.FileSize >> 10),
-							BigFileNsPerRound:        bigNs.Nanoseconds() / int64(rounds),
-							BigFileSteppedNsPerRound: bigStepNs.Nanoseconds() / int64(rounds),
-							BigFileSpeedup:           float64(bigStepNs) / float64(bigNs),
-							BitIdentical:             identical,
-						}
-					}
-				}
-			}
-		}
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			return fmt.Errorf("coalesce bracket: %w", err)
-		}
-	}
-
-	if adaptive {
-		points := make([]core.SweepPoint, len(scs))
-		for i, sc := range scs {
-			points[i] = core.SweepPoint{Scenario: sc, Rounds: rounds}
-		}
-		stop := core.AdaptiveStop{HalfWidth: halfWidth, MinRounds: minRounds}
-		start := time.Now()
-		_, stats, err := core.RunSweepPoints(points, core.SweepOptions{Adaptive: stop})
-		wall := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("adaptive sweep: %w", err)
-		}
-		recMin := minRounds
-		if recMin == 0 {
-			recMin = 50 // the engine's default minimum
-		}
-		total := len(scs) * rounds
-		rec.Adaptive = &sweepAdaptiveRecord{
-			HalfWidth:       halfWidth,
-			Z:               1.96,
-			MinRounds:       recMin,
-			FixedTotal:      total,
-			RoundsCommitted: stats.RoundsCommitted,
-			RoundsExecuted:  stats.RoundsExecuted,
-			RoundsSavedPct:  100 * float64(total-stats.RoundsCommitted) / float64(total),
-			PointsStopped:   stats.PointsStopped,
-			WallNs:          wall.Nanoseconds(),
-			PointsPerSec:    float64(len(scs)) / wall.Seconds(),
-		}
-	}
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	for _, f := range rec.Fixed {
-		fmt.Printf("%s: GOMAXPROCS=%d baseline %.1fms, serial %.1fms, sweep %.1fms (%.2fx vs baseline, %.2fx vs serial, bit-identical %v)\n",
-			out, f.GOMAXPROCS,
-			float64(f.BaselineNs)/1e6, float64(f.SerialNs)/1e6, float64(f.SweepNs)/1e6,
-			f.SpeedupVsBase, f.SpeedupVsSerial, f.BitIdentical)
-	}
-	if rec.Coalesce != nil {
-		c := rec.Coalesce
-		fmt.Printf("%s: coalescing@GOMAXPROCS=1: sweep %.1fms vs stepped %.1fms (%.2fx); %dKB point %.1fµs vs %.1fµs per round (%.2fx); bit-identical %v\n",
-			out, float64(c.SweepNs)/1e6, float64(c.SweepSteppedNs)/1e6, c.SweepSpeedup,
-			c.BigFileKB, float64(c.BigFileNsPerRound)/1e3, float64(c.BigFileSteppedNsPerRound)/1e3,
-			c.BigFileSpeedup, c.BitIdentical)
-	}
-	if rec.Adaptive != nil {
-		a := rec.Adaptive
-		fmt.Printf("%s: adaptive @halfwidth %.3f: %d/%d rounds (%.1f%% saved), %d/%d points stopped, %.1fms\n",
-			out, a.HalfWidth, a.RoundsCommitted, a.FixedTotal, a.RoundsSavedPct,
-			a.PointsStopped, rec.Points, float64(a.WallNs)/1e6)
-	}
 	return nil
 }

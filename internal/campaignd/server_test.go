@@ -9,6 +9,7 @@ package campaignd
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -236,6 +237,36 @@ func TestSpecErrorRoundTrip(t *testing.T) {
 				t.Errorf("server error diverged from the local one:\nserver: %s\nlocal:  %s", serr, lerr)
 			}
 		})
+	}
+}
+
+// TestSubmitRejectsUnboundedGrid pins that a short spec demanding an
+// unbounded grid (a sizes_kb range whose step wraps int64) is refused
+// with HTTP 400 and the message a local run prints, instead of taking
+// the daemon down while the grid is built.
+func TestSubmitRejectsUnboundedGrid(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	const filename = "wrap.yaml"
+	src := strings.Replace(smallSpec, "sizes_kb: [100, 200, 300]",
+		"sizes_kb: {from: 1, to: 9223372036854775807, step: 4611686018427387904}", 1)
+	_, lerr := scenario.LoadBytes(filename, []byte(src))
+	if lerr == nil {
+		t.Fatal("test spec is not actually rejected locally")
+	}
+	resp, err := http.Post(ts.URL+"/v1/campaigns?filename="+filename, "application/x-yaml", strings.NewReader(src))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading body: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %q)", resp.StatusCode, body)
+	}
+	if got := strings.TrimSuffix(string(body), "\n"); got != lerr.Error() {
+		t.Errorf("400 body diverged from the local error:\nserver: %s\nlocal:  %s", got, lerr)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"tocttou/internal/victim"
 )
 
-// benchScenario is the Fig 6 sweep's first point: the configuration the
-// throughput acceptance gate (BENCH_3.json / make bench-guard) times.
+// benchScenario is the Fig 6 sweep's first point: the 100 KB
+// uniprocessor vi round the forked-round benchmarks and alloc pins time.
 func benchScenario() Scenario {
 	return Scenario{
 		Machine:    machine.Uniprocessor(),

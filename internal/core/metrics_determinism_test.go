@@ -75,17 +75,26 @@ func TestSweepMetricsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func TestCampaignMetricsMatchBaselineRunner(t *testing.T) {
-	// The pre-sweep serial runner folds rounds in plain index order; the
-	// sweep's reorder buffer must reproduce its metrics exactly.
+	// The oracle runs every round serially on one roundState and folds
+	// in plain index order; the sweep's reorder buffer must reproduce its
+	// result, metrics included, exactly.
 	sc := deterministicViSMP()
-	base, err := RunCampaignBaseline(sc, determinismRounds)
-	if err != nil {
-		t.Fatal(err)
+	var base CampaignResult
+	var st roundState
+	defer st.release()
+	for i := 0; i < determinismRounds; i++ {
+		rsc := sc
+		rsc.Seed = sc.Seed + int64(i+1)*SeedStride
+		r, err := runRound(rsc, &st)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		r.Events = nil
+		base.addRound(r)
 	}
 	swept := campaign(t, sc, determinismRounds)
-	if base.Metrics != swept.Metrics {
-		t.Fatalf("sweep metrics diverge from the serial baseline:\n baseline: %+v\n    sweep: %+v",
-			base.Metrics, swept.Metrics)
+	if base != swept {
+		t.Fatalf("sweep diverges from the serial index-order fold:\n  fold: %+v\n sweep: %+v", base, swept)
 	}
 }
 

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -16,6 +17,15 @@ import (
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
 )
+
+// maxPoints bounds the sweep points one spec may compile to (sizes ×
+// policies × fault rates, or fleet.total). It is checked before the grid
+// is built, so a file of a few bytes cannot demand an unbounded
+// allocation; the shipped specs compile to at most 600 points.
+const maxPoints = 10_000
+
+// maxSizeKB is the largest file size whose byte count fits an int64.
+const maxSizeKB = math.MaxInt64 >> 10
 
 // Spec is a fully decoded and validated scenario file.
 type Spec struct {
@@ -493,9 +503,18 @@ func decodeSizes(m *mapR) ([]int, error) {
 		if from <= 0 || to < from || step <= 0 {
 			return nil, specErr(n, "sizes_kb", "range needs 0 < from <= to and step > 0 (got from=%d to=%d step=%d)", from, to, step)
 		}
-		var sizes []int
-		for kb := from; kb <= to; kb += step {
-			sizes = append(sizes, int(kb))
+		if to > maxSizeKB {
+			return nil, specErr(n, "sizes_kb.to", "%d KB overflows a byte count (max %d KB)", to, int64(maxSizeKB))
+		}
+		// Count the range before building it: to-from cannot overflow
+		// (0 < from <= to), and neither can from+i*step <= to.
+		count := (to-from)/step + 1
+		if count > maxPoints {
+			return nil, specErr(n, "sizes_kb", "range from=%d to=%d step=%d has %d sizes, more than the %d-point limit", from, to, step, count, maxPoints)
+		}
+		sizes := make([]int, count)
+		for i := range sizes {
+			sizes[i] = int(from + int64(i)*step)
 		}
 		return sizes, nil
 	}
@@ -515,6 +534,9 @@ func decodeSizes(m *mapR) ([]int, error) {
 		}
 		if kb <= 0 {
 			return nil, specErr(item, p, "must be > 0 KB, got %d", kb)
+		}
+		if kb > maxSizeKB {
+			return nil, specErr(item, p, "%d KB overflows a byte count (max %d KB)", kb, int64(maxSizeKB))
 		}
 		sizes[i] = int(kb)
 	}
@@ -723,6 +745,9 @@ func decodeFleet(n *node, path string) (*FleetSpec, error) {
 	if total <= 0 {
 		return nil, specErr(totalNode, path+".total", "must be > 0, got %d", total)
 	}
+	if total > maxPoints {
+		return nil, specErr(totalNode, path+".total", "%d points exceed the %d-point limit", total, maxPoints)
+	}
 	fl.Total = int(total)
 	jsNode := m.get("jitter_seed")
 	if jsNode == nil {
@@ -743,6 +768,7 @@ func decodeFleet(n *node, path string) (*FleetSpec, error) {
 		return nil, specErr(tmplNode, path+".templates", "needs at least one template")
 	}
 	seen := make(map[string]*node)
+	weights := 0
 	for i, item := range items {
 		p := fmt.Sprintf("%s.templates[%d]", path, i)
 		t, err := decodeTemplate(item, p)
@@ -752,6 +778,10 @@ func decodeFleet(n *node, path string) (*FleetSpec, error) {
 		if seen[t.Name] != nil {
 			return nil, specErr(item, p+".name", "duplicate template name %q", t.Name)
 		}
+		if t.Weight > math.MaxInt-weights {
+			return nil, specErr(item.vals["weight"], p+".weight", "template weights sum past %d", math.MaxInt)
+		}
+		weights += t.Weight
 		seen[t.Name] = item
 		fl.Templates = append(fl.Templates, t)
 	}
@@ -827,6 +857,9 @@ func decodeTemplate(n *node, path string) (Template, error) {
 		if kb <= 0 {
 			return t, specErr(szNode, path+".size_kb", "must be > 0 KB, got %d", kb)
 		}
+		if kb > maxSizeKB {
+			return t, specErr(szNode, path+".size_kb", "%d KB overflows a byte count (max %d KB)", kb, int64(maxSizeKB))
+		}
 		t.SizeMinKB, t.SizeMaxKB = int(kb), int(kb)
 	case mapNode:
 		r, err := asMap(szNode, path+".size_kb")
@@ -850,6 +883,9 @@ func decodeTemplate(n *node, path string) (Template, error) {
 		}
 		if mn <= 0 || mx < mn {
 			return t, specErr(szNode, path+".size_kb", "needs 0 < min <= max (got min=%d max=%d)", mn, mx)
+		}
+		if mx > maxSizeKB {
+			return t, specErr(maxNode, path+".size_kb.max", "%d KB overflows a byte count (max %d KB)", mx, int64(maxSizeKB))
 		}
 		t.SizeMinKB, t.SizeMaxKB = int(mn), int(mx)
 	default:
@@ -997,6 +1033,11 @@ func (s *Spec) validate(root *node) error {
 		}
 	}
 	npoints := s.gridSize()
+	if npoints > maxPoints {
+		return specErr(&node{line: root.keyLine["sizes_kb"]}, "sizes_kb",
+			"%d sizes × %d policies × %d fault rates exceed the %d-point limit",
+			len(s.SizesKB), len(s.Policies), len(s.FaultRates), maxPoints)
+	}
 	for i, a := range s.Assertions {
 		p := fmt.Sprintf("assertions[%d]", i)
 		if a.Point >= npoints {
@@ -1021,17 +1062,21 @@ func (s *Spec) validate(root *node) error {
 	return nil
 }
 
-// gridSize is the number of sweep points the spec compiles to.
+// gridSize is the number of sweep points the spec compiles to, saturated
+// at maxPoints+1 so that no product of axis lengths can overflow.
 func (s *Spec) gridSize() int {
 	if s.Fleet != nil {
 		return s.Fleet.Total
 	}
-	n := len(s.SizesKB)
-	if len(s.Policies) > 0 {
-		n *= len(s.Policies)
-	}
-	if len(s.FaultRates) > 0 {
-		n *= len(s.FaultRates)
+	n := 1
+	for _, axis := range []int{len(s.SizesKB), len(s.Policies), len(s.FaultRates)} {
+		if axis == 0 {
+			continue
+		}
+		if n > maxPoints/axis {
+			return maxPoints + 1
+		}
+		n *= axis
 	}
 	return n
 }

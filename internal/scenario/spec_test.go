@@ -234,3 +234,79 @@ func TestSpecJSONInput(t *testing.T) {
 		t.Error("JSON spec missing rounds: expected an error")
 	}
 }
+
+// TestSpecRejectsUnboundedGrids pins the input checks that keep a short
+// spec from demanding an unbounded grid: a size range whose step wraps
+// int64, a range or grid past maxPoints, a size whose byte count
+// overflows, and an oversized fleet. Each must fail fast in Parse, with
+// the key and its line, before any point is built.
+func TestSpecRejectsUnboundedGrids(t *testing.T) {
+	withSizes := func(sizes string) string {
+		return strings.Replace(minimalSpec, "sizes_kb: [100]", "sizes_kb: "+sizes, 1)
+	}
+	fleet := func(total, sizeKB string, weights ...string) string {
+		src := "name: x\nmachine: up\nrounds: 2\nseed: 1\nfleet:\n  total: " + total + "\n  jitter_seed: 1\n  templates:\n"
+		for i, w := range weights {
+			src += "    - name: t" + string(rune('a'+i)) + "\n      weight: " + w +
+				"\n      victim: vi\n      attacker: v1\n      size_kb: " + sizeKB + "\n"
+		}
+		return src
+	}
+	cases := []struct {
+		name string
+		src  string
+		json bool
+		want []string
+	}{
+		{"range step wraps int64",
+			withSizes("{from: 1, to: 9223372036854775807, step: 4611686018427387904}"), false,
+			[]string{"line 8", "sizes_kb.to", "overflows"}},
+		{"range step wraps int64, JSON",
+			`{"name": "x", "machine": "up", "rounds": 1, "seed": 1, "victim": "vi", "attacker": "v1",
+"sizes_kb": {"from": 1, "to": 9223372036854775807, "step": 4611686018427387904}}`, true,
+			[]string{"sizes_kb.to", "overflows"}},
+		{"huge range",
+			withSizes("{from: 1, to: 100000000, step: 1}"), false,
+			[]string{"line 8", "sizes_kb", "100000000 sizes", "10000-point limit"}},
+		{"size overflows a byte count",
+			withSizes("[100, 9007199254740992]"), false,
+			[]string{"line 8", "sizes_kb[1]", "overflows"}},
+		{"grid product past the limit",
+			withSizes("{from: 1, to: 100, step: 1}") +
+				"policies: [give-up, retry, retry+fallback]\nfaults:\n  seed: 1\nfault_rates: [" +
+				strings.TrimSuffix(strings.Repeat("0.1, ", 40), ", ") + "]\n", false,
+			[]string{"line 8", "sizes_kb", "100 sizes × 3 policies × 40 fault rates", "10000-point limit"}},
+		{"huge fleet",
+			fleet("1000000000", "20", "1"), false,
+			[]string{"line 6", "fleet.total", "10000-point limit"}},
+		{"fleet size overflows a byte count",
+			fleet("10", "9007199254740992", "1"), false,
+			[]string{"line 13", "fleet.templates[0].size_kb", "overflows"}},
+		{"fleet weights overflow",
+			fleet("10", "20", "9223372036854775807", "9223372036854775807", "2"), false,
+			[]string{"line 15", "fleet.templates[1].weight", "sum past"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := Parse([]byte(tc.src), tc.json)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Parse did not return within 5s")
+			}
+			if err == nil {
+				t.Fatalf("expected an error for:\n%s", tc.src)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+}
