@@ -23,6 +23,7 @@ import (
 	"tocttou/internal/fs"
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
+	"tocttou/internal/scenario"
 	"tocttou/internal/sim"
 	"tocttou/internal/victim"
 )
@@ -65,10 +66,10 @@ func runExperiment(b *testing.B, name string, opt experiments.Options) experimen
 // vs file size on the uniprocessor (paper: ~1.5%..18%, noisy).
 func BenchmarkFig6ViUniprocessor(b *testing.B) {
 	res := runExperiment(b, "fig6", experiments.Options{Rounds: benchRounds})
-	fig := res.(*experiments.Fig6Result)
-	first, last := fig.Rows[0], fig.Rows[len(fig.Rows)-1]
-	b.ReportMetric(first.Result.Rate()*100, "rate100KB_pct")
-	b.ReportMetric(last.Result.Rate()*100, "rate1MB_pct")
+	fig := res.(*scenario.Outcome)
+	first, last := fig.Results[0], fig.Results[len(fig.Results)-1]
+	b.ReportMetric(first.Rate()*100, "rate100KB_pct")
+	b.ReportMetric(last.Rate()*100, "rate1MB_pct")
 }
 
 // BenchmarkViSMPSweep regenerates the §5 headline: ~100% success for every

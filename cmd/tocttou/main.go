@@ -31,11 +31,9 @@ import (
 	"tocttou/internal/core"
 	"tocttou/internal/experiments"
 	"tocttou/internal/machine"
-	"tocttou/internal/prog"
 	"tocttou/internal/scenario"
 	"tocttou/internal/sim"
 	"tocttou/internal/trace"
-	"tocttou/internal/victim"
 )
 
 func main() {
@@ -216,6 +214,9 @@ func run(args []string) error {
 			if err != nil || kb <= 0 {
 				return fmt.Errorf("bad size %q", s)
 			}
+			if kb > scenario.MaxSizeKB {
+				return fmt.Errorf("-sizes: %d KB overflows a byte count (max %d KB)", kb, int64(scenario.MaxSizeKB))
+			}
 			sizes = append(sizes, kb)
 		}
 	}
@@ -257,6 +258,11 @@ func run(args []string) error {
 	if *explore {
 		return exploreRun(sizes, *seed, *explorePhases, *preemptionBound, *rounds, *witnessOut)
 	}
+	if *goldenDir != "" {
+		if err := os.MkdirAll(*goldenDir, 0o755); err != nil {
+			return err
+		}
+	}
 	if *scenarioPath != "" {
 		return scenarioRun(*scenarioPath, *goldenDir, *checkpoint)
 	}
@@ -289,41 +295,45 @@ func run(args []string) error {
 	if len(names) == 1 && names[0] == "all" {
 		names = experiments.Names()
 	}
-	if *goldenDir != "" {
-		if err := os.MkdirAll(*goldenDir, 0o755); err != nil {
-			return err
-		}
-	}
 	for _, n := range names {
 		started := time.Now()
 		res, err := experiments.Run(n, opt)
 		if err != nil {
 			return err
 		}
-		if *goldenDir != "" {
-			// Golden snapshots carry the rendering only — no wall-time
-			// header, so reruns diff clean.
-			path := *goldenDir + "/" + n + ".txt"
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := res.Render(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-			continue
+		if err := emit(*goldenDir, n, n, started, res); err != nil {
+			return err
 		}
-		fmt.Printf("==== %s (%.1fs) ====\n", n, time.Since(started).Seconds())
+	}
+	return nil
+}
+
+// emit writes one rendering: to <goldenDir>/<name>.txt when goldenDir is
+// set, else to stdout under a "==== title (wall time) ====" frame.
+// Golden snapshots carry the rendering only — no wall-time header, so
+// reruns diff clean.
+func emit(goldenDir, name, title string, started time.Time, res experiments.Result) error {
+	if goldenDir == "" {
+		fmt.Printf("==== %s (%.1fs) ====\n", title, time.Since(started).Seconds())
 		if err := res.Render(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()
+		return nil
 	}
+	path := goldenDir + "/" + name + ".txt"
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := res.Render(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 
@@ -368,14 +378,7 @@ func exploreRun(sizes []int, seed int64, phases, preemptionBound, mcRounds int, 
 	}
 	m := machine.Uniprocessor()
 	for i, kb := range sizes {
-		sc := core.Scenario{
-			Machine:    m,
-			Victim:     victim.NewVi(),
-			Attacker:   attack.NewV1(),
-			UseSyscall: "chown",
-			FileSize:   int64(kb) << 10,
-			Seed:       seed + int64(i),
-		}
+		sc := experiments.ViScenario(m, kb, seed+int64(i), false)
 		started := time.Now()
 		res, err := core.ExploreCampaign(sc, opt)
 		if err != nil {
@@ -453,72 +456,27 @@ func scenarioRun(path, goldenDir, checkpoint string) error {
 	if err != nil {
 		return err
 	}
-	if goldenDir != "" {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			return err
-		}
-		// Golden snapshots carry the rendering only — no wall-time
-		// header, so reruns diff clean.
-		dst := goldenDir + "/" + spec.Name + ".txt"
-		f, err := os.Create(dst)
-		if err != nil {
-			return err
-		}
-		if err := out.Render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", dst)
-	} else {
-		fmt.Printf("==== scenario %s (%.1fs) ====\n", spec.Name, time.Since(started).Seconds())
-		if err := out.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
+	if err := emit(goldenDir, spec.Name, "scenario "+spec.Name, started, out); err != nil {
+		return err
 	}
 	return out.CheckAssertions()
 }
 
-// traceScenario builds the traced round a -trace-out export runs. The
-// scenarios mirror the experiment drivers' standard configurations.
+// traceScenario builds the traced round a -trace-out export runs: the
+// experiment drivers' standard vi and gedit scenarios.
 func traceScenario(name string, seed int64) (core.Scenario, error) {
 	if seed == 0 {
 		seed = 9001
 	}
-	vi := func(m machine.Profile, kb int) core.Scenario {
-		return core.Scenario{
-			Machine:    m,
-			Victim:     victim.NewVi(),
-			Attacker:   attack.NewV1(),
-			UseSyscall: "chown",
-			FileSize:   int64(kb) << 10,
-			Seed:       seed,
-			Trace:      true,
-		}
-	}
-	gedit := func(m machine.Profile, attacker prog.Program) core.Scenario {
-		return core.Scenario{
-			Machine:    m,
-			Victim:     victim.NewGedit(),
-			Attacker:   attacker,
-			UseSyscall: "chmod",
-			FileSize:   2 << 10,
-			Seed:       seed,
-			Trace:      true,
-		}
-	}
 	switch name {
 	case "vi-uni":
-		return vi(machine.Uniprocessor(), 100), nil
+		return experiments.ViScenario(machine.Uniprocessor(), 100, seed, true), nil
 	case "vi-smp":
-		return vi(machine.SMP2(), 100), nil
+		return experiments.ViScenario(machine.SMP2(), 100, seed, true), nil
 	case "gedit-v1":
-		return gedit(machine.SMP2(), attack.NewV1()), nil
+		return experiments.GeditScenario(machine.SMP2(), attack.NewV1(), seed, true), nil
 	case "gedit-v2":
-		return gedit(machine.MultiCore(), attack.NewV2()), nil
+		return experiments.GeditScenario(machine.MultiCore(), attack.NewV2(), seed, true), nil
 	default:
 		return core.Scenario{}, fmt.Errorf("unknown -trace-scenario %q (have vi-uni, vi-smp, gedit-v1, gedit-v2)", name)
 	}

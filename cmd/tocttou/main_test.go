@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The fault/checkpoint flags are validated at parse time, before any
-// simulation runs; every rejected combination must name the offending
+// The fault/checkpoint/size flags are validated at parse time, before
+// any simulation runs; every rejected combination must name the offending
 // flag so the error is actionable.
 func TestRunRejectsBadFlagCombos(t *testing.T) {
 	cases := []struct {
@@ -45,6 +45,11 @@ func TestRunRejectsBadFlagCombos(t *testing.T) {
 			"fault rates empty",
 			[]string{"-experiment", "faultsweep", "-fault-rates", ""},
 			"fault rate",
+		},
+		{
+			"size overflowing a byte count",
+			[]string{"-experiment", "fig6", "-sizes", "9007199254740993", "-rounds", "2"},
+			"overflows a byte count",
 		},
 		{
 			"checkpoint with several experiments",

@@ -8,6 +8,7 @@ import (
 	"tocttou/internal/machine"
 	"tocttou/internal/model"
 	"tocttou/internal/report"
+	"tocttou/internal/victim"
 )
 
 // Eq1ExactRow is one explored sweep point: the exact schedule-space win
@@ -93,12 +94,12 @@ func Eq1Exact(opt Options) (Result, error) {
 
 	up := machine.Uniprocessor()
 	for i, kb := range sizes {
-		sc := viScenario(up, kb, seed+int64(i), false)
+		sc := ViScenario(up, kb, seed+int64(i), false)
 		res, err := core.ExploreCampaign(sc, core.ExploreOptions{MCRounds: mcRounds})
 		if err != nil {
 			return nil, fmt.Errorf("eq1-exact: uniprocessor %dKB: %w", kb, err)
 		}
-		window := viWindowEstimate(up, int64(kb)<<10)
+		window := victim.NewVi().WindowEstimate(up, int64(kb)<<10)
 		stall := model.StallProbability(int64(kb)<<10, up.Latency.WriteStallProbPerKB)
 		out.Rows = append(out.Rows, Eq1ExactRow{
 			Label:   fmt.Sprintf("vi %dKB", kb),
@@ -109,7 +110,7 @@ func Eq1Exact(opt Options) (Result, error) {
 	}
 
 	smp := machine.SMP2()
-	sc := viScenario(smp, 100, seed+100, false)
+	sc := ViScenario(smp, 100, seed+100, false)
 	res, err := core.ExploreCampaign(sc, core.ExploreOptions{MCRounds: mcRounds})
 	if err != nil {
 		return nil, fmt.Errorf("eq1-exact: smp 100KB: %w", err)

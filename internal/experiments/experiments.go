@@ -3,7 +3,8 @@
 // sweep. Each driver runs simulated campaigns via internal/core and
 // renders its result in the shape the paper reports, so the CLI
 // (cmd/tocttou), the benchmark harness (bench_test.go), and EXPERIMENTS.md
-// all share one implementation.
+// all share one implementation. fig6 and faultsweep have no Go driver:
+// they run the shipped scenario specs in examples/scenarios.
 package experiments
 
 import (
@@ -11,7 +12,9 @@ import (
 	"io"
 	"sort"
 
+	"tocttou/examples/scenarios"
 	"tocttou/internal/core"
+	"tocttou/internal/scenario"
 )
 
 // Options tunes an experiment run.
@@ -48,9 +51,9 @@ type Options struct {
 	// (path, path.2, ...).
 	Checkpoint string
 	// FaultRates overrides faultsweep's swept injection rates (nil = the
-	// experiment's default ladder). Each must lie in [0, 1].
+	// spec's ladder). Each must lie in [0, 1].
 	FaultRates []float64
-	// FaultSeed overrides faultsweep's fault-plan seed (0 = default).
+	// FaultSeed overrides faultsweep's fault-plan seed (0 = the spec's).
 	FaultSeed int64
 
 	// ckptCalls counts checkpointed sweeps within one experiment run so
@@ -126,12 +129,81 @@ type Result interface {
 // Runner executes one experiment.
 type Runner func(opt Options) (Result, error)
 
+// loadSpec parses the embedded scenario spec that defines the named
+// experiment, exactly as `tocttou -scenario examples/scenarios/<name>.yaml`
+// would.
+func loadSpec(name string) (*scenario.Spec, error) {
+	file := name + ".yaml"
+	data, err := scenarios.FS.ReadFile(file)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: no scenario spec for %q", name)
+	}
+	return scenario.LoadBytes("examples/scenarios/"+file, data)
+}
+
+// specRunner returns the runner of an experiment defined by its shipped
+// scenario spec rather than a Go driver.
+func specRunner(name string) Runner {
+	return func(opt Options) (Result, error) {
+		out, err := runSpec(name, opt)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		return out, nil
+	}
+}
+
+// runSpec runs the named spec: Options override its fields with the
+// checks a parsed spec gets, the compiled points run through
+// runSweepPoints (so -checkpoint and -adaptive apply), and the outcome
+// renders with the spec's report. The spec's assertions are not
+// evaluated: they bound the shipped budget, not an overridden one.
+func runSpec(name string, opt Options) (*scenario.Outcome, error) {
+	spec, err := loadSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Rounds > 0 {
+		spec.Rounds = opt.Rounds
+	}
+	if opt.Seed != 0 {
+		spec.Seed = opt.Seed
+	}
+	// Tracing populates the metrics section's histograms and observes
+	// without perturbing the simulation.
+	spec.Trace = spec.Trace || opt.Metrics
+	// An override applies only to an axis the spec sweeps: faultsweep is
+	// pinned to one file size, and fig6 has no fault axis.
+	if opt.Sizes != nil && spec.Report != "faultsweep" {
+		if err := spec.SetSizes(opt.Sizes); err != nil {
+			return nil, err
+		}
+	}
+	if opt.FaultRates != nil && len(spec.FaultRates) > 0 {
+		if err := spec.SetFaultRates(opt.FaultRates); err != nil {
+			return nil, err
+		}
+	}
+	if opt.FaultSeed != 0 && spec.Faults != nil {
+		spec.Faults.Seed = opt.FaultSeed
+	}
+	c, err := scenario.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	results, stats, err := opt.runSweepPoints(c.Points, opt.sweep())
+	if err != nil {
+		return nil, err
+	}
+	return &scenario.Outcome{Spec: spec, Compiled: c, Results: results, Stats: stats}, nil
+}
+
 // registry maps experiment names to runners and descriptions.
 var registry = map[string]struct {
 	run  Runner
 	desc string
 }{
-	"fig6":       {Fig6, "vi attack success rate vs file size on a uniprocessor (paper Fig. 6)"},
+	"fig6":       {specRunner("fig6"), "vi attack success rate vs file size on a uniprocessor (paper Fig. 6)"},
 	"vismp":      {ViSMPSweep, "vi attack success on the SMP across 20KB-1MB (paper §5: 100%)"},
 	"fig7":       {Fig7, "L and D vs file size for vi SMP attacks (paper Fig. 7)"},
 	"table1":     {Table1, "vi SMP attack with 1-byte files: L, D, success (paper Table 1)"},
@@ -151,7 +223,7 @@ var registry = map[string]struct {
 	"gapsweep":   {GapSweep, "gedit v2 success vs rename→chmod gap width (extension)"},
 	"patched":    {Patched, "fd-based fchown/fchmod application fix vs the same attacks (extension)"},
 	"defense":    {DefenseEvaluation, "attack success with the EDGI-style defense enabled (extension)"},
-	"faultsweep": {FaultSweep, "vi attack success under injected faults, by robustness policy (extension)"},
+	"faultsweep": {specRunner("faultsweep"), "vi attack success under injected faults, by robustness policy (extension)"},
 }
 
 // checkpointable lists the experiments whose entire result derives from

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"tocttou/internal/scenario"
 )
 
 // Experiment tests run at reduced round counts: they assert structure and
@@ -39,29 +41,53 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestFig6ShapeAndRendering(t *testing.T) {
-	res, err := Fig6(Options{Rounds: 80, Sizes: []int{100, 1000}})
+	res, err := Run("fig6", Options{Rounds: 80, Sizes: []int{100, 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig := res.(*Fig6Result)
-	if len(fig.Rows) != 2 {
-		t.Fatalf("rows = %d", len(fig.Rows))
+	fig := res.(*scenario.Outcome)
+	if len(fig.Results) != 2 {
+		t.Fatalf("rows = %d", len(fig.Results))
 	}
-	small, large := fig.Rows[0], fig.Rows[1]
-	if small.Result.Rate() > 0.10 {
-		t.Errorf("100KB rate = %.1f%%, want low single digits", small.Result.Rate()*100)
+	small, large := fig.Results[0], fig.Results[1]
+	if small.Rate() > 0.10 {
+		t.Errorf("100KB rate = %.1f%%, want low single digits", small.Rate()*100)
 	}
-	if large.Result.Rate() < small.Result.Rate() {
+	if large.Rate() < small.Rate() {
 		t.Errorf("rate must grow with size: %.1f%% vs %.1f%%",
-			small.Result.Rate()*100, large.Result.Rate()*100)
+			small.Rate()*100, large.Rate()*100)
 	}
-	if large.Predicted < 0.10 || large.Predicted > 0.25 {
-		t.Errorf("1MB model prediction = %.1f%%, want ~16%%", large.Predicted*100)
+	if pred := scenario.Fig6Prediction(fig.Spec.Machine, fig.Compiled.Meta[1].SizeKB); pred < 0.10 || pred > 0.25 {
+		t.Errorf("1MB model prediction = %.1f%%, want ~16%%", pred*100)
 	}
 	out := render(t, fig)
 	for _, want := range []string{"Figure 6", "file size (KB)", "model predicts", "success rate vs file size"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q", want)
+		}
+	}
+}
+
+// TestSpecOverridesValidated pins that Options overriding a
+// spec-defined experiment get the checks a parsed spec gets: a file size
+// whose byte count wraps, or a grid past the point limit, is an error
+// before any round runs.
+func TestSpecOverridesValidated(t *testing.T) {
+	tooMany := make([]int, 10_001)
+	for i := range tooMany {
+		tooMany[i] = i + 1
+	}
+	for _, c := range []struct {
+		name  string
+		sizes []int
+		want  string
+	}{
+		{"size overflow", []int{100, scenario.MaxSizeKB + 1}, "sizes_kb[1]: 9007199254740992 KB overflows a byte count"},
+		{"too many points", tooMany, "point limit"},
+	} {
+		_, err := Run("fig6", Options{Rounds: 2, Sizes: c.sizes})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.want)
 		}
 	}
 }

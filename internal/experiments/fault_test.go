@@ -4,17 +4,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tocttou/internal/scenario"
 )
 
 func TestFaultSweepShapeAndRendering(t *testing.T) {
 	opt := Options{Rounds: 60, FaultRates: []float64{0, 0.2}}
-	res, err := FaultSweep(opt)
+	res, err := Run("faultsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsw := res.(*FaultSweepResult)
-	if want := 2 * len(faultPolicies); len(fsw.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(fsw.Rows), want)
+	fsw := res.(*scenario.Outcome)
+	if len(fsw.Results) != 2*3 {
+		t.Fatalf("rows = %d, want 6 (2 rates × 3 policies)", len(fsw.Results))
 	}
 
 	// The dependability story: at rate 0 every policy succeeds like the
@@ -22,13 +24,13 @@ func TestFaultSweepShapeAndRendering(t *testing.T) {
 	// retry keeps most of the attack's success alive.
 	byKey := make(map[string]float64)
 	faults := make(map[string]int64)
-	for _, row := range fsw.Rows {
-		key := row.Policy
-		if row.Rate > 0 {
+	for i, m := range fsw.Compiled.Meta {
+		key := m.Policy
+		if m.Rate > 0 {
 			key += "+faults"
 		}
-		byKey[key] = row.Result.Rate()
-		faults[key] = row.Result.Faults.Total()
+		byKey[key] = fsw.Results[i].Rate()
+		faults[key] = fsw.Results[i].Faults.Total()
 	}
 	if byKey["give-up"] < 0.9 {
 		t.Errorf("fault-free give-up rate = %.2f, want near-certain", byKey["give-up"])
@@ -57,11 +59,11 @@ func TestFaultSweepShapeAndRendering(t *testing.T) {
 
 func TestFaultSweepRenderDeterministic(t *testing.T) {
 	opt := Options{Rounds: 60, FaultRates: []float64{0, 0.05}}
-	a, err := FaultSweep(opt)
+	a, err := Run("faultsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultSweep(opt)
+	b, err := Run("faultsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestFaultSweepRenderDeterministic(t *testing.T) {
 }
 
 func TestFaultSweepRejectsBadRate(t *testing.T) {
-	if _, err := FaultSweep(Options{Rounds: 10, FaultRates: []float64{0.5, 1.2}}); err == nil {
+	if _, err := Run("faultsweep", Options{Rounds: 10, FaultRates: []float64{0.5, 1.2}}); err == nil {
 		t.Error("out-of-range fault rate accepted")
 	}
 }
@@ -82,11 +84,11 @@ func TestFaultSweepCheckpointRoutedThroughOptions(t *testing.T) {
 	// identically.
 	dir := t.TempDir()
 	opt := Options{Rounds: 40, FaultRates: []float64{0, 0.2}, Checkpoint: filepath.Join(dir, "fs.ckpt")}
-	a, err := FaultSweep(opt)
+	a, err := Run("faultsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultSweep(opt)
+	b, err := Run("faultsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

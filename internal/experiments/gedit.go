@@ -20,7 +20,7 @@ import (
 const geditFileKB = 2
 
 // geditScenario builds the standard gedit scenario.
-func geditScenario(m machine.Profile, attacker prog.Program, seed int64, traced bool) core.Scenario {
+func GeditScenario(m machine.Profile, attacker prog.Program, seed int64, traced bool) core.Scenario {
 	return core.Scenario{
 		Machine:    m,
 		Victim:     victim.NewGedit(),
@@ -66,7 +66,7 @@ func (r *Table2Result) Render(w io.Writer) error {
 func Table2(opt Options) (Result, error) {
 	rounds := opt.rounds(500)
 	seed := opt.seed(5003)
-	res, err := core.RunCampaign(geditScenario(machine.SMP2(), attack.NewV1(), seed, true), rounds)
+	res, err := core.RunCampaign(GeditScenario(machine.SMP2(), attack.NewV1(), seed, true), rounds)
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}
@@ -108,7 +108,7 @@ func (r *CampaignSummary) Render(w io.Writer) error {
 func GeditUniprocessor(opt Options) (Result, error) {
 	rounds := opt.rounds(500)
 	seed := opt.seed(6007)
-	res, err := core.RunCampaign(geditScenario(machine.Uniprocessor(), attack.NewV1(), seed, false), rounds)
+	res, err := core.RunCampaign(GeditScenario(machine.Uniprocessor(), attack.NewV1(), seed, false), rounds)
 	if err != nil {
 		return nil, fmt.Errorf("geditup: %w", err)
 	}
@@ -123,7 +123,7 @@ func GeditUniprocessor(opt Options) (Result, error) {
 func GeditMulticoreV1(opt Options) (Result, error) {
 	rounds := opt.rounds(500)
 	seed := opt.seed(7001)
-	res, err := core.RunCampaign(geditScenario(machine.MultiCore(), attack.NewV1(), seed, true), rounds)
+	res, err := core.RunCampaign(GeditScenario(machine.MultiCore(), attack.NewV1(), seed, true), rounds)
 	if err != nil {
 		return nil, fmt.Errorf("geditmc1: %w", err)
 	}
@@ -139,7 +139,7 @@ func GeditMulticoreV1(opt Options) (Result, error) {
 func GeditMulticoreV2(opt Options) (Result, error) {
 	rounds := opt.rounds(500)
 	seed := opt.seed(8009)
-	res, err := core.RunCampaign(geditScenario(machine.MultiCore(), attack.NewV2(), seed, true), rounds)
+	res, err := core.RunCampaign(GeditScenario(machine.MultiCore(), attack.NewV2(), seed, true), rounds)
 	if err != nil {
 		return nil, fmt.Errorf("geditmc2: %w", err)
 	}
@@ -196,7 +196,7 @@ func renderTimeline(r core.Round) string {
 // Fig8 captures a failed naive attack on the multi-core, showing the trap
 // and the unlink arriving after chmod/chown.
 func Fig8(opt Options) (Result, error) {
-	sc := geditScenario(machine.MultiCore(), attack.NewV1(), opt.seed(9001), true)
+	sc := GeditScenario(machine.MultiCore(), attack.NewV1(), opt.seed(9001), true)
 	r, seed, tries, err := findRound(sc, func(r core.Round) bool {
 		return !r.Success && r.LD.Detected && r.LD.WindowFound
 	})
@@ -214,7 +214,7 @@ func Fig8(opt Options) (Result, error) {
 
 // Fig10 captures a successful pre-faulted attack on the multi-core.
 func Fig10(opt Options) (Result, error) {
-	sc := geditScenario(machine.MultiCore(), attack.NewV2(), opt.seed(10007), true)
+	sc := GeditScenario(machine.MultiCore(), attack.NewV2(), opt.seed(10007), true)
 	r, seed, tries, err := findRound(sc, func(r core.Round) bool {
 		return r.Success && r.LD.Detected && r.LD.WindowFound
 	})

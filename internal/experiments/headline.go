@@ -69,17 +69,17 @@ func Headline(opt Options) (Result, error) {
 		scenario, machineName, ref string
 		sc                         core.Scenario
 	}{
-		{"vi 100KB", "uniprocessor", "~2%", viScenario(machine.Uniprocessor(), 100, seed+1, false)},
-		{"vi 100KB", "SMP 2-way", "100%", viScenario(machine.SMP2(), 100, seed+2, false)},
+		{"vi 100KB", "uniprocessor", "~2%", ViScenario(machine.Uniprocessor(), 100, seed+1, false)},
+		{"vi 100KB", "SMP 2-way", "100%", ViScenario(machine.SMP2(), 100, seed+2, false)},
 		{"vi 1 byte", "SMP 2-way", "~96%", func() core.Scenario {
-			sc := viScenario(machine.SMP2(), 0, seed+3, false)
+			sc := ViScenario(machine.SMP2(), 0, seed+3, false)
 			sc.FileSize = 1
 			return sc
 		}()},
-		{"gedit v1", "uniprocessor", "~0%", geditScenario(machine.Uniprocessor(), attack.NewV1(), seed+4, false)},
-		{"gedit v1", "SMP 2-way", "~83%", geditScenario(machine.SMP2(), attack.NewV1(), seed+5, false)},
-		{"gedit v1", "multi-core 4-way", "~0%", geditScenario(machine.MultiCore(), attack.NewV1(), seed+6, false)},
-		{"gedit v2", "multi-core 4-way", "many successes", geditScenario(machine.MultiCore(), attack.NewV2(), seed+7, false)},
+		{"gedit v1", "uniprocessor", "~0%", GeditScenario(machine.Uniprocessor(), attack.NewV1(), seed+4, false)},
+		{"gedit v1", "SMP 2-way", "~83%", GeditScenario(machine.SMP2(), attack.NewV1(), seed+5, false)},
+		{"gedit v1", "multi-core 4-way", "~0%", GeditScenario(machine.MultiCore(), attack.NewV1(), seed+6, false)},
+		{"gedit v2", "multi-core 4-way", "many successes", GeditScenario(machine.MultiCore(), attack.NewV2(), seed+7, false)},
 	}
 	scs := make([]core.Scenario, len(steps))
 	for i, s := range steps {
@@ -167,9 +167,9 @@ func DefenseEvaluation(opt Options) (Result, error) {
 		name string
 		sc   core.Scenario
 	}{
-		{"vi 100KB / SMP", viScenario(machine.SMP2(), 100, seed+1, false)},
-		{"gedit v1 / SMP", geditScenario(machine.SMP2(), attack.NewV1(), seed+2, false)},
-		{"gedit v2 / multi-core", geditScenario(machine.MultiCore(), attack.NewV2(), seed+3, false)},
+		{"vi 100KB / SMP", ViScenario(machine.SMP2(), 100, seed+1, false)},
+		{"gedit v1 / SMP", GeditScenario(machine.SMP2(), attack.NewV1(), seed+2, false)},
+		{"gedit v2 / multi-core", GeditScenario(machine.MultiCore(), attack.NewV2(), seed+3, false)},
 	}
 	// Three sweep points per case: undefended, enforcing, delaying.
 	scs := make([]core.Scenario, 0, 3*len(cases))
@@ -198,7 +198,7 @@ func DefenseEvaluation(opt Options) (Result, error) {
 	}
 
 	// Benign overhead: the same save with no attacker, guard off vs on.
-	benign := viScenario(machine.SMP2(), 100, seed+99, false)
+	benign := ViScenario(machine.SMP2(), 100, seed+99, false)
 	benign.Attacker = attack.Idle{}
 	baseUs, err := meanRoundEnd(benign, 50)
 	if err != nil {

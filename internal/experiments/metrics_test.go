@@ -13,14 +13,14 @@ import (
 // any divergence is an ordering bug in the fold, not noise.
 func TestFig6MetricsSummarySweepStable(t *testing.T) {
 	opt := Options{Rounds: 40, Sizes: []int{100, 400, 1000}, Metrics: true}
-	res, err := Fig6(opt)
+	res, err := Run("fig6", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := render(t, res)
 
 	prev := runtime.GOMAXPROCS(1)
-	res1, err := Fig6(opt)
+	res1, err := Run("fig6", opt)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestHeadlineMetricsSweepRenders(t *testing.T) {
 // TestFig6WithoutMetricsOmitsSection pins the default rendering: no
 // -metrics flag, no metrics section.
 func TestFig6WithoutMetricsOmitsSection(t *testing.T) {
-	res, err := Fig6(Options{Rounds: 20, Sizes: []int{100}})
+	res, err := Run("fig6", Options{Rounds: 20, Sizes: []int{100}})
 	if err != nil {
 		t.Fatal(err)
 	}

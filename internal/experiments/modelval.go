@@ -72,17 +72,17 @@ func ModelValidation(opt Options) (Result, error) {
 	upSizes := []int{100, 500, 1000}
 	var scs []core.Scenario
 	for i, kb := range upSizes {
-		scs = append(scs, viScenario(up, kb, seed+int64(i)*6311, false))
+		scs = append(scs, ViScenario(up, kb, seed+int64(i)*6311, false))
 	}
 	scs = append(scs, core.Scenario{
 		Machine: up, Victim: victim.NewAlwaysSuspended(), Attacker: attack.NewV1(),
 		UseSyscall: "chown", FileSize: 100 << 10, Seed: seed + 999,
 	})
-	t1sc := viScenario(machine.SMP2(), 0, seed+1777, true)
+	t1sc := ViScenario(machine.SMP2(), 0, seed+1777, true)
 	t1sc.FileSize = 1
 	scs = append(scs, t1sc)
-	scs = append(scs, viScenario(machine.SMP2(), 100, seed+2888, true))
-	scs = append(scs, geditScenario(machine.SMP2(), attack.NewV1(), seed+3999, true))
+	scs = append(scs, ViScenario(machine.SMP2(), 100, seed+2888, true))
+	scs = append(scs, GeditScenario(machine.SMP2(), attack.NewV1(), seed+3999, true))
 	results, err := opt.runSweep(scs, rounds)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
@@ -91,7 +91,7 @@ func ModelValidation(opt Options) (Result, error) {
 	// Uniprocessor vi at three sizes: Equation 1's first term only, with
 	// P(suspended) from quantum phase + stall model.
 	for i, kb := range upSizes {
-		window := viWindowEstimate(up, int64(kb)<<10)
+		window := victim.NewVi().WindowEstimate(up, int64(kb)<<10)
 		stall := model.StallProbability(int64(kb)<<10, up.Latency.WriteStallProbPerKB)
 		eq := model.Uniprocessor(model.UniprocessorSuspension(window, up.Quantum, stall), 1, 1)
 		pred, err := eq.SuccessProbability()

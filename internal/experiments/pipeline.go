@@ -113,7 +113,7 @@ func fig11Row(sizeKB int, parallel bool, seed int64) (Fig11Row, error) {
 	m := machine.MultiCore()
 	sc := core.Scenario{
 		Machine:    m,
-		Victim:     geditScenario(m, attack.NewV2(), 0, false).Victim,
+		Victim:     GeditScenario(m, attack.NewV2(), 0, false).Victim,
 		UseSyscall: "chmod",
 		FileSize:   int64(sizeKB) << 10,
 		Seed:       seed,

@@ -5,17 +5,24 @@ import (
 	"testing"
 
 	"tocttou/internal/core"
-	"tocttou/internal/machine"
+	"tocttou/internal/scenario"
 )
 
-// fig6Scenarios rebuilds the exact Fig 6 point set (sizes, base seed,
+// fig6Scenarios compiles the shipped fig6 spec (sizes, base seed,
 // per-point stride) so these tests pin the production sweep, not a toy.
-func fig6Scenarios() []core.Scenario {
-	sizes := []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
-	m := machine.Uniprocessor()
-	scs := make([]core.Scenario, len(sizes))
-	for i, kb := range sizes {
-		scs[i] = viScenario(m, kb, 1007+int64(i)*7919, false)
+func fig6Scenarios(t *testing.T) []core.Scenario {
+	t.Helper()
+	spec, err := loadSpec("fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := make([]core.Scenario, len(c.Points))
+	for i, p := range c.Points {
+		scs[i] = p.Scenario
 	}
 	return scs
 }
@@ -25,7 +32,7 @@ func fig6Scenarios() []core.Scenario {
 // CampaignResults of the old serial RunCampaign loop, at GOMAXPROCS=1
 // and at NumCPU (and under -race via make check).
 func TestFig6SweepBitIdenticalToSerialLoop(t *testing.T) {
-	scs := fig6Scenarios()
+	scs := fig6Scenarios(t)
 	const rounds = 60
 	serial := make([]core.CampaignResult, len(scs))
 	for i, sc := range scs {
@@ -62,7 +69,7 @@ func TestFig6SweepBitIdenticalToSerialLoop(t *testing.T) {
 // the streams are pairwise disjoint for any budget. The test verifies
 // the concrete instance exhaustively at the production budget.
 func TestFig6SeedStreamsPairwiseDisjoint(t *testing.T) {
-	scs := fig6Scenarios()
+	scs := fig6Scenarios(t)
 	const rounds = 500 // the production Fig 6 budget
 	seen := make(map[int64]int, len(scs)*rounds)
 	for i, sc := range scs {
@@ -83,7 +90,7 @@ func TestFig6SeedStreamsPairwiseDisjoint(t *testing.T) {
 // half-width the low-rate uniprocessor points satisfy the Wilson rule
 // long before 500 rounds, and the results stay deterministic.
 func TestFig6AdaptiveReducesRounds(t *testing.T) {
-	scs := fig6Scenarios()
+	scs := fig6Scenarios(t)
 	const budget = 500
 	points := make([]core.SweepPoint, len(scs))
 	for i, sc := range scs {

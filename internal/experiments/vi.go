@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"tocttou/internal/attack"
 	"tocttou/internal/core"
@@ -16,8 +15,9 @@ import (
 	"tocttou/internal/victim"
 )
 
-// viScenario builds the standard vi scenario on a machine.
-func viScenario(m machine.Profile, sizeKB int, seed int64, traced bool) core.Scenario {
+// ViScenario builds the standard vi scenario on a machine: vi saving a
+// sizeKB file, the v1 attacker racing its chown.
+func ViScenario(m machine.Profile, sizeKB int, seed int64, traced bool) core.Scenario {
 	return core.Scenario{
 		Machine:    m,
 		Victim:     victim.NewVi(),
@@ -33,8 +33,6 @@ func viScenario(m machine.Profile, sizeKB int, seed int64, traced bool) core.Sce
 type SweepRow struct {
 	SizeKB int
 	Result core.CampaignResult
-	// Predicted is the model's success-rate prediction for this point.
-	Predicted float64
 }
 
 // renderRowMetrics appends the observability block for size-swept rows.
@@ -46,107 +44,6 @@ func renderRowMetrics(w io.Writer, rows []SweepRow) error {
 		pts[i] = row.Result.Metrics
 	}
 	return report.MetricsSection(w, labels, pts)
-}
-
-// Fig6Result reproduces the paper's Figure 6: vi attack success rate on a
-// uniprocessor as a function of file size.
-type Fig6Result struct {
-	Rows   []SweepRow
-	Rounds int
-	// ShowMetrics appends the kernel-metrics section to the rendering.
-	ShowMetrics bool
-}
-
-// Name implements Result.
-func (r *Fig6Result) Name() string { return "fig6" }
-
-// Render implements Result.
-func (r *Fig6Result) Render(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 6 — vi attack success rate on a uniprocessor (%d rounds per size)\n", r.Rounds)
-	fmt.Fprintf(w, "Paper: low single digits at 100KB rising to ~18%% at 1MB, noisy.\n\n")
-	tbl := &report.Table{Headers: []string{"file size (KB)", "success", "rate", "95% CI", "model predicts"}}
-	xs := make([]float64, 0, len(r.Rows))
-	ys := make([]float64, 0, len(r.Rows))
-	preds := make([]float64, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		lo, hi := row.Result.Proportion().WilsonInterval(1.96)
-		tbl.AddRow(
-			fmt.Sprintf("%d", row.SizeKB),
-			fmt.Sprintf("%d/%d", row.Result.Successes, row.Result.Rounds),
-			fmt.Sprintf("%.1f%%", row.Result.Rate()*100),
-			fmt.Sprintf("[%.1f%%, %.1f%%]", lo*100, hi*100),
-			fmt.Sprintf("%.1f%%", row.Predicted*100),
-		)
-		xs = append(xs, float64(row.SizeKB))
-		ys = append(ys, row.Result.Rate()*100)
-		preds = append(preds, row.Predicted*100)
-	}
-	if err := tbl.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	chart := &report.Chart{
-		Title: "success rate vs file size (uniprocessor)", XLabel: "KB", YLabel: "%",
-		Xs: xs,
-		Series: []report.Series{
-			{Name: "measured", Ys: ys},
-			{Name: "model", Ys: preds},
-		},
-	}
-	if err := chart.Render(w); err != nil {
-		return err
-	}
-	if !r.ShowMetrics {
-		return nil
-	}
-	return renderRowMetrics(w, r.Rows)
-}
-
-// Fig6 runs the uniprocessor vi sweep.
-func Fig6(opt Options) (Result, error) {
-	sizes := opt.Sizes
-	if sizes == nil {
-		sizes = []int{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
-	}
-	rounds := opt.rounds(500)
-	seed := opt.seed(1007)
-	m := machine.Uniprocessor()
-	scs := make([]core.Scenario, len(sizes))
-	for i, kb := range sizes {
-		// With -metrics the sweep runs traced so the window/D/L histograms
-		// populate; tracing observes without perturbing the simulation.
-		scs[i] = viScenario(m, kb, seed+int64(i)*7919, opt.Metrics)
-	}
-	results, err := opt.runSweep(scs, rounds)
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	out := &Fig6Result{Rounds: rounds, ShowMetrics: opt.Metrics}
-	for i, kb := range sizes {
-		out.Rows = append(out.Rows, SweepRow{SizeKB: kb, Result: results[i], Predicted: Fig6Prediction(m, kb)})
-	}
-	return out, nil
-}
-
-// Fig6Prediction is the closed-form model prediction the fig6 rendering
-// pairs with each measured point: window ≈ measured-on-SMP per-KB growth,
-// via the analytic window estimate from the vi calibration. Exported so
-// declarative scenarios replicating fig6 render the exact same column.
-func Fig6Prediction(m machine.Profile, sizeKB int) float64 {
-	window := viWindowEstimate(m, int64(sizeKB)<<10)
-	stall := model.StallProbability(int64(sizeKB)<<10, m.Latency.WriteStallProbPerKB)
-	return model.UniprocessorSuspension(window, m.Quantum, stall)
-}
-
-// viWindowEstimate approximates vi's vulnerability window length for a
-// file size on a machine, from the calibrated victim parameters.
-func viWindowEstimate(m machine.Profile, size int64) time.Duration {
-	v := victim.NewVi()
-	chunks := (size + v.ChunkSize - 1) / v.ChunkSize
-	perChunk := m.ScaleCompute(v.PerChunkCompute) +
-		m.Latency.WriteBase + time.Duration(float64(m.Latency.WritePerKB)*float64(v.ChunkSize)/1024)
-	fixed := m.ScaleCompute(v.PostOpenCompute+v.PreChownCompute) + m.Latency.Close
-	return fixed + time.Duration(chunks)*perChunk
 }
 
 // ViSMPResult reproduces the paper's §5 headline: 100% success for every
@@ -195,7 +92,7 @@ func ViSMPSweep(opt Options) (Result, error) {
 	m := machine.SMP2()
 	scs := make([]core.Scenario, len(sizes))
 	for i, kb := range sizes {
-		scs[i] = viScenario(m, kb, seed+int64(i)*104729, false)
+		scs[i] = ViScenario(m, kb, seed+int64(i)*104729, false)
 	}
 	results, err := opt.runSweep(scs, rounds)
 	if err != nil {
@@ -275,7 +172,7 @@ func Fig7(opt Options) (Result, error) {
 	m := machine.SMP2()
 	scs := make([]core.Scenario, len(sizes))
 	for i, kb := range sizes {
-		scs[i] = viScenario(m, kb, seed+int64(i)*7907, true)
+		scs[i] = ViScenario(m, kb, seed+int64(i)*7907, true)
 	}
 	results, err := opt.runSweep(scs, rounds)
 	if err != nil {
@@ -353,7 +250,7 @@ func Table1(opt Options) (Result, error) {
 	rounds := opt.rounds(500)
 	seed := opt.seed(4001)
 	m := machine.SMP2()
-	sc := viScenario(m, 0, seed, true)
+	sc := ViScenario(m, 0, seed, true)
 	sc.FileSize = 1
 	res, perRound, err := core.RunCampaignRounds(sc, rounds, true)
 	if err != nil {

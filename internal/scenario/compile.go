@@ -1,10 +1,9 @@
 package scenario
 
-// Compilation: a validated Spec lowers to the exact []core.SweepPoint a
-// hand-wired experiment would build, so the sweep engine's memoization,
-// coalescing, checkpointing, and adaptive budgets apply unchanged — and
-// so the shipped fig6/faultsweep scenarios produce byte-identical
-// campaigns to their Go-wired twins.
+// Compilation: a validated Spec lowers to a []core.SweepPoint, so the
+// sweep engine's memoization, coalescing, checkpointing, and adaptive
+// budgets apply unchanged. The fig6 and faultsweep experiments are
+// exactly the compiled points of their shipped specs.
 
 import (
 	"fmt"
@@ -40,8 +39,8 @@ type Compiled struct {
 
 // Compile lowers a validated spec to its sweep grid. The grid order is
 // fault_rates (outer) × policies × sizes (inner); point i runs at seed
-// spec.Seed + i*spec.SeedStride, matching the hand-wired experiments'
-// stride layout exactly.
+// spec.Seed + i*spec.SeedStride, the stride layout the Go-wired
+// experiments use too.
 func Compile(s *Spec) (*Compiled, error) {
 	if s.Fleet != nil {
 		return compileFleet(s)

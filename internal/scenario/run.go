@@ -1,18 +1,20 @@
 package scenario
 
 // Execution and rendering: a compiled scenario runs through the same
-// sweep engine as the hand-wired experiments, then renders either the
-// generic table or — for report: fig6 / faultsweep — the exact
-// experiment rendering, so scenario output can be diffed byte-for-byte
-// against the experiment goldens.
+// sweep engine as the Go-wired experiments, then renders either the
+// generic table or — for report: fig6 / faultsweep — the paper-figure
+// rendering those experiments print (they run the shipped specs).
 
 import (
 	"fmt"
 	"io"
 
 	"tocttou/internal/core"
-	"tocttou/internal/experiments"
+	"tocttou/internal/machine"
+	"tocttou/internal/metrics"
+	"tocttou/internal/model"
 	"tocttou/internal/report"
+	"tocttou/internal/victim"
 )
 
 // RunOptions tunes a scenario execution.
@@ -49,6 +51,9 @@ func Run(spec *Spec, opt RunOptions) (*Outcome, error) {
 	return &Outcome{Spec: spec, Compiled: c, Results: results, Stats: stats}, nil
 }
 
+// Name returns the scenario's name, the snapshot name -golden writes.
+func (o *Outcome) Name() string { return o.Spec.Name }
+
 // Render writes the outcome's report.
 func (o *Outcome) Render(w io.Writer) error {
 	switch o.Spec.Report {
@@ -60,33 +65,113 @@ func (o *Outcome) Render(w io.Writer) error {
 	return o.renderTable(w)
 }
 
-// renderFig6 reuses the experiment's rendering verbatim: same table,
-// same chart, same model-prediction column.
+// renderFig6 renders the paper's Figure 6: success rate per file size
+// with its Wilson interval, next to the closed-form model prediction.
 func (o *Outcome) renderFig6(w io.Writer) error {
-	res := &experiments.Fig6Result{Rounds: o.Spec.Rounds}
+	fmt.Fprintf(w, "Figure 6 — vi attack success rate on a uniprocessor (%d rounds per size)\n", o.Spec.Rounds)
+	fmt.Fprintf(w, "Paper: low single digits at 100KB rising to ~18%% at 1MB, noisy.\n\n")
+	tbl := &report.Table{Headers: []string{"file size (KB)", "success", "rate", "95% CI", "model predicts"}}
+	n := len(o.Results)
+	xs, ys, preds := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
 	for i, m := range o.Compiled.Meta {
-		res.Rows = append(res.Rows, experiments.SweepRow{
-			SizeKB:    m.SizeKB,
-			Result:    o.Results[i],
-			Predicted: experiments.Fig6Prediction(o.Spec.Machine, m.SizeKB),
-		})
+		res := o.Results[i]
+		pred := Fig6Prediction(o.Spec.Machine, m.SizeKB)
+		lo, hi := res.Proportion().WilsonInterval(1.96)
+		tbl.AddRow(
+			fmt.Sprintf("%d", m.SizeKB),
+			fmt.Sprintf("%d/%d", res.Successes, res.Rounds),
+			fmt.Sprintf("%.1f%%", res.Rate()*100),
+			fmt.Sprintf("[%.1f%%, %.1f%%]", lo*100, hi*100),
+			fmt.Sprintf("%.1f%%", pred*100),
+		)
+		xs = append(xs, float64(m.SizeKB))
+		ys = append(ys, res.Rate()*100)
+		preds = append(preds, pred*100)
 	}
-	return res.Render(w)
+	if err := tbl.Render(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	chart := &report.Chart{
+		Title: "success rate vs file size (uniprocessor)", XLabel: "KB", YLabel: "%",
+		Xs: xs,
+		Series: []report.Series{
+			{Name: "measured", Ys: ys},
+			{Name: "model", Ys: preds},
+		},
+	}
+	if err := chart.Render(w); err != nil {
+		return err
+	}
+	return o.renderMetrics(w, func(m PointMeta) string { return fmt.Sprintf("%d KB", m.SizeKB) })
 }
 
-// renderFaultSweep reuses the faultsweep experiment's rendering; the
-// chart's policy series derive from row order, so custom policy sets
-// chart just like the built-in grid.
+// Fig6Prediction is the closed-form model prediction the fig6 report
+// pairs with each measured point: the uniprocessor suspension
+// probability over vi's estimated window for the file size.
+func Fig6Prediction(m machine.Profile, sizeKB int) float64 {
+	size := int64(sizeKB) << 10
+	window := victim.NewVi().WindowEstimate(m, size)
+	stall := model.StallProbability(size, m.Latency.WriteStallProbPerKB)
+	return model.UniprocessorSuspension(window, m.Quantum, stall)
+}
+
+// renderFaultSweep renders the (rate × policy) grid as a table of
+// success and fault counters, then charts success against fault rate
+// with one series per policy, in the spec's policy order.
 func (o *Outcome) renderFaultSweep(w io.Writer) error {
-	res := &experiments.FaultSweepResult{Rounds: o.Spec.Rounds}
+	fmt.Fprintf(w, "faultsweep — vi SMP attack success under injected faults (%d rounds per point)\n", o.Spec.Rounds)
+	fmt.Fprintf(w, "At rate p: each fs op fails with an injected errno w.p. p, each blocked semaphore\n")
+	fmt.Fprintf(w, "wait is EINTR-interrupted w.p. p, and each program is killed mid-round w.p. p/2\n")
+	fmt.Fprintf(w, "(the victim restarts, supervised). Policies differ only in error handling.\n\n")
+	tbl := &report.Table{Headers: append([]string{"fault rate", "policy"}, pointHeaders(true)[2:]...)}
 	for i, m := range o.Compiled.Meta {
-		res.Rows = append(res.Rows, experiments.FaultRow{
-			Rate:   m.Rate,
-			Policy: m.Policy,
-			Result: o.Results[i],
-		})
+		tbl.AddRow(pointRow(fmt.Sprintf("%.3f", m.Rate), m.Policy, o.Results[i], true)...)
 	}
-	return res.Render(w)
+	if err := tbl.Render(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	var xs []float64
+	series := make([]report.Series, 0, len(o.Spec.Policies))
+	for _, pol := range o.Spec.Policies {
+		var ys []float64
+		xs = xs[:0]
+		for i, m := range o.Compiled.Meta {
+			if m.Policy != pol.Label {
+				continue
+			}
+			xs = append(xs, m.Rate*100)
+			ys = append(ys, o.Results[i].Rate()*100)
+		}
+		series = append(series, report.Series{Name: pol.Label, Ys: ys})
+	}
+	chart := &report.Chart{
+		Title:  "attack success vs fault rate, by robustness policy",
+		XLabel: "fault rate (%)", YLabel: "%",
+		Xs:     xs,
+		Series: series,
+	}
+	if err := chart.Render(w); err != nil {
+		return err
+	}
+	return o.renderMetrics(w, func(m PointMeta) string { return fmt.Sprintf("p=%.3f %s", m.Rate, m.Policy) })
+}
+
+// renderMetrics appends the kernel-metrics section (per-point counters
+// plus pooled window/D/L histograms) when the spec ran traced, labelling
+// each point with label.
+func (o *Outcome) renderMetrics(w io.Writer, label func(PointMeta) string) error {
+	if !o.Spec.Trace {
+		return nil
+	}
+	labels := make([]string, len(o.Results))
+	pts := make([]metrics.Point, len(o.Results))
+	for i, m := range o.Compiled.Meta {
+		labels[i] = label(m)
+		pts[i] = o.Results[i].Metrics
+	}
+	return report.MetricsSection(w, labels, pts)
 }
 
 // renderTable is the generic report: one row per point, plus a pooled

@@ -24,15 +24,17 @@ import (
 // allocation; the shipped specs compile to at most 600 points.
 const maxPoints = 10_000
 
-// maxSizeKB is the largest file size whose byte count fits an int64.
-const maxSizeKB = math.MaxInt64 >> 10
+// MaxSizeKB is the largest file size whose byte count fits an int64.
+// Every size a spec or a `-sizes` override names is checked against it.
+const MaxSizeKB = math.MaxInt64 >> 10
 
 // Spec is a fully decoded and validated scenario file.
 type Spec struct {
 	Name        string
 	Description string
 	// Report selects the rendering: "table" (generic, the default),
-	// "fig6", or "faultsweep" (the experiment-equivalent renderings).
+	// "fig6", or "faultsweep" (the paper-figure renderings of those
+	// experiments, which run the shipped specs).
 	Report     string
 	Machine    machine.Profile
 	Rounds     int
@@ -414,8 +416,8 @@ func decodeSpec(root *node) (*Spec, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rate < 0 || rate > 1 {
-				return nil, specErr(item, p, "must be in [0, 1], got %v", rate)
+			if err := checkRate(item, p, rate); err != nil {
+				return nil, err
 			}
 			spec.FaultRates = append(spec.FaultRates, rate)
 		}
@@ -503,8 +505,8 @@ func decodeSizes(m *mapR) ([]int, error) {
 		if from <= 0 || to < from || step <= 0 {
 			return nil, specErr(n, "sizes_kb", "range needs 0 < from <= to and step > 0 (got from=%d to=%d step=%d)", from, to, step)
 		}
-		if to > maxSizeKB {
-			return nil, specErr(n, "sizes_kb.to", "%d KB overflows a byte count (max %d KB)", to, int64(maxSizeKB))
+		if err := checkSizeKB(n, "sizes_kb.to", to); err != nil {
+			return nil, err
 		}
 		// Count the range before building it: to-from cannot overflow
 		// (0 < from <= to), and neither can from+i*step <= to.
@@ -532,15 +534,32 @@ func decodeSizes(m *mapR) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if kb <= 0 {
-			return nil, specErr(item, p, "must be > 0 KB, got %d", kb)
-		}
-		if kb > maxSizeKB {
-			return nil, specErr(item, p, "%d KB overflows a byte count (max %d KB)", kb, int64(maxSizeKB))
+		if err := checkSizeKB(item, p, kb); err != nil {
+			return nil, err
 		}
 		sizes[i] = int(kb)
 	}
 	return sizes, nil
+}
+
+// checkSizeKB bounds one file size: positive, and a byte count that
+// fits an int64.
+func checkSizeKB(n *node, path string, kb int64) error {
+	if kb <= 0 {
+		return specErr(n, path, "must be > 0 KB, got %d", kb)
+	}
+	if kb > MaxSizeKB {
+		return specErr(n, path, "%d KB overflows a byte count (max %d KB)", kb, int64(MaxSizeKB))
+	}
+	return nil
+}
+
+// checkRate bounds one fault_rates entry to [0, 1].
+func checkRate(n *node, path string, rate float64) error {
+	if rate < 0 || rate > 1 {
+		return specErr(n, path, "must be in [0, 1], got %v", rate)
+	}
+	return nil
 }
 
 // decodePolicies reads the policies axis: built-in names or custom
@@ -854,11 +873,8 @@ func decodeTemplate(n *node, path string) (Template, error) {
 		if err != nil {
 			return t, err
 		}
-		if kb <= 0 {
-			return t, specErr(szNode, path+".size_kb", "must be > 0 KB, got %d", kb)
-		}
-		if kb > maxSizeKB {
-			return t, specErr(szNode, path+".size_kb", "%d KB overflows a byte count (max %d KB)", kb, int64(maxSizeKB))
+		if err := checkSizeKB(szNode, path+".size_kb", kb); err != nil {
+			return t, err
 		}
 		t.SizeMinKB, t.SizeMaxKB = int(kb), int(kb)
 	case mapNode:
@@ -884,8 +900,8 @@ func decodeTemplate(n *node, path string) (Template, error) {
 		if mn <= 0 || mx < mn {
 			return t, specErr(szNode, path+".size_kb", "needs 0 < min <= max (got min=%d max=%d)", mn, mx)
 		}
-		if mx > maxSizeKB {
-			return t, specErr(maxNode, path+".size_kb.max", "%d KB overflows a byte count (max %d KB)", mx, int64(maxSizeKB))
+		if err := checkSizeKB(maxNode, path+".size_kb.max", mx); err != nil {
+			return t, err
 		}
 		t.SizeMinKB, t.SizeMaxKB = int(mn), int(mx)
 	default:
@@ -1060,6 +1076,36 @@ func (s *Spec) validate(root *node) error {
 		}
 	}
 	return nil
+}
+
+// SetSizes replaces the sizes_kb axis of a validated spec, applying the
+// checks a parsed sizes_kb list gets.
+func (s *Spec) SetSizes(sizes []int) error {
+	if len(sizes) == 0 {
+		return specErr(nil, "sizes_kb", "needs at least one size")
+	}
+	for i, kb := range sizes {
+		if err := checkSizeKB(nil, fmt.Sprintf("sizes_kb[%d]", i), int64(kb)); err != nil {
+			return err
+		}
+	}
+	s.SizesKB = sizes
+	return s.validate(&node{})
+}
+
+// SetFaultRates replaces the fault_rates axis of a validated spec,
+// applying the checks a parsed fault_rates list gets.
+func (s *Spec) SetFaultRates(rates []float64) error {
+	if len(rates) == 0 {
+		return specErr(nil, "fault_rates", "needs at least one rate")
+	}
+	for i, rate := range rates {
+		if err := checkRate(nil, fmt.Sprintf("fault_rates[%d]", i), rate); err != nil {
+			return err
+		}
+	}
+	s.FaultRates = rates
+	return s.validate(&node{})
 }
 
 // gridSize is the number of sweep points the spec compiles to, saturated

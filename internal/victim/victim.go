@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tocttou/internal/fs"
+	"tocttou/internal/machine"
 	"tocttou/internal/prog"
 	"tocttou/internal/userland"
 )
@@ -55,6 +56,17 @@ func NewVi() *Vi {
 }
 
 var _ prog.Program = (*Vi)(nil)
+
+// WindowEstimate approximates vi's vulnerability window length for a
+// file size on a machine, from its calibrated parameters: the fixed
+// open-to-chown work plus one write per chunk.
+func (v *Vi) WindowEstimate(m machine.Profile, size int64) time.Duration {
+	chunks := (size + v.ChunkSize - 1) / v.ChunkSize
+	perChunk := m.ScaleCompute(v.PerChunkCompute) +
+		m.Latency.WriteBase + time.Duration(float64(m.Latency.WritePerKB)*float64(v.ChunkSize)/1024)
+	fixed := m.ScaleCompute(v.PostOpenCompute+v.PreChownCompute) + m.Latency.Close
+	return fixed + time.Duration(chunks)*perChunk
+}
 
 // Name implements prog.Program.
 func (v *Vi) Name() string { return "vi" }
