@@ -3,7 +3,7 @@
 // their sweep points across a bounded worker pool, and every committed
 // point streams to watchers as NDJSON. Jobs are durable — a killed and
 // restarted daemon resumes in-flight campaigns bit-identically from
-// their checkpoints — and identical re-submissions are cache hits.
+// their job logs — and identical re-submissions are cache hits.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 // -max-point-retries tune the supervision.
 //
 // SIGTERM or SIGINT drains gracefully: new submissions get 503, running
-// sweeps stop at the next point boundary with their checkpoints flushed,
+// sweeps stop at the next point boundary with their job logs synced,
 // worker fleets are killed and reaped (no orphans), and interrupted jobs
 // resume on the next start.
 package main
@@ -50,7 +50,7 @@ func main() {
 func run(args []string) error {
 	fl := flag.NewFlagSet("tocttoud", flag.ContinueOnError)
 	listen := fl.String("listen", "127.0.0.1:8080", "address to serve the campaign API on")
-	dataDir := fl.String("data", "tocttoud-data", "durability root: specs, checkpoints, event logs, reports")
+	dataDir := fl.String("data", "tocttoud-data", "durability root: specs, states, job logs, reports")
 	maxJobs := fl.Int("max-jobs", 0, "max concurrently running campaigns (0 = default 2)")
 	addrFile := fl.String("addr-file", "", "write the bound address to this file once listening (useful with -listen :0)")
 	worker := fl.Bool("worker", false, "run as a fleet worker over stdin/stdout (internal; spawned by -workers)")
@@ -135,7 +135,7 @@ func run(args []string) error {
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
-		logger.Printf("received %v; draining (in-flight points finish committing, checkpoints flush)", sig)
+		logger.Printf("received %v; draining (in-flight points finish committing to their job logs)", sig)
 		srv.Drain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -1,12 +1,11 @@
 package campaignd
 
 // Group-commit tests. Executors hand finished points to a committer that
-// makes them durable in batches: one checkpoint write, one event-log
-// write, one fsync, one publish. These tests pin what batching must not
-// change: every point lands exactly once with contiguous seqs, a failed
-// write or sync fails the job with nothing logged after it, a drain
-// settles only once every finished point is durable, and no goroutine
-// outlives its job.
+// makes them durable in batches: one job-log write, one fsync, one
+// publish. These tests pin what batching must not change: every point
+// lands exactly once with contiguous seqs, a failed write or sync fails
+// the job with nothing logged after it, a drain settles only once every
+// finished point is durable, and no goroutine outlives its job.
 
 import (
 	"bytes"
@@ -42,7 +41,7 @@ sizes_kb:
 }
 
 // readEventLog decodes a job's events.ndjson, which must hold only
-// complete point lines.
+// complete point lines, each carrying its result.
 func readEventLog(t *testing.T, j *job) []PointEvent {
 	t.Helper()
 	data, err := os.ReadFile(j.eventsPath())
@@ -54,61 +53,26 @@ func readEventLog(t *testing.T, j *job) []PointEvent {
 		if len(line) == 0 {
 			continue
 		}
-		var ev PointEvent
-		if line[len(line)-1] != '\n' || json.Unmarshal(line, &ev) != nil || ev.Type != "point" {
-			t.Fatalf("job %s: event log line %q is not a complete point event", j.id, line)
+		var l logLine
+		if line[len(line)-1] != '\n' || json.Unmarshal(line, &l) != nil || l.Type != "point" || l.Result == nil {
+			t.Fatalf("job %s: event log line %q is not a complete point line with its result", j.id, line)
 		}
-		events = append(events, ev)
+		events = append(events, l.PointEvent)
 	}
 	return events
 }
 
-// checkpointPoints decodes a job's checkpoint entries' point indices.
-func checkpointPoints(t *testing.T, j *job) []int {
-	t.Helper()
-	data, err := os.ReadFile(j.checkpointPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte{'\n'})
-	var points []int
-	for _, line := range lines[1:] {
-		if len(line) == 0 {
-			continue
-		}
-		var e struct {
-			Point *int `json:"point"`
-		}
-		if json.Unmarshal(line, &e) != nil || e.Point == nil {
-			t.Fatalf("job %s: checkpoint line %q is not an entry", j.id, line)
-		}
-		points = append(points, *e.Point)
-	}
-	return points
-}
-
-// checkOncePerPoint asserts the job's event log and checkpoint each hold
-// every one of its points exactly once, the log with seqs 0..n-1.
+// checkOncePerPoint asserts the job's log holds every one of its points
+// exactly once, with seqs 0..n-1.
 func checkOncePerPoint(t *testing.T, label string, j *job, points int) {
 	t.Helper()
 	checkEventLog(t, label+" events.ndjson", readEventLog(t, j), points)
-	cp := checkpointPoints(t, j)
-	if len(cp) != points {
-		t.Fatalf("%s: checkpoint holds %d entries, want %d", label, len(cp), points)
-	}
-	seen := make(map[int]bool)
-	for _, p := range cp {
-		if seen[p] || p < 0 || p >= points {
-			t.Fatalf("%s: checkpoint entry for point %d is a duplicate or out of range", label, p)
-		}
-		seen[p] = true
-	}
 }
 
 // TestGroupCommitConcurrentJobs runs two campaigns of many tiny points
 // at once, in-process and over a two-worker fleet: each job's log holds
-// each point once with contiguous seqs, its checkpoint one entry per
-// point, and its report is the local run's.
+// each point once with contiguous seqs and its result, and its report is
+// the local run's.
 func TestGroupCommitConcurrentJobs(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -239,31 +203,31 @@ func injectLog(t *testing.T, l *faultyLog) {
 	t.Cleanup(func() { openLogFile = orig })
 }
 
-// cutCheckpoint is a finished job's checkpoint cut to its header and
-// first n entries: the file a crash after n commits leaves.
-func cutCheckpoint(t *testing.T, src string, n int) []byte {
+// cutLog is a finished job's log cut to its first n lines: the file a
+// crash after n commits leaves.
+func cutLog(t *testing.T, src string, n int) []byte {
 	t.Helper()
-	full, err := os.ReadFile(filepath.Join(src, "checkpoint.json"))
+	full, err := os.ReadFile(filepath.Join(src, "events.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Join(bytes.SplitAfter(full, []byte{'\n'})[:1+n], nil)
+	return bytes.Join(bytes.SplitAfter(full, []byte{'\n'})[:n], nil)
 }
 
-// TestGroupCommitLogFailureFailsJob resumes a job whose checkpoint holds
-// three points, so the resume step's replay is the log's first batch.
-// The executor's first batch then fails in the write, or in the sync:
-// the job fails, nothing is written or synced after the failure, and
-// only the replayed batch ever becomes visible.
+// TestGroupCommitLogFailureFailsJob resumes a job whose log holds three
+// points, which the resume step restores without writing. The
+// executor's first batch then fails in the write, or in the sync: the
+// job fails, nothing is written or synced after the failure, and only
+// the restored lines ever become visible.
 func TestGroupCommitLogFailureFailsJob(t *testing.T) {
 	info, src := finishedJob(t, "gc-tiny.yaml", tinySpec(503))
 	for _, tc := range []struct {
 		name                string
 		failWrite, failSync int
-	}{{"write", 2, 0}, {"sync", 0, 2}} {
+	}{{"write", 1, 0}, {"sync", 0, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			stageInterrupted(t, info, src, dir, cutCheckpoint(t, src, 3))
+			stageInterrupted(t, info, src, dir, cutLog(t, src, 3))
 			l := &faultyLog{failWrite: tc.failWrite, failSync: tc.failSync}
 			injectLog(t, l)
 			s, ts := newTestServer(t, dir)
@@ -274,7 +238,7 @@ func TestGroupCommitLogFailureFailsJob(t *testing.T) {
 				t.Fatalf("job ended %q (%q), want failed with the injected error", got.State, got.Error)
 			}
 			if got.Committed != 3 {
-				t.Errorf("committed = %d, want the 3 replayed points", got.Committed)
+				t.Errorf("committed = %d, want the 3 restored points", got.Committed)
 			}
 			if stored := readState(t, j); stored.State != StateFailed || stored.Committed != 3 {
 				t.Errorf("state.json: %q with %d committed, want failed with 3", stored.State, stored.Committed)
@@ -282,8 +246,8 @@ func TestGroupCommitLogFailureFailsJob(t *testing.T) {
 			l.mu.Lock()
 			writes, after := len(l.writes), l.after
 			l.mu.Unlock()
-			if writes != 2 || after != 0 {
-				t.Errorf("log saw %d writes and %d calls after the failure, want 2 and 0", writes, after)
+			if writes != 1 || after != 0 {
+				t.Errorf("log saw %d writes and %d calls after the failure, want 1 and 0", writes, after)
 			}
 			var streamed []PointEvent
 			end, err := testClient(ts.URL).Watch(context.Background(), info.ID, func(ev PointEvent) { streamed = append(streamed, ev) })
@@ -304,7 +268,7 @@ func TestGroupCommitLogFailureFailsJob(t *testing.T) {
 // TestGroupCommitDrainWhileQueued holds the job's first fsync while the
 // sweep keeps finishing points, drains the server, and only then lets
 // the sync return. The job must end interrupted with every queued point
-// durable — checkpoint and log agree with Committed — and a restart must
+// durable — the log holds exactly Committed lines — and a restart must
 // finish it with the uninterrupted run's report.
 func TestGroupCommitDrainWhileQueued(t *testing.T) {
 	const drainSpec = `name: gc-drain
@@ -359,9 +323,6 @@ sizes_kb:
 	}
 	events := readEventLog(t, j)
 	checkEventLog(t, "drained log", events, st.Committed)
-	if cp := checkpointPoints(t, j); len(cp) != st.Committed {
-		t.Errorf("checkpoint holds %d entries, log %d: a queued point was lost or not logged", len(cp), st.Committed)
-	}
 	l.mu.Lock()
 	first := l.writes[0]
 	l.mu.Unlock()

@@ -4,10 +4,9 @@ package campaignd
 // running job's pending points are executed by a supervised fleet of
 // worker subprocesses (internal/workerpool) instead of the in-process
 // sweep. Everything else is runJob's, shared with the in-process path —
-// the same resume step, the same checkpoint file, the same event log,
-// the same report bytes — so a campaign can be run in-process, killed,
-// and resumed under a fleet (or vice versa) without the client seeing
-// the difference. What the fleet adds is isolation: a crashing,
+// the same resume step, the same job log, the same report bytes — so a
+// campaign can be run in-process, killed, and resumed under a fleet (or
+// vice versa) without the client seeing the difference. What the fleet adds is isolation: a crashing,
 // stalling, or corrupted worker costs one process and a lease requeue,
 // never the daemon or the other campaigns.
 

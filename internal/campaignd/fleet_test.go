@@ -221,7 +221,7 @@ func TestFleetModeQuarantineSurfaced(t *testing.T) {
 
 // TestFleetDrainRestartResumeInProcess drains a fleet-mode server
 // mid-campaign and resumes the job on an in-process server over the
-// same data directory: the checkpoint a fleet writes point-by-point is
+// same data directory: the job log a fleet writes point-by-point is
 // the same file the in-process runner resumes from, so the hand-off is
 // invisible — every point streams exactly once across the restart and
 // the report matches an uninterrupted local run byte for byte.

@@ -5,25 +5,26 @@ package campaignd
 //
 //	spec            the submitted scenario bytes, verbatim
 //	state.json      the job's metadata and state (atomic replace)
-//	checkpoint.json core's crash-safe sweep checkpoint (format 3: one
-//	                appended line per committed point)
-//	events.ndjson   the point-event log, one JSON line per committed
-//	                point, fsynced before any watcher sees the event
+//	events.ndjson   the job log: one line per committed point, fsynced
+//	                before any watcher sees it — the point event a
+//	                stream sends, with the point's full result as its
+//	                last member
 //	report.txt      the final rendering, written once on completion
 //
 // The files are the only copy: streams read events.ndjson and report
 // requests read report.txt, so memory holds only the work in progress.
 // Everything a restarted server needs is in that directory: a finished
-// job restores from state.json alone, an unfinished one re-parses and
-// re-compiles its spec deterministically, the checkpoint restores
-// completed points bit-identically, and the event log preserves the
-// stream offsets watchers hold — a client reconnecting across a kill -9
-// with `Last-Point: k` receives exactly the events it has not seen,
-// because an event is appended and fsynced before it is broadcast.
+// job restores from state.json alone; an unfinished one re-parses and
+// re-compiles its spec deterministically and restores its completed
+// points bit-identically from the log, whose lines are also the stream
+// offsets watchers hold — a client reconnecting across a kill -9 with
+// `Last-Point: k` receives exactly the events it has not seen, because
+// a line is appended and fsynced before it is broadcast.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,7 +38,7 @@ import (
 // Job states. queued and running jobs resume after a restart; done,
 // failed, and asserted states are terminal. interrupted marks a job the
 // draining server stopped at a point boundary — a restart resumes it
-// from its checkpoint.
+// from its log.
 const (
 	StateQueued      = "queued"
 	StateRunning     = "running"
@@ -63,7 +64,7 @@ type JobInfo struct {
 	SubmittedAt string `json:"submitted_at"`
 	// Points is the compiled grid size; Committed counts point events in
 	// the log. Memoized counts the points the finishing run copied from
-	// a checkpoint-restored point with the same key instead of
+	// a log-restored point with the same key instead of
 	// simulating them (core.SweepResume.Memoized). The resume step counts
 	// them before any executor runs, so the number is the same
 	// in-process and over a worker fleet; restored points themselves do
@@ -118,11 +119,11 @@ type EndEvent struct {
 	Quarantined      []int  `json:"quarantined,omitempty"`
 }
 
-// job is the server-side state of one campaign. spec, compiled and seen
-// serve only a job that can still run; a terminal transition releases
-// them, and a finished job holds its info alone — its events and report
-// are read from its directory. info.Committed counts the complete lines
-// of events.ndjson that streams may read.
+// job is the server-side state of one campaign. spec and compiled serve
+// only a job that can still run; a terminal transition releases them,
+// and a finished job holds its info alone — its events and report are
+// read from its directory. info.Committed counts the complete lines of
+// events.ndjson that streams may read.
 type job struct {
 	id  string
 	dir string
@@ -131,9 +132,7 @@ type job struct {
 	info     JobInfo
 	spec     *scenario.Spec
 	compiled *scenario.Compiled
-	seen     map[int]bool  // point index -> already in the log
 	update   chan struct{} // closed and replaced on every change
-	elog     logFile       // events.ndjson append handle while running
 }
 
 func newJob(id, dir string, spec *scenario.Spec, compiled *scenario.Compiled, filename, submittedAt string) *job {
@@ -150,16 +149,14 @@ func newJob(id, dir string, spec *scenario.Spec, compiled *scenario.Compiled, fi
 		},
 		spec:     spec,
 		compiled: compiled,
-		seen:     make(map[int]bool),
 		update:   make(chan struct{}),
 	}
 }
 
-func (j *job) specPath() string       { return filepath.Join(j.dir, "spec") }
-func (j *job) statePath() string      { return filepath.Join(j.dir, "state.json") }
-func (j *job) checkpointPath() string { return filepath.Join(j.dir, "checkpoint.json") }
-func (j *job) eventsPath() string     { return filepath.Join(j.dir, "events.ndjson") }
-func (j *job) reportPath() string     { return filepath.Join(j.dir, "report.txt") }
+func (j *job) specPath() string   { return filepath.Join(j.dir, "spec") }
+func (j *job) statePath() string  { return filepath.Join(j.dir, "state.json") }
+func (j *job) eventsPath() string { return filepath.Join(j.dir, "events.ndjson") }
+func (j *job) reportPath() string { return filepath.Join(j.dir, "report.txt") }
 
 // snapshot returns the job's current info under its lock.
 func (j *job) snapshot() JobInfo {
@@ -189,10 +186,10 @@ func (j *job) setState(mutate func(*JobInfo)) error {
 	return writeJSONAtomic(j.statePath(), info)
 }
 
-// releaseLocked drops what only a runnable job needs: its spec, its
-// compiled grid and the log's point index. Caller holds j.mu.
+// releaseLocked drops what only a runnable job needs: its spec and its
+// compiled grid. Caller holds j.mu.
 func (j *job) releaseLocked() {
-	j.spec, j.compiled, j.seen = nil, nil, nil
+	j.spec, j.compiled = nil, nil
 }
 
 // endEventLocked builds the stream-terminating event for a terminal
@@ -218,76 +215,23 @@ func (j *job) endEventLocked() json.RawMessage {
 	return data
 }
 
-// commitPoints appends a batch of committed points to the event log:
-// durable first (one write, one fsync for the whole batch), visible
-// second (Committed grows by the batch, one broadcast). Points already
-// in the log — checkpoint-restored points on resume — are skipped, so
-// the log holds every point exactly once. Only the job's committer
-// calls it, one batch at a time, so the log's tail cannot move between
-// numbering the lines and publishing them; j.mu guards the reads and
-// the publish, never the file I/O. A failed write or sync closes the
-// log: a later line must never land after a partial one. buf is the
-// caller's reused line buffer.
-func (j *job) commitPoints(batch []core.PointResult, buf *bytes.Buffer) (appended int, err error) {
+// commitPoints publishes the job log's first lines: Committed grows to
+// lines and streams wake. The job's committer calls it only once those
+// lines are synced, so a stream never reads a line a crash could take
+// back. It returns how many lines are new.
+func (j *job) commitPoints(lines int) (appended int, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if terminalState(j.info.State) {
-		state := j.info.State
-		j.mu.Unlock()
-		return 0, fmt.Errorf("job %s is %s: %d points cannot commit", j.id, state, len(batch))
+		return 0, fmt.Errorf("job %s is %s: %d points cannot commit", j.id, j.info.State, lines-j.info.Committed)
 	}
-	elog, seen, meta, seq := j.elog, j.seen, j.compiled.Meta, j.info.Committed
-	j.mu.Unlock()
-	if elog == nil {
-		return 0, fmt.Errorf("job %s: event log is not open", j.id)
-	}
-	// seen changes only in the publish step below, on this goroutine.
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	for _, pr := range batch {
-		if seen[pr.Point] {
-			continue
-		}
-		res := pr.Result
-		ev := PointEvent{
-			Type:         "point",
-			Seq:          seq + appended,
-			Point:        pr.Point,
-			Label:        meta[pr.Point].Label,
-			Rounds:       res.Rounds,
-			Successes:    res.Successes,
-			Rate:         res.Rate(),
-			VictimErrors: res.VictimErrors,
-			AttackErrors: res.AttackErrors,
-		}
-		if err := enc.Encode(ev); err != nil {
-			return 0, err
-		}
-		appended++
-	}
-	if appended == 0 {
-		return 0, nil
-	}
-	_, err = elog.Write(buf.Bytes())
-	if err == nil {
-		err = elog.Sync()
-	}
-	j.mu.Lock()
-	if err != nil {
-		j.elog = nil
-		j.mu.Unlock()
-		elog.Close()
-		return 0, err
-	}
-	for _, pr := range batch {
-		seen[pr.Point] = true
-	}
-	j.info.Committed += appended
+	appended = lines - j.info.Committed
+	j.info.Committed = lines
 	j.bump()
-	j.mu.Unlock()
 	return appended, nil
 }
 
-// logFile is the event log's append handle.
+// logFile is the job log's append handle.
 type logFile interface {
 	io.Writer
 	Sync() error
@@ -295,7 +239,7 @@ type logFile interface {
 }
 
 // openLogFile opens events.ndjson for appending. Tests replace it to
-// inject write and sync failures.
+// inject write and sync failures and to record what reaches the file.
 var openLogFile = func(path string) (logFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -304,35 +248,102 @@ var openLogFile = func(path string) (logFile, error) {
 	return f, nil
 }
 
-// openEventLog opens the append handle commitPoints writes through.
-func (j *job) openEventLog() error {
-	f, err := openLogFile(j.eventsPath())
-	if err != nil {
-		return err
+// logLine is one line of a job log: the point event, then the point's
+// result as the last member. A stream sends the line cut at resultMember,
+// which is the event's own encoding: the label is an escaped JSON
+// string, so the first raw resultMember is the member separator.
+type logLine struct {
+	PointEvent
+	Result *core.CampaignResult `json:"result"`
+}
+
+var resultMember = []byte(`,"result":`)
+
+// errLayout1 fails a resumable job whose directory is in layout 1,
+// before the one-log layout: its results sit in a checkpoint.json
+// beside a log of bare point events.
+var errLayout1 = errors.New("job layout 1 (checkpoint.json beside a result-less events.ndjson) predates the one-log layout 2; delete the job directory to start over")
+
+// errOtherSweep fails a resumable job whose stored spec compiles, on this
+// build, to a different sweep than the one its id and log were made for.
+var errOtherSweep = errors.New("job log written for a different sweep configuration (its id no longer matches the compiled points); delete the job directory to start over")
+
+// jobLog is a job's events.ndjson as core's store for the job's sweep:
+// the points it restored, and the append handle batches are written
+// through — encoded once, one write and one fsync per batch.
+type jobLog struct {
+	labels   []scenario.PointMeta
+	restored map[int]core.CampaignResult
+	lines    int // complete lines in the file
+	f        logFile
+	buf      bytes.Buffer
+}
+
+func (l *jobLog) Restored() map[int]core.CampaignResult { return l.restored }
+
+func (l *jobLog) Append(batch []core.PointResult) error {
+	l.buf.Reset()
+	enc := json.NewEncoder(&l.buf)
+	for i, pr := range batch {
+		if err := enc.Encode(logLine{l.event(l.lines+i, pr.Point, &pr.Result), &pr.Result}); err != nil {
+			return err
+		}
 	}
-	j.mu.Lock()
-	j.elog = f
-	j.mu.Unlock()
+	_, err := l.f.Write(l.buf.Bytes())
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("event log: %w", err)
+	}
+	l.lines += len(batch)
 	return nil
 }
 
-func (j *job) closeEventLog() {
-	j.mu.Lock()
-	f := j.elog
-	j.elog = nil
-	j.mu.Unlock()
-	if f != nil {
-		f.Close()
+// event is the point event of point's line at position seq.
+func (l *jobLog) event(seq, point int, res *core.CampaignResult) PointEvent {
+	return PointEvent{
+		Type:         "point",
+		Seq:          seq,
+		Point:        point,
+		Label:        l.labels[point].Label,
+		Rounds:       res.Rounds,
+		Successes:    res.Successes,
+		Rate:         res.Rate(),
+		VictimErrors: res.VictimErrors,
+		AttackErrors: res.AttackErrors,
 	}
+}
+
+func (l *jobLog) Close() error {
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
+}
+
+// openLog loads the job log and opens its append handle for a run.
+func (j *job) openLog() (*jobLog, error) {
+	l, err := j.loadLog()
+	if err != nil {
+		return nil, err
+	}
+	if l.f, err = openLogFile(j.eventsPath()); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // loadJob restores a job from its directory. A done job whose report
 // exists, and a failed job, are their files: state.json restores the
 // info, and nothing is parsed, compiled or replayed. Any other job is
 // made ready to resume: its spec re-parses and re-compiles — both are
-// deterministic — and its event log is recounted. A spec that no longer
-// loads (a hand-edited directory) surfaces as a failed job rather than a
-// crashed server.
+// deterministic — and its log is validated (loadLog). A spec that no
+// longer loads (a hand-edited directory), one that compiles to another
+// sweep than its id names (errOtherSweep) and a directory in layout 1
+// (errLayout1) surface as failed jobs rather than a crashed server.
 func loadJob(dir string) (*job, error) {
 	var info JobInfo
 	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
@@ -357,71 +368,94 @@ func loadJob(dir string) (*job, error) {
 			return j, nil
 		}
 		// The state said done but the report is gone: re-run from the
-		// checkpoint (every point restores; only the rendering redoes).
+		// log (every point restores; only the rendering redoes).
 		j.info.State = StateInterrupted
 	}
 	specData, err := os.ReadFile(j.specPath())
 	if err != nil {
 		return nil, err
 	}
-	spec, perr := scenario.LoadBytes(info.Filename, specData)
-	if perr == nil {
+	spec, err := scenario.LoadBytes(info.Filename, specData)
+	if err == nil {
 		j.spec = spec
-		j.compiled, perr = scenario.Compile(spec)
+		j.compiled, err = scenario.Compile(spec)
 	}
-	if perr != nil {
+	switch {
+	case err != nil:
+		err = fmt.Errorf("stored spec no longer loads: %v", err)
+	case jobKey(spec, j.compiled) != info.ID:
+		// The id hashes every compiled point's key: a build whose point
+		// identity differs must not merge this log's results into its
+		// own, as a checkpoint's fingerprint refuses a different sweep.
+		err = errOtherSweep
+	default:
+		// Validate and truncate the log now, so streams see its committed
+		// lines; the results are decoded again when the job runs, and a
+		// queued job holds none of them.
+		if _, err = j.loadLog(); err != nil && !errors.Is(err, errLayout1) {
+			return nil, err
+		}
+	}
+	if err != nil {
 		j.info.State = StateFailed
-		j.info.Error = fmt.Sprintf("stored spec no longer loads: %v", perr)
+		j.info.Error = err.Error()
 		j.releaseLocked() // not yet shared: no lock needed
 		return j, writeJSONAtomic(j.statePath(), j.info)
-	}
-	j.seen = make(map[int]bool)
-	if err := j.loadEventLog(len(j.compiled.Points)); err != nil {
-		return nil, err
 	}
 	return j, nil
 }
 
-// loadEventLog recounts a resumable job's events.ndjson. The log is its
-// leading run of complete point lines, each with its own position as
-// seq and a distinct point index below points. Anything after that run
-// — a torn final line from a kill -9 between write and fsync, or a line
-// corrupted on disk — is truncated away, so the resumed run's first
-// append starts on a line boundary instead of gluing onto a fragment.
-// Points cut off are still in the checkpoint and re-emit from it.
-func (j *job) loadEventLog(points int) error {
-	j.info.Committed = 0
+// loadLog restores a resumable job's points from events.ndjson. The log
+// is its leading run of complete lines, each for a distinct point of the
+// grid, with a result and the very event Append writes for that result
+// at the line's position: seq, label and counts must all agree. Anything
+// after that run — a torn final line from a kill -9 between write and
+// fsync, or a line corrupted on disk — is truncated away, so the resumed
+// run's first append starts on a line boundary; points cut off re-run.
+// A directory in layout 1 — a checkpoint.json, or a first line without
+// a result — fails with errLayout1; a later result-less line is
+// corruption like any other.
+func (j *job) loadLog() (*jobLog, error) {
+	if _, err := os.Stat(filepath.Join(j.dir, "checkpoint.json")); err == nil {
+		return nil, errLayout1
+	}
 	data, err := os.ReadFile(j.eventsPath())
-	if os.IsNotExist(err) {
-		return nil
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
-	if err != nil {
-		return err
-	}
-	n, size := 0, 0
+	l := &jobLog{labels: j.compiled.Meta, restored: make(map[int]core.CampaignResult)}
+	size := 0
 	for {
-		end := bytes.IndexByte(data[size:], '\n')
-		if end < 0 {
+		n := bytes.IndexByte(data[size:], '\n') + 1
+		var line logLine
+		if n == 0 || json.Unmarshal(data[size:size+n], &line) != nil {
 			break
 		}
-		var ev PointEvent
-		if json.Unmarshal(data[size:size+end], &ev) != nil || ev.Type != "point" ||
-			ev.Seq != n || ev.Point < 0 || ev.Point >= points || j.seen[ev.Point] {
+		if l.lines == 0 && line.Type == "point" && line.Result == nil {
+			return nil, errLayout1
+		}
+		_, dup := l.restored[line.Point]
+		if dup || line.Result == nil || line.Point < 0 || line.Point >= len(l.labels) ||
+			line.PointEvent != l.event(l.lines, line.Point, line.Result) {
 			break
 		}
-		j.seen[ev.Point] = true
-		n++
-		size += end + 1
+		l.restored[line.Point] = *line.Result
+		l.lines++
+		size += n
 	}
-	j.info.Committed = n
 	if size < len(data) {
-		return os.Truncate(j.eventsPath(), int64(size))
+		if err := os.Truncate(j.eventsPath(), int64(size)); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	j.mu.Lock()
+	j.info.Committed = l.lines
+	j.mu.Unlock()
+	return l, nil
 }
 
 // writeJSONAtomic marshals v and atomically replaces path (temp file +
-// rename, as the first flush of core's checkpoint writer does).
+// rename, as the first write of core's checkpoint store does).
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

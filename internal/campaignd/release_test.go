@@ -16,8 +16,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-
-	"tocttou/internal/core"
 )
 
 // httpBody GETs url with an optional Last-Point header and returns the
@@ -43,35 +41,38 @@ func httpBody(t *testing.T, url, lastPoint string) []byte {
 	return body
 }
 
-// checkReleased asserts a job holds no grid, spec or point index.
+// checkReleased asserts a job holds no grid or spec.
 func checkReleased(t *testing.T, label string, j *job) {
 	t.Helper()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.compiled != nil || j.spec != nil || j.seen != nil {
-		t.Errorf("%s: job still holds compiled=%v spec=%v seen=%v", label, j.compiled != nil, j.spec != nil, j.seen != nil)
+	if j.compiled != nil || j.spec != nil {
+		t.Errorf("%s: job still holds compiled=%v spec=%v", label, j.compiled != nil, j.spec != nil)
 	}
 }
 
 // checkServesFinished asserts a done job's served bytes: the report is
-// the local run's, a Last-Point: 0 replay is the event log plus the end
-// line, and a resubmission is a cache hit on the same job.
+// the local run's, a Last-Point: 0 replay is the log's point events
+// plus the end line, and a resubmission is a cache hit on the same job.
 func checkServesFinished(t *testing.T, label, url string, j *job) {
 	t.Helper()
 	c := testClient(url)
 	if got, want := string(httpBody(t, url+"/v1/campaigns/"+j.id+"/report", "")), localReport(t, "svc-small.yaml", smallSpec); got != want {
 		t.Errorf("%s: report diverged from the local run:\n--- service ---\n%s--- local ---\n%s", label, got, want)
 	}
-	elog, err := os.ReadFile(j.eventsPath())
-	if err != nil {
-		t.Fatal(err)
+	var want bytes.Buffer
+	for _, ev := range readEventLog(t, j) {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(append(line, '\n'))
 	}
 	j.mu.Lock()
-	end := j.endEventLocked()
+	want.Write(append(j.endEventLocked(), '\n'))
 	j.mu.Unlock()
-	want := string(elog) + string(end) + "\n"
-	if got := string(httpBody(t, url+"/v1/campaigns/"+j.id+"/events", "0")); got != want {
-		t.Errorf("%s: Last-Point: 0 replay diverged:\ngot:\n%s\nwant:\n%s", label, got, want)
+	if got := string(httpBody(t, url+"/v1/campaigns/"+j.id+"/events", "0")); got != want.String() {
+		t.Errorf("%s: Last-Point: 0 replay diverged:\ngot:\n%s\nwant:\n%s", label, got, want.String())
 	}
 	again, err := c.Submit("svc-small.yaml", []byte(smallSpec))
 	if err != nil {
@@ -111,10 +112,8 @@ func TestFinishedJobReleasesGrid(t *testing.T) {
 			checkReleased(t, "done", j)
 			checkServesFinished(t, "done", ts.URL, j)
 
-			// A completion arriving after the terminal transition is refused,
-			// not written into the released index.
-			batch := []core.PointResult{{Point: 0}}
-			if appended, err := j.commitPoints(batch, new(bytes.Buffer)); err == nil || appended != 0 {
+			// A publish arriving after the terminal transition is refused.
+			if appended, err := j.commitPoints(4); err == nil || appended != 0 {
 				t.Errorf("commitPoints on a done job = %v, %v; want an error", appended, err)
 			}
 			if got := j.snapshot().Committed; got != 3 {

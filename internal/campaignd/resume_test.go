@@ -2,8 +2,8 @@ package campaignd
 
 // Tests of the job identity and the single resume path: job ids follow
 // every point's full key, a job resumes the same way whichever executor
-// finishes it, and a checkpoint from before point keys fails its job
-// instead of the server.
+// finishes it, and a job directory in layout 1 or written for another
+// sweep fails its job instead of the server.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -116,8 +115,8 @@ func finishedJob(t *testing.T, filename, spec string) (JobInfo, string) {
 
 // stageInterrupted writes, under dataDir, the job directory a server
 // killed mid-campaign leaves behind: the stored spec, state
-// "interrupted", the given checkpoint bytes, and an empty event log.
-func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, checkpoint []byte) {
+// "interrupted", and the given job log.
+func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, log []byte) {
 	t.Helper()
 	dst := filepath.Join(dataDir, "jobs", info.ID)
 	if err := os.MkdirAll(dst, 0o755); err != nil {
@@ -133,10 +132,9 @@ func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, checkpoin
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{
-		"spec":            spec,
-		"state.json":      state,
-		"checkpoint.json": checkpoint,
-		"events.ndjson":   nil,
+		"spec":          spec,
+		"state.json":    state,
+		"events.ndjson": log,
 	} {
 		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -151,14 +149,9 @@ func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, checkpoin
 // the end event.
 func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
 	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
-	full, err := os.ReadFile(filepath.Join(src, "checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep the header and the first committed point: the cut a crash
-	// after one commit leaves.
-	lines := bytes.SplitAfter(full, []byte{'\n'})
-	cut := bytes.Join(lines[:2], nil)
+	// Keep the first committed point: the cut a crash after one commit
+	// leaves.
+	cut := cutLog(t, src, 1)
 
 	type outcome struct {
 		end      *EndEvent
@@ -214,6 +207,39 @@ func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesLogOfOtherSweep restarts a server over an interrupted
+// job whose id is not the one its stored spec compiles to — what a build
+// that changes a point's key sees in a job directory an older build
+// wrote. The log must not be merged: the job fails with the
+// different-sweep message, its log is left as it is, and the server
+// keeps serving.
+func TestResumeRefusesLogOfOtherSweep(t *testing.T) {
+	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
+	log := cutLog(t, src, 2)
+	info.ID = "0123456789abcdef"
+	dir := t.TempDir()
+	stageInterrupted(t, info, src, dir, log)
+	s, ts := newTestServer(t, dir)
+	s.wg.Wait()
+	c := testClient(ts.URL)
+	got, err := c.Job(info.ID)
+	if err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	if got.State != StateFailed || got.Error != errOtherSweep.Error() {
+		t.Fatalf("job of another sweep: state %q, error %q; want failed with %q", got.State, got.Error, errOtherSweep)
+	}
+	if stored := readState(t, s.lookup(info.ID)); stored.State != StateFailed {
+		t.Errorf("state.json: %q, want failed", stored.State)
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, "jobs", info.ID, "events.ndjson")); err != nil || !bytes.Equal(kept, log) {
+		t.Errorf("log of another sweep changed (err %v)", err)
+	}
+	if _, end := submitAndWatch(t, c, "policy.yaml", policySpec(4, 20)); end.State != StateDone {
+		t.Errorf("server stopped serving after the refused resume: new job ended %q (%s)", end.State, end.Error)
+	}
+}
+
 // readState decodes a job's persisted state.json.
 func readState(t *testing.T, j *job) JobInfo {
 	t.Helper()
@@ -241,27 +267,77 @@ func endEvent(t *testing.T, j *job) *EndEvent {
 	return &ev
 }
 
-// TestPreKeyCheckpointFailsJob restarts a server over a job left
-// interrupted on a version-2 checkpoint. The file predates point keys,
-// so the job must fail with the loader's version message — and the
-// server must keep serving.
+// TestPreKeyCheckpointFailsJob restarts a server over jobs left
+// interrupted in layout 1: results in a checkpoint.json (here one from
+// before point keys) beside the event log, or a log of bare point
+// events. Each job must fail with the layout's version message — and
+// the server must keep serving. A finished job in layout 1 is still
+// served from its files, its bare event lines as they are.
 func TestPreKeyCheckpointFailsJob(t *testing.T) {
 	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
-	dir := t.TempDir()
-	v2 := fmt.Sprintf("{\"version\":2,\"fingerprint\":1,\"points\":%d}\n", info.Points)
-	stageInterrupted(t, info, src, dir, []byte(v2))
-	s, ts := newTestServer(t, dir)
-	s.wg.Wait()
-	c := testClient(ts.URL)
-	got, err := c.Job(info.ID)
+	var bare bytes.Buffer
+	for _, ev := range readEventLog(t, &job{dir: src}) {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare.Write(append(line, '\n'))
+	}
+	v2 := fmt.Appendf(nil, "{\"version\":2,\"fingerprint\":1,\"points\":%d}\n", info.Points)
+	stage := func(t *testing.T, log []byte, files map[string][]byte) string {
+		dir := t.TempDir()
+		stageInterrupted(t, info, src, dir, log)
+		for file, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, "jobs", info.ID, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	for name, dir := range map[string]string{
+		"checkpoint": stage(t, nil, map[string][]byte{"checkpoint.json": v2}),
+		"bare-log":   stage(t, bare.Bytes(), nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, ts := newTestServer(t, dir)
+			s.wg.Wait()
+			c := testClient(ts.URL)
+			got, err := c.Job(info.ID)
+			if err != nil {
+				t.Fatalf("job: %v", err)
+			}
+			if got.State != StateFailed || got.Error != errLayout1.Error() {
+				t.Fatalf("job in layout 1: state %q, error %q; want failed with %q", got.State, got.Error, errLayout1)
+			}
+			if stored := readState(t, s.lookup(info.ID)); stored.State != StateFailed {
+				t.Errorf("state.json: %q, want failed", stored.State)
+			}
+			if _, end := submitAndWatch(t, c, "policy.yaml", policySpec(4, 20)); end.State != StateDone {
+				t.Errorf("server stopped serving after the failed resume: new job ended %q (%s)", end.State, end.Error)
+			}
+		})
+	}
+
+	done := info
+	done.State, done.Committed = StateDone, info.Points
+	state, err := json.Marshal(done)
 	if err != nil {
-		t.Fatalf("job: %v", err)
+		t.Fatal(err)
 	}
-	const want = "checkpoint version 2 predates point keys (want 3); delete it to start over"
-	if got.State != StateFailed || !strings.Contains(got.Error, want) {
-		t.Fatalf("job over a version-2 checkpoint: state %q, error %q; want failed with %q", got.State, got.Error, want)
+	report, err := os.ReadFile(filepath.Join(src, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, end := submitAndWatch(t, c, "policy.yaml", policySpec(4, 20)); end.State != StateDone {
-		t.Errorf("server stopped serving after the failed resume: new job ended %q (%s)", end.State, end.Error)
+	s, ts := newTestServer(t, stage(t, bare.Bytes(), map[string][]byte{"checkpoint.json": v2, "state.json": state, "report.txt": report}))
+	base := ts.URL + "/v1/campaigns/" + info.ID
+	j := s.lookup(info.ID)
+	j.mu.Lock()
+	want := bare.String() + string(j.endEventLocked()) + "\n"
+	j.mu.Unlock()
+	if got := string(httpBody(t, base+"/events", "0")); got != want {
+		t.Errorf("finished layout-1 job replayed\n%s\nwant\n%s", got, want)
+	}
+	if got := httpBody(t, base+"/report", ""); !bytes.Equal(got, report) {
+		t.Errorf("finished layout-1 job served report\n%s", got)
 	}
 }

@@ -10,7 +10,7 @@ package campaignd
 // Correctness contract: a watched campaign's report is byte-identical to
 // running the same scenario file locally, and a server killed (-9) and
 // restarted resumes every in-flight campaign bit-identically from its
-// checkpoint — every point is a deterministic pure function of its spec
+// job log — every point is a deterministic pure function of its spec
 // and seed, which is what makes sharding and resumption safe at all.
 // Idempotency rides the same determinism: jobs are keyed by the sweep
 // fingerprint of their compiled points — the hash of every point's key,
@@ -113,7 +113,7 @@ type Server struct {
 
 // New builds a server over DataDir, restoring every stored job: finished
 // jobs load into the completed store, unfinished ones resume from their
-// checkpoints immediately.
+// job logs immediately.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxActiveJobs <= 0 {
 		cfg.MaxActiveJobs = 2
@@ -183,7 +183,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain gracefully stops the server: new submissions are refused with
 // 503, every running sweep stops claiming rounds, in-flight rounds
-// finish committing, checkpoints flush, and Drain returns once every
+// finish committing to their job logs, and Drain returns once every
 // job goroutine has exited. Jobs stopped mid-campaign persist as
 // "interrupted" and resume on the next start.
 func (s *Server) Drain() {
@@ -320,8 +320,8 @@ func (s *Server) schedule(j *job) {
 	go s.runJob(j)
 }
 
-// runJob drives one campaign: acquire an active slot, resume the job's
-// checkpoint, run the pending points — in-process, or over the worker
+// runJob drives one campaign: acquire an active slot, resume the job
+// from its log, run the pending points — in-process, or over the worker
 // fleet when Workers > 0 — with the server's interrupt wired in, then
 // settle the terminal state (done + report, failed, or interrupted for
 // resume). The executor is the only difference between the two modes.
@@ -341,14 +341,14 @@ func (s *Server) runJob(j *job) {
 		return
 	default:
 	}
-	if err := j.openEventLog(); err != nil {
+	log, err := j.openLog()
+	if err != nil {
 		s.settle(j, func(info *JobInfo) {
 			info.State = StateFailed
 			info.Error = fmt.Sprintf("event log: %v", err)
 		})
 		return
 	}
-	defer j.closeEventLog()
 	// A restart resumes queued, running and interrupted jobs alike, so
 	// the move to running is not persisted: state.json is rewritten only
 	// where a restart would act differently.
@@ -358,25 +358,21 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	results := make([]core.CampaignResult, len(j.compiled.Points))
-	// onBatch sees every point exactly once, after its checkpoint line
-	// is written: replayed by the resume step or committed by the
-	// executor, one batch at a time. commitPoints makes the batch
-	// durable (one append, one fsync) before watchers see it, and skips
-	// points a previous run already logged.
-	var lines bytes.Buffer
+	// onBatch sees every point exactly once, after the resume step or
+	// the committer has made it durable in the job log: restored from the
+	// log, or appended to it (one write, one fsync per batch).
+	// commitPoints then publishes the log's synced lines to watchers.
 	onBatch := func(batch []core.PointResult) error {
 		for _, pr := range batch {
 			results[pr.Point] = pr.Result
 		}
-		n, err := j.commitPoints(batch, &lines)
-		if err != nil {
-			return fmt.Errorf("event log: %w", err)
-		}
+		n, err := j.commitPoints(log.lines)
 		s.pointsCommitted.Add(int64(n))
-		return nil
+		return err
 	}
 	var quarantined []workerpool.Quarantine
-	rs, err := core.ResumeSweep(j.checkpointPath(), j.compiled.Points, core.SweepOptions{}, onBatch)
+	rs, err := core.ResumeSweep(log, j.compiled.Points, core.SweepOptions{}, onBatch)
+	log.restored = nil // settled into results; nothing reads the map again
 	if err == nil {
 		if s.cfg.Workers > 0 {
 			quarantined, err = s.runFleet(j, rs)
@@ -384,8 +380,8 @@ func (s *Server) runJob(j *job) {
 			_, err = rs.RunPending(core.SweepOptions{Interrupt: s.interrupt})
 		}
 		// Settle only once every point the executor finished is durable
-		// and logged: an interrupted job's checkpoint and log then hold
-		// all of them. A commit failure outranks the executor's outcome.
+		// and published: an interrupted job's log then holds all of them.
+		// A commit failure outranks the executor's outcome.
 		if derr := rs.Drain(); derr != nil {
 			err = derr
 		}
@@ -505,7 +501,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // ?last=N); replaying from it can neither duplicate nor drop events
 // because the log is append-only and fsynced before broadcast. Lines are
 // read from events.ndjson itself, never past info.Committed: a line
-// beyond it may be an append still in flight.
+// beyond it may be an append still in flight. Each is sent without its
+// last member, the point's result (copyEvents).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -545,14 +542,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				if err == nil {
 					defer f.Close()
 					events = bufio.NewReader(f)
-					err = copyLines(io.Discard, events, offset)
+					err = copyEvents(nil, events, offset)
 				}
 				if err != nil {
 					s.cfg.Logf("campaignd: job %s: streaming events: %v", j.id, err)
 					return
 				}
 			}
-			if err := copyLines(w, events, committed-offset); err != nil {
+			if err := copyEvents(w, events, committed-offset); err != nil {
 				if err != errClientGone {
 					s.cfg.Logf("campaignd: job %s: streaming events: %v", j.id, err)
 				}
@@ -578,21 +575,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // errClientGone reports a failed write to a stream's client.
 var errClientGone = errors.New("stream client gone")
 
-// copyLines copies the next n newline-terminated lines from r to w. A
-// line cut short by the end of the file is an error, never copied.
-func copyLines(w io.Writer, r *bufio.Reader, n int) error {
+// copyEvents copies the next n job-log lines from r to w as stream
+// lines: each cut before its first resultMember, which leaves the point
+// event's own encoding. A line without one (a layout-1 log of a
+// finished job) is copied whole. A line cut short by the end of the file
+// is an error, never copied. With w nil the lines are skipped unread.
+func copyEvents(w io.Writer, r *bufio.Reader, n int) error {
+	var line []byte // reused by every line
 	for ; n > 0; n-- {
+		line = line[:0]
 		for {
 			chunk, err := r.ReadSlice('\n')
-			if err != nil && err != bufio.ErrBufferFull {
-				return err
-			}
-			if _, werr := w.Write(chunk); werr != nil {
-				return errClientGone
+			if w != nil {
+				line = append(line, chunk...)
 			}
 			if err == nil {
 				break
 			}
+			if err != bufio.ErrBufferFull {
+				return err
+			}
+		}
+		if w == nil {
+			continue
+		}
+		if i := bytes.Index(line, resultMember); i >= 0 {
+			line = append(line[:i], '}', '\n')
+		}
+		if _, err := w.Write(line); err != nil {
+			return errClientGone
 		}
 	}
 	return nil

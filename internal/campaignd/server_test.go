@@ -305,7 +305,7 @@ func TestStreamResumesFromLastPoint(t *testing.T) {
 
 // TestDrainRestartResumeWatch is the end-to-end durability contract in
 // one test: a draining server interrupts a campaign mid-sweep; a new
-// server over the same data directory resumes it from its checkpoint; a
+// server over the same data directory resumes it from its job log; a
 // Watch that spans the hand-off — carrying only its Last-Point offset —
 // delivers every point exactly once; and the final report is
 // byte-identical to an uninterrupted local run.
@@ -401,8 +401,8 @@ func TestDrainRestartResumeWatch(t *testing.T) {
 }
 
 // TestTornEventLogRecovers simulates a kill -9 landing between an event
-// log append and its fsync: the torn final line is dropped on load and
-// the point re-emits from the checkpoint, so offsets stay valid.
+// log append and its fsync: the torn final line is truncated on load and
+// its point re-runs, so offsets stay valid.
 func TestTornEventLogRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := New(Config{DataDir: dir, Logf: t.Logf})

@@ -23,18 +23,17 @@ package core
 // rename) with the header, the entries it restored and the new ones;
 // that drops a torn tail. Every later write appends one line per point.
 // A crash mid-append can leave only a final line without its newline,
-// which the loader drops (its point re-runs) — the same rule as
-// campaignd's events.ndjson. A complete line that does not decode is
-// corruption and is rejected. Versions 1 and 2 carried a fingerprint
-// that left program parameters out of a point's identity; they are
-// rejected by version, never trusted.
+// which the loader drops (its point re-runs). A complete line that does
+// not decode is corruption and is rejected. Versions 1 and 2 carried a
+// fingerprint that left program parameters out of a point's identity;
+// they are rejected by version, never trusted.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -56,28 +55,40 @@ type PointResult struct {
 	Result CampaignResult `json:"result"`
 }
 
-// SweepResume is a checkpointed sweep after its restore-and-replay step:
-// the points an executor still has to run, and the commit path every
-// executed point goes through. Build it with ResumeSweep and end it with
-// Drain.
+// SweepStore is the durable record a resumed sweep restores from and
+// commits to: a CheckpointStore for the CLI's checkpoint files, a job's
+// log in campaignd. Restored returns the completions the store held when
+// opened, keyed by point index; callers must not modify the map.
+// A resumed sweep appends every batch, from one goroutine at a time,
+// before handing the batch on, and closes the store when it drains.
+// Append must not retain a batch.
+type SweepStore interface {
+	Restored() map[int]CampaignResult
+	Append(batch []PointResult) error
+	Close() error
+}
+
+// SweepResume is a sweep after its restore-and-replay step: the points
+// an executor still has to run, and the commit path every executed
+// point goes through. Build it with ResumeSweep and end it with Drain.
 //
 // Committing is a hand-off. Commit queues the point and returns; one
 // committer goroutine makes the queued points durable in batches — a
-// batch is whatever is queued when it wakes — by appending their
-// checkpoint lines with one write and then handing the batch to done.
-// A point therefore reaches done only after its checkpoint line is
-// written, and every point reaches done exactly once.
+// batch is whatever is queued when it wakes — by appending them to the
+// store and then handing the batch to done. A point therefore reaches
+// done only after it is durable, and every point reaches done exactly
+// once.
 type SweepResume struct {
 	// Pending lists, ascending, the points the executor must run.
 	Pending []int
 	// Memoized counts the restored copies: pending points whose exact key
-	// a checkpoint-restored point holds, settled with its result instead
-	// of being simulated. Restored points themselves do not count.
+	// a restored point holds, settled with its result instead of being
+	// simulated. Restored points themselves do not count.
 	Memoized int
 
 	points []SweepPoint
 	sums   []keySum // every point's key hash, for RunPending's memo pass
-	w      *checkpointWriter
+	store  SweepStore
 	done   func(batch []PointResult) error
 
 	mu      sync.Mutex
@@ -88,34 +99,32 @@ type SweepResume struct {
 	exited  chan struct{} // non-nil once the committer runs; closed on exit
 }
 
-// ResumeSweep is the one restore-and-replay step of every checkpointed
+// ResumeSweep is the one restore-and-replay step of every durable
 // sweep, in-process (RunSweepPointsCheckpoint) or over a worker fleet
-// (campaignd). It opens the checkpoint at path for the sweep — a file
-// written for a different sweep is rejected by fingerprint, never merged
-// — and then, before any simulation, settles every point the file can:
-// a restored point as it is, and a pending point whose exact key a
-// restored point holds as a copy of it. The copies' checkpoint lines
-// are written first; then all settled points reach done as one batch,
-// in ascending index order. Copies follow the rules of memo.go: with
-// options that make per-point execution observable, only restored
-// points replay.
+// (campaignd). store holds what earlier runs of this sweep committed;
+// the caller opened it for these points (OpenCheckpoint rejects a file
+// written for a different sweep by fingerprint). Before any simulation
+// ResumeSweep settles every point it can: a restored point as it is,
+// and a pending point whose exact key a restored point holds as a copy
+// of it. The copies are appended to the store first; then all settled
+// points reach done as one batch, in ascending index order. Copies
+// follow the rules of memo.go: with options that make per-point
+// execution observable, only restored points replay. On error the
+// store is closed.
 //
 // done receives batches from one goroutine at a time: this replay, then
 // the committer. It must not retain a batch, whose slice is reused. An
 // error from it fails the batch: the replay's is returned, a committer
 // batch's is sticky (see Commit).
-func ResumeSweep(path string, points []SweepPoint, opt SweepOptions, done func(batch []PointResult) error) (*SweepResume, error) {
+func ResumeSweep(store SweepStore, points []SweepPoint, opt SweepOptions, done func(batch []PointResult) error) (*SweepResume, error) {
 	sums := make([]keySum, len(points))
-	store, err := openStore(path, fingerprints(points, opt.Adaptive, sums), len(points))
-	if err != nil {
-		return nil, err
-	}
+	fingerprints(points, opt.Adaptive, sums)
 	restored := store.Restored()
 	var rep []int
 	if len(restored) > 0 && !memoObservable(opt) {
 		rep = memoReps(points, restored, sums)
 	}
-	r := &SweepResume{points: points, sums: sums, w: store.w, done: done}
+	r := &SweepResume{points: points, sums: sums, store: store, done: done}
 	r.wake.L = &r.mu
 	var settled, copies []PointResult
 	for i := range points {
@@ -133,14 +142,15 @@ func ResumeSweep(path string, points []SweepPoint, opt SweepOptions, done func(b
 		r.Pending = append(r.Pending, i)
 	}
 	r.Memoized = len(copies)
+	var err error
 	if len(copies) > 0 {
-		err = r.w.write(copies, true)
+		err = store.Append(copies)
 	}
 	if err == nil && len(settled) > 0 {
 		err = done(settled)
 	}
 	if err != nil {
-		r.w.close()
+		store.Close()
 		return nil, err
 	}
 	return r, nil
@@ -172,7 +182,7 @@ func (r *SweepResume) Commit(point int, res CampaignResult) error {
 }
 
 // commitLoop is the committer: it swaps the queue for its spare batch,
-// writes the batch's checkpoint lines, hands it to done, and repeats
+// appends the batch to the store, hands it to done, and repeats
 // until Drain has begun and the queue is empty. After a failure it
 // drops what is still queued.
 func (r *SweepResume) commitLoop() {
@@ -192,7 +202,7 @@ func (r *SweepResume) commitLoop() {
 		r.mu.Unlock()
 		var err error
 		if !failed {
-			if err = r.w.write(batch, true); err == nil {
+			if err = r.store.Append(batch); err == nil {
 				err = r.done(batch)
 			}
 		}
@@ -203,8 +213,8 @@ func (r *SweepResume) commitLoop() {
 	}
 }
 
-// Drain waits until every committed point has been written and handed
-// to done, closes the checkpoint, and returns the first error of any
+// Drain waits until every committed point has been appended and handed
+// to done, closes the store, and returns the first error of any
 // batch. It is safe to call more than once; Commit fails after it.
 func (r *SweepResume) Drain() error {
 	r.mu.Lock()
@@ -215,7 +225,7 @@ func (r *SweepResume) Drain() error {
 	if exited != nil {
 		<-exited
 	}
-	cerr := r.w.close()
+	cerr := r.store.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err == nil {
@@ -244,7 +254,8 @@ func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
 
 // RunSweepPointsCheckpoint is RunSweepPoints with opt-in crash-safe
 // checkpointing. With an empty path it is RunSweepPoints exactly. With a
-// path it is ResumeSweep followed by SweepResume.RunPending: the
+// path it opens the checkpoint there and runs ResumeSweep over it
+// followed by SweepResume.RunPending: the
 // merged results are bit-identical to an uninterrupted RunSweepPoints
 // over the same points (per-point results never depend on other
 // points). OnPointDone fires from the commit path, after the point's
@@ -259,9 +270,13 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	if path == "" {
 		return RunSweepPoints(points, opt)
 	}
+	store, err := OpenCheckpoint(path, points, opt.Adaptive)
+	if err != nil {
+		return nil, SweepStats{}, err
+	}
 	results := make([]CampaignResult, len(points))
 	user := opt.OnPointDone
-	rs, err := ResumeSweep(path, points, opt, func(batch []PointResult) error {
+	rs, err := ResumeSweep(store, points, opt, func(batch []PointResult) error {
 		for _, pr := range batch {
 			results[pr.Point] = pr.Result
 			if user != nil {
@@ -340,112 +355,153 @@ func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResul
 	return done, nil
 }
 
-// checkpointWriter makes completed points durable. A SweepResume's
-// committer calls write from its own goroutine, one batch at a time;
-// CheckpointStore.Flush may call it from any goroutine. The mutex
-// orders the two. Write errors are sticky: after the first, every write
-// returns it.
-type checkpointWriter struct {
+// CheckpointStore is a sweep's checkpoint file, open for commits: the
+// SweepStore of RunSweepPointsCheckpoint, and a store external
+// schedulers can drive directly. Flush makes one more completed point
+// durable, so any file a store wrote resumes under any runner. Append
+// and Flush are safe for concurrent use; the mutex orders them. Write
+// errors are sticky: after the first, every write returns it.
+type CheckpointStore struct {
 	path   string
 	fp     uint64
 	points int
 
 	mu sync.Mutex
-	// restored holds the entries loaded from the file until the first
-	// write rewrites them; nil from then on, when writes only append.
+	// restored holds the entries the file held when opened until the
+	// first write rewrites them; nil from then on, when writes only
+	// append.
 	restored  map[int]CampaignResult
 	appending bool
-	// f is the append handle the first write of a committer-driven
-	// writer opens; it stays open until close. A writer that never
-	// commits through a SweepResume opens the file for every append.
+	// f is the append handle the first Append opens; it stays open until
+	// Close. A store written only through Flush opens the file for every
+	// append.
 	f   *os.File
 	buf bytes.Buffer // the batch's encoded lines, reused
 	enc *json.Encoder
 	err error
 }
 
-// write makes a batch durable in file order. The first write atomically
-// replaces the file (temp file + rename) with the header, the restored
-// entries and the batch's entries — a crash mid-write leaves the
-// previous file or the new one, never a torn header — and, with hold,
-// opens an append handle that stays open until close. Every later write
-// appends the batch's lines with one write: through the handle while it
-// is open, else by opening and closing the file.
-func (w *checkpointWriter) write(batch []PointResult, hold bool) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err == nil {
-		if w.err = w.writeLocked(batch, hold); w.err != nil {
-			w.err = fmt.Errorf("core: checkpoint: %w", w.err)
-		}
+// OpenCheckpoint opens (or implicitly creates) the checkpoint at path
+// for the given sweep grid. A file written for a different sweep is
+// rejected by fingerprint, never merged.
+func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*CheckpointStore, error) {
+	if path == "" {
+		return nil, fmt.Errorf("core: checkpoint: empty path")
 	}
-	return w.err
+	fp := SweepFingerprint(points, ad)
+	done, err := loadCheckpoint(path, fp, len(points))
+	if err != nil {
+		return nil, err
+	}
+	return &CheckpointStore{path: path, fp: fp, points: len(points), restored: done}, nil
 }
 
-func (w *checkpointWriter) writeLocked(batch []PointResult, hold bool) error {
-	w.buf.Reset()
-	if w.enc == nil {
-		w.enc = json.NewEncoder(&w.buf)
+// Restored returns the completions the file held when opened, keyed by
+// point index. Read it before the first write, which rewrites them and
+// drops the store's map; callers must not modify it.
+func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
+
+// Close releases the append handle, if one is open.
+func (c *CheckpointStore) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.f == nil {
+		return nil
 	}
-	if !w.appending {
-		if err := w.enc.Encode(checkpointHeader{Version: checkpointVersion, Fingerprint: w.fp, Points: w.points}); err != nil {
+	err := c.f.Close()
+	c.f = nil
+	return err
+}
+
+// Flush makes one completed point durable: the first call atomically
+// rewrites the file, later calls append one line. It returns the
+// store's first write error (sticky, as in the checkpointed sweep
+// runner: a checkpoint that cannot be written means the crash-safety the
+// caller asked for is gone).
+func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
+	if point < 0 || point >= c.points {
+		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.points)
+	}
+	return c.write([]PointResult{{point, res}}, false)
+}
+
+// Append makes a batch durable, as a resumed sweep's committer does; the
+// append handle it opens stays open until Close.
+func (c *CheckpointStore) Append(batch []PointResult) error {
+	return c.write(batch, true)
+}
+
+// write makes a batch durable in file order. The first write atomically
+// replaces the file (temp file + rename) with the header, the restored
+// entries the batch does not hold and the batch's entries — a crash
+// mid-write leaves the previous file or the new one, never a torn
+// header — and, with hold, opens an append handle that stays open until
+// Close. Every later write appends the batch's lines with one write:
+// through the handle while it is open, else by opening and closing the
+// file.
+func (c *CheckpointStore) write(batch []PointResult, hold bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		if c.err = c.writeLocked(batch, hold); c.err != nil {
+			c.err = fmt.Errorf("core: checkpoint: %w", c.err)
+		}
+	}
+	return c.err
+}
+
+func (c *CheckpointStore) writeLocked(batch []PointResult, hold bool) error {
+	c.buf.Reset()
+	if c.enc == nil {
+		c.enc = json.NewEncoder(&c.buf)
+	}
+	if !c.appending {
+		if err := c.enc.Encode(checkpointHeader{Version: checkpointVersion, Fingerprint: c.fp, Points: c.points}); err != nil {
 			return err
 		}
 		inBatch := make(map[int]bool, len(batch))
 		for _, e := range batch {
 			inBatch[e.Point] = true
 		}
-		idx := make([]int, 0, len(w.restored))
-		for p := range w.restored {
+		idx := make([]int, 0, len(c.restored))
+		for p := range c.restored {
 			if !inBatch[p] {
 				idx = append(idx, p)
 			}
 		}
-		sort.Ints(idx)
+		slices.Sort(idx)
 		for _, p := range idx {
-			if err := w.enc.Encode(PointResult{p, w.restored[p]}); err != nil {
+			if err := c.enc.Encode(PointResult{p, c.restored[p]}); err != nil {
 				return err
 			}
 		}
 	}
 	for _, e := range batch {
-		if err := w.enc.Encode(e); err != nil {
+		if err := c.enc.Encode(e); err != nil {
 			return err
 		}
 	}
 	switch {
-	case w.f != nil:
-		_, err := w.f.Write(w.buf.Bytes())
+	case c.f != nil:
+		_, err := c.f.Write(c.buf.Bytes())
 		return err
-	case w.appending:
-		return appendFile(w.path, w.buf.Bytes())
+	case c.appending:
+		return appendFile(c.path, c.buf.Bytes())
 	}
-	tmp := w.path + ".tmp"
-	if err := os.WriteFile(tmp, w.buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
+	tmp := c.path + ".tmp"
+	if err := os.WriteFile(tmp, c.buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	w.restored = nil
-	w.appending = true
+	if err := os.Rename(tmp, c.path); err != nil {
+		return err
+	}
+	c.restored = nil
+	c.appending = true
 	if !hold {
 		return nil
 	}
-	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0)
-	w.f = f
-	return err
-}
-
-// close releases the append handle, if one is open.
-func (w *checkpointWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
+	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0)
+	c.f = f
 	return err
 }
 
@@ -460,52 +516,4 @@ func appendFile(path string, data []byte) error {
 		err = cerr
 	}
 	return err
-}
-
-// CheckpointStore is a sweep's checkpoint file, open for commits.
-// ResumeSweep opens one for every checkpointed sweep; OpenCheckpoint
-// exposes the same store to external schedulers. Flush makes one more
-// completed point durable, so any file a store wrote resumes under any
-// runner.
-type CheckpointStore struct {
-	w        *checkpointWriter
-	restored map[int]CampaignResult
-}
-
-// OpenCheckpoint opens (or implicitly creates) the checkpoint at path
-// for the given sweep grid. A file written for a different sweep is
-// rejected by fingerprint, never merged. Flush is safe for concurrent
-// use; write errors are sticky and surface from every later Flush.
-func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*CheckpointStore, error) {
-	return openStore(path, SweepFingerprint(points, ad), len(points))
-}
-
-func openStore(path string, fp uint64, npoints int) (*CheckpointStore, error) {
-	if path == "" {
-		return nil, fmt.Errorf("core: checkpoint: empty path")
-	}
-	done, err := loadCheckpoint(path, fp, npoints)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointStore{
-		w:        &checkpointWriter{path: path, fp: fp, points: npoints, restored: done},
-		restored: done,
-	}, nil
-}
-
-// Restored returns the completions the file held when opened, keyed by
-// point index. Flush never modifies the map; callers must not either.
-func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
-
-// Flush makes one completed point durable: the first call atomically
-// rewrites the file, later calls append one line. It returns the
-// store's first write error (sticky, as in the checkpointed sweep
-// runner: a checkpoint that cannot be written means the crash-safety the
-// caller asked for is gone).
-func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
-	if point < 0 || point >= c.w.points {
-		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.w.points)
-	}
-	return c.w.write([]PointResult{{point, res}}, false)
 }

@@ -30,6 +30,16 @@ func commitGrid(n int) ([]SweepPoint, []CampaignResult) {
 	return points, results
 }
 
+// openStore opens a checkpoint store for points at path.
+func openStore(t *testing.T, path string, points []SweepPoint) *CheckpointStore {
+	t.Helper()
+	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 // TestCommitBatchesWriteCheckpointBeforeDone commits every point of a
 // grid from concurrent goroutines. Each point must reach done exactly
 // once, only after its checkpoint line is in the file, and every line
@@ -40,7 +50,7 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	seen := make(map[int]int)
 	batches := 0
-	rs, err := ResumeSweep(path, points, SweepOptions{}, func(batch []PointResult) error {
+	rs, err := ResumeSweep(openStore(t, path, points), points, SweepOptions{}, func(batch []PointResult) error {
 		batches++
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -128,7 +138,7 @@ func TestCommitBatchErrorIsSticky(t *testing.T) {
 	points, results := commitGrid(8)
 	boom := errors.New("done failed")
 	calls := 0
-	rs, err := ResumeSweep(filepath.Join(t.TempDir(), "sweep.ckpt"), points, SweepOptions{}, func([]PointResult) error {
+	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, SweepOptions{}, func([]PointResult) error {
 		calls++
 		return boom
 	})
@@ -157,7 +167,7 @@ func TestCommitBatchErrorIsSticky(t *testing.T) {
 // a drain with nothing committed starts no committer.
 func TestCommitAfterDrainFails(t *testing.T) {
 	points, results := commitGrid(4)
-	rs, err := ResumeSweep(filepath.Join(t.TempDir(), "sweep.ckpt"), points, SweepOptions{}, func([]PointResult) error { return nil })
+	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, SweepOptions{}, func([]PointResult) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

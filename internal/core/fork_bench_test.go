@@ -119,7 +119,7 @@ func TestForkedGeditRoundAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 200
+	const budget = 20
 	if avg > budget {
 		t.Fatalf("forked gedit/v2 round allocates %.1f objects/round, budget %d", avg, budget)
 	}

@@ -8,8 +8,8 @@ package core
 // RunSweepPoints therefore executes only the first of each duplicate
 // class and copies its result to the rest (CampaignResult is a pure
 // value — fixed arrays, no pointers — so the copies share no storage).
-// A checkpointed resume applies the same rule against the points its
-// file restored (ResumeSweep).
+// A resumed sweep applies the same rule against the points its store
+// restored (ResumeSweep).
 //
 // Memoization must never change what a caller observes, so it stands
 // down whenever per-point execution is observable: a round callback
@@ -20,8 +20,8 @@ package core
 // program field). The OnPointDone completion hook is the one observer
 // memoization composes with: a duplicate point completes the moment its
 // representative does, so RunSweepPoints fans the representative's
-// completion out to every duplicate — the checkpoint writer therefore
-// flushes memoized points like executed ones. Execution-shaping results
+// completion out to every duplicate — the sweep's store therefore
+// receives memoized points like executed ones. Execution-shaping results
 // are still exact for memoized sweeps: duplicate points simply
 // contribute no RoundsExecuted/RoundsCommitted, which
 // SweepStats.PointsMemoized makes visible.

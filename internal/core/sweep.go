@@ -210,7 +210,7 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 	if user := opt.OnPointDone; user != nil {
 		// A memoized duplicate completes the moment its representative
 		// does: fan the completion out under the same fold lock, with the
-		// duplicate's own index, so observers (the checkpoint writer) see
+		// duplicate's own index, so observers (the sweep's store) see
 		// every point exactly once.
 		subOpt.OnPointDone = func(u int, res CampaignResult) {
 			user(uniq[u], res)

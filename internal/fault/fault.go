@@ -240,7 +240,7 @@ func (in *Injector) errnoFor(op fs.Op) fs.Errno {
 
 // SemBlocked implements sim.Interrupter: with probability SemIntrRate the
 // wait gets an interruption scheduled SemIntrDelay into the future.
-func (in *Injector) SemBlocked(th *sim.Thread, sem string) (time.Duration, bool) {
+func (in *Injector) SemBlocked(th *sim.Thread, sem *sim.Sem) (time.Duration, bool) {
 	if in.plan.SemIntrRate <= 0 {
 		return 0, false
 	}

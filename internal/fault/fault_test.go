@@ -119,7 +119,7 @@ func TestZeroRateDrawsConsumeNothing(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.DrawKill(0)
 	}
-	if _, ok := a.SemBlocked(nil, "inode"); ok {
+	if _, ok := a.SemBlocked(nil, nil); ok {
 		t.Fatal("rateless SemBlocked armed an interruption")
 	}
 	for i := 0; i < 100; i++ {
@@ -195,12 +195,12 @@ func TestInjectOpRespectsOpFilter(t *testing.T) {
 
 func TestSemBlockedDelayDefaults(t *testing.T) {
 	in := Plan{SemIntrRate: 1}.NewInjector(3)
-	d, ok := in.SemBlocked(nil, "inode")
+	d, ok := in.SemBlocked(nil, nil)
 	if !ok || d != DefaultSemIntrDelay {
 		t.Errorf("SemBlocked = (%v, %v), want (%v, true)", d, ok, DefaultSemIntrDelay)
 	}
 	in = Plan{SemIntrRate: 1, SemIntrDelay: 3 * time.Microsecond}.NewInjector(3)
-	if d, _ := in.SemBlocked(nil, "inode"); d != 3*time.Microsecond {
+	if d, _ := in.SemBlocked(nil, nil); d != 3*time.Microsecond {
 		t.Errorf("SemBlocked delay = %v, want 3µs", d)
 	}
 	in.SemInterrupted(nil)

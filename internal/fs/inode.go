@@ -3,7 +3,6 @@ package fs
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"tocttou/internal/sim"
@@ -93,10 +92,6 @@ type inode struct {
 	// work — cached lookups do not block on a directory's i_sem. Created
 	// lazily by dlock(); a nil dcache means "unowned" to lookups.
 	dcache *sim.Sem
-	// semNamed / dcacheNamed record which ino the cached locks were last
-	// named for, so recycled inodes relabel them lazily (see isem).
-	semNamed    Ino
-	dcacheNamed Ino
 	// openCount is the number of open file descriptions; unlinked files
 	// are truncated only when the last one closes.
 	openCount int
@@ -248,17 +243,14 @@ func (f *FS) newInode(typ FileType, mode Mode, uid, gid int) *inode {
 }
 
 // isem returns the inode semaphore, creating it on first use. A recycled
-// inode may carry a semaphore named for a previous identity (the free list
-// pops in harvest order, not creation order); it is relabeled on first use
-// so traces from a recycled FS match a fresh one exactly.
+// inode may carry a semaphore numbered for a previous identity (the free
+// list pops in harvest order, not creation order); it is renumbered on
+// every use so traces from a recycled FS match a fresh one exactly.
 func (n *inode) isem() *sim.Sem {
 	if n.sem == nil {
-		n.sem = sim.NewSem("ino:" + strconv.FormatInt(int64(n.ino), 10))
-		n.semNamed = n.ino
-	} else if n.semNamed != n.ino {
-		n.sem.Rename("ino:" + strconv.FormatInt(int64(n.ino), 10))
-		n.semNamed = n.ino
+		n.sem = sim.NewSem("ino:")
 	}
+	n.sem.Renumber(int64(n.ino))
 	return n.sem
 }
 
@@ -267,12 +259,9 @@ func (n *inode) isem() *sim.Sem {
 // until a rename actually takes it.
 func (n *inode) dlock() *sim.Sem {
 	if n.dcache == nil {
-		n.dcache = sim.NewSem("dcache:" + strconv.FormatInt(int64(n.ino), 10))
-		n.dcacheNamed = n.ino
-	} else if n.dcacheNamed != n.ino {
-		n.dcache.Rename("dcache:" + strconv.FormatInt(int64(n.ino), 10))
-		n.dcacheNamed = n.ino
+		n.dcache = sim.NewSem("dcache:")
 	}
+	n.dcache.Renumber(int64(n.ino))
 	return n.dcache
 }
 

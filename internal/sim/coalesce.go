@@ -271,7 +271,7 @@ func (s *Sem) AcquireReleasePairs(t *Task, n int64) {
 		return
 	}
 	if s.owner != nil || len(s.waiters) > 0 {
-		panic("sim: AcquireReleasePairs on a non-quiet semaphore " + s.name)
+		panic("sim: AcquireReleasePairs on a non-quiet semaphore " + s.Name())
 	}
 	if t.k.tracer != nil {
 		panic("sim: AcquireReleasePairs with a tracer attached")

@@ -13,7 +13,7 @@ type scriptedInterrupter struct {
 	delivered int
 }
 
-func (s *scriptedInterrupter) SemBlocked(th *Thread, sem string) (time.Duration, bool) {
+func (s *scriptedInterrupter) SemBlocked(th *Thread, sem *Sem) (time.Duration, bool) {
 	s.armed++
 	return s.delay, true
 }

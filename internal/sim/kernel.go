@@ -545,7 +545,7 @@ func (k *Kernel) describeBlocked() string {
 			if s != "" {
 				s += ", "
 			}
-			s += fmt.Sprintf("%s(%s)", th.name, th.blockReason)
+			s += fmt.Sprintf("%s(%s)", th.name, th.blockLabel())
 		}
 	}
 	if s == "" {

@@ -4,7 +4,7 @@ package sim
 // idle CPU.
 func (k *Kernel) makeReady(th *Thread) {
 	th.state = StateReady
-	th.blockReason = ""
+	th.blockReason, th.blockSem = "", nil
 	if k.tracing() {
 		k.emitThread(th, Event{Kind: EvWake, Label: th.name})
 	}
@@ -100,21 +100,30 @@ func (k *Kernel) preempt(th *Thread) {
 // blockCurrent transitions the currently running thread off its CPU into
 // the Blocked state and lets the next ready thread run. Called inline from
 // blocking primitives executing on the thread's own goroutine, immediately
-// before the thread yields.
-func (k *Kernel) blockCurrent(th *Thread, reason string) {
+// before the thread yields. A thread blocking on a semaphore passes it as
+// sem and no reason: its "sem:" reason is built only when read.
+func (k *Kernel) blockCurrent(th *Thread, reason string, sem *Sem) {
 	c := k.cpus[th.cpu]
 	k.accrueWork(th)
 	th.workPending = false
 	th.state = StateBlocked
-	th.blockReason = reason
+	th.blockReason, th.blockSem = reason, sem
 	k.runningCnt--
 	th.schedGen++
 	th.cpu = -1
 	c.th = nil
 	if k.tracing() {
-		k.emitThread(th, Event{Kind: EvBlock, Label: reason, CPU: int32(c.id)})
+		k.emitThread(th, Event{Kind: EvBlock, Label: th.blockLabel(), CPU: int32(c.id)})
 	}
 	k.dispatchCPU(c)
+}
+
+// blockLabel is the reason a blocked thread waits.
+func (th *Thread) blockLabel() string {
+	if th.blockSem != nil {
+		return "sem:" + th.blockSem.Name()
+	}
+	return th.blockReason
 }
 
 // scheduleWork arms the completion event for th's pending compute segment.

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -22,7 +23,7 @@ var ErrInterrupted = errors.New("sim: semaphore wait interrupted")
 type Interrupter interface {
 	// SemBlocked is asked whether (and after how much virtual time) the
 	// wait th just entered should be interrupted.
-	SemBlocked(th *Thread, sem string) (delay time.Duration, interrupt bool)
+	SemBlocked(th *Thread, sem *Sem) (delay time.Duration, interrupt bool)
 	// SemInterrupted observes an interruption that was actually delivered
 	// (the wait was still pending at the chosen instant).
 	SemInterrupted(th *Thread)
@@ -35,29 +36,36 @@ type Interrupter interface {
 // attacker's system calls acquires the inode semaphore first delays the
 // other for its full critical section.
 type Sem struct {
-	name string
-	// blockLabel caches "sem:"+name so the contended-acquire path does not
-	// concatenate a fresh block-reason string per blocking event.
-	blockLabel string
-	owner      *Thread
-	waiters    []*Thread
+	// name is the semaphore's debug/trace label, or the label's prefix
+	// when numbered: a numbered semaphore's label is name followed by num
+	// in decimal. Labels are built only where they are read (trace
+	// events, deadlock text, panics), so renumbering a recycled semaphore
+	// is a store, not a string concatenation.
+	name     string
+	num      int64
+	numbered bool
+	owner    *Thread
+	waiters  []*Thread
 }
 
 // NewSem creates a semaphore with a debug/trace name.
-func NewSem(name string) *Sem { return &Sem{name: name, blockLabel: "sem:" + name} }
+func NewSem(name string) *Sem { return &Sem{name: name} }
+
+// Name returns the semaphore's label.
+func (s *Sem) Name() string {
+	if !s.numbered {
+		return s.name
+	}
+	return s.name + strconv.FormatInt(s.num, 10)
+}
 
 // Owner returns the current owner thread, or nil. Exposed for tests.
 func (s *Sem) Owner() *Thread { return s.owner }
 
-// Rename relabels the semaphore; used when a recycled semaphore serves a
-// new object identity.
-func (s *Sem) Rename(name string) {
-	if s.name == name {
-		return
-	}
-	s.name = name
-	s.blockLabel = "sem:" + name
-}
+// Renumber makes the semaphore's label its name followed by num; used
+// for semaphores of numbered objects (inodes), which a recycled
+// semaphore serves under a new number.
+func (s *Sem) Renumber(num int64) { s.num, s.numbered = num, true }
 
 // ResetState clears the owner and wait queue so a recycled semaphore can
 // serve a new simulation round. The owner of a normally completed run is
@@ -105,12 +113,12 @@ func (s *Sem) tryFast(t *Task) bool {
 		th.owned = append(th.owned, s)
 		k.stats.SemAcquires++
 		if k.tracing() {
-			k.emitThread(th, Event{Kind: EvSemAcquire, Label: s.name})
+			k.emitThread(th, Event{Kind: EvSemAcquire, Label: s.Name()})
 		}
 		return true
 	}
 	if s.owner == th {
-		panic(fmt.Sprintf("sim: thread %q recursively acquired semaphore %q", th.name, s.name))
+		panic(fmt.Sprintf("sim: thread %q recursively acquired semaphore %q", th.name, s.Name()))
 	}
 	return false
 }
@@ -124,19 +132,19 @@ func (s *Sem) acquireSlow(t *Task, interruptible bool) error {
 	k.stats.SemBlocks++
 	blockedAt := k.now
 	if k.tracing() {
-		k.emitThread(th, Event{Kind: EvSemBlock, Label: s.name})
+		k.emitThread(th, Event{Kind: EvSemBlock, Label: s.Name()})
 	}
 	th.blockCancel = func() { s.removeWaiter(th) }
 	if interruptible {
 		if in := k.cfg.Interrupter; in != nil {
-			if d, ok := in.SemBlocked(th, s.name); ok {
+			if d, ok := in.SemBlocked(th, s); ok {
 				th.intrGen++
 				k.pendingOps++
 				k.afterKernel(d, evSemIntr, th, nil, th.intrGen)
 			}
 		}
 	}
-	k.blockCurrent(th, s.blockLabel)
+	k.blockCurrent(th, "", s)
 	t.yieldTo(yieldBlocked)
 	th.intrGen++ // invalidate any still-armed interrupt delivery
 	t.checkKilled()
@@ -148,7 +156,9 @@ func (s *Sem) acquireSlow(t *Task, interruptible bool) error {
 	th.owned = append(th.owned, s)
 	k.stats.SemAcquires++
 	k.stats.SemWaitNs += int64(k.now.Sub(blockedAt))
-	k.emitThread(th, Event{Kind: EvSemAcquire, Label: s.name})
+	if k.tracing() {
+		k.emitThread(th, Event{Kind: EvSemAcquire, Label: s.Name()})
+	}
 	return nil
 }
 
@@ -180,10 +190,10 @@ func (s *Sem) Release(t *Task) {
 	t.checkKilled()
 	k, th := t.k, t.th
 	if s.owner != th {
-		panic(fmt.Sprintf("sim: thread %q released semaphore %q it does not own", th.name, s.name))
+		panic(fmt.Sprintf("sim: thread %q released semaphore %q it does not own", th.name, s.Name()))
 	}
 	if k.tracing() {
-		k.emitThread(th, Event{Kind: EvSemRelease, Label: s.name})
+		k.emitThread(th, Event{Kind: EvSemRelease, Label: s.Name()})
 	}
 	th.disown(s)
 	s.handoff(k)
@@ -231,7 +241,7 @@ func (s *Sem) removeWaiter(th *Thread) {
 // hand the symlink step to its second thread.
 type Flag struct {
 	name       string
-	blockLabel string // cached "flag:"+name, see Sem.blockLabel
+	blockLabel string // cached "flag:"+name: a flag is never relabelled
 	set        bool
 	waiters    []*Thread
 }
@@ -252,7 +262,7 @@ func (f *Flag) Wait(t *Task) {
 	k, th := t.k, t.th
 	f.waiters = append(f.waiters, th)
 	th.blockCancel = func() { f.removeWaiter(th) }
-	k.blockCurrent(th, f.blockLabel)
+	k.blockCurrent(th, f.blockLabel, nil)
 	t.yieldTo(yieldBlocked)
 	t.checkKilled()
 }

@@ -87,6 +87,7 @@ type Thread struct {
 
 	resume      chan struct{}
 	blockReason string
+	blockSem    *Sem   // the semaphore a blocked thread waits on, else nil
 	blockCancel func() // dequeues the thread from a semaphore/flag wait queue
 
 	// timerArmed and timerGen track a pending timed wake-up (sleep or
@@ -207,7 +208,7 @@ func (k *Kernel) Spawn(p *Process, name string, fn func(*Task)) *Thread {
 		th.runStart = 0
 		th.workPending = false
 		th.workGen, th.schedGen, th.timerGen, th.intrGen = 0, 0, 0, 0
-		th.blockReason = ""
+		th.blockReason, th.blockSem = "", nil
 		th.blockCancel = nil
 		th.timerArmed = false
 		th.intrDelivered = false
@@ -486,7 +487,7 @@ func (t *Task) blockTimed(reason string, d time.Duration, kind EventKind) {
 	if k.tracing() {
 		k.emitThread(th, Event{Kind: kind, Label: reason, Arg: int64(d)})
 	}
-	k.blockCurrent(th, reason)
+	k.blockCurrent(th, reason, nil)
 	k.timedCnt++
 	th.timerGen++
 	th.timerArmed = true
