@@ -5,8 +5,9 @@ GO ?= go
 # check is the gate every change must pass: vet, build, the full test
 # suite, and a race-detector pass over the parallel campaign worker pool
 # and the simulator's coroutine handoff protocol. race's campaignd line
-# runs that whole package, so the job log's crash-state enumeration
-# (TestJobLogCrashStates) runs under the race detector too.
+# runs that whole package and its core line matches Checkpoint, so both
+# stores' crash-state enumerations (TestJobLogCrashStates,
+# TestCheckpointCrashStates) run under the race detector too.
 check: vet build test race
 
 vet:

@@ -22,6 +22,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tocttou/internal/linelog"
 )
 
 // tinySpec compiles to 64 two-round points: many short points, so
@@ -191,8 +193,8 @@ func (l *faultyLog) Close() error { return l.f.Close() }
 // injectLog makes every event log this test opens the given faultyLog.
 func injectLog(t *testing.T, l *faultyLog) {
 	t.Helper()
-	orig := openLogFile
-	openLogFile = func(path string) (logFile, error) {
+	orig := linelog.OpenFile
+	linelog.OpenFile = func(path string) (linelog.File, error) {
 		f, err := orig(path)
 		if err != nil {
 			return nil, err
@@ -200,7 +202,7 @@ func injectLog(t *testing.T, l *faultyLog) {
 		l.f = f.(*os.File)
 		return l, nil
 	}
-	t.Cleanup(func() { openLogFile = orig })
+	t.Cleanup(func() { linelog.OpenFile = orig })
 }
 
 // cutLog is a finished job's log cut to its first n lines: the file a

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"tocttou/internal/linelog"
 	"tocttou/internal/scenario"
 )
 
@@ -30,7 +31,7 @@ type logOp struct {
 
 // recordingLog passes every call through to the file and records it.
 type recordingLog struct {
-	f   logFile
+	f   linelog.File
 	mu  *sync.Mutex
 	ops *[]logOp
 }
@@ -52,21 +53,22 @@ func (l recordingLog) Sync() error {
 func (l recordingLog) Close() error { return l.f.Close() }
 
 // recordCampaign runs spec to completion on an in-process server whose
-// job logs record every call, and returns the job's info, its directory
-// and the calls.
+// job logs record every call made through the log seam
+// (linelog.OpenFile), and returns the job's info, its directory and the
+// calls.
 func recordCampaign(t *testing.T, filename, spec string) (JobInfo, string, []logOp) {
 	t.Helper()
 	var mu sync.Mutex
 	var ops []logOp
-	orig := openLogFile
-	openLogFile = func(path string) (logFile, error) {
+	orig := linelog.OpenFile
+	linelog.OpenFile = func(path string) (linelog.File, error) {
 		f, err := orig(path)
 		if err != nil {
 			return nil, err
 		}
 		return recordingLog{f: f, mu: &mu, ops: &ops}, nil
 	}
-	defer func() { openLogFile = orig }()
+	defer func() { linelog.OpenFile = orig }()
 	info, dir := finishedJob(t, filename, spec)
 	mu.Lock()
 	defer mu.Unlock()

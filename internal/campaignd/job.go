@@ -26,12 +26,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"tocttou/internal/core"
+	"tocttou/internal/linelog"
 	"tocttou/internal/scenario"
 )
 
@@ -231,23 +231,6 @@ func (j *job) commitPoints(lines int) (appended int, err error) {
 	return appended, nil
 }
 
-// logFile is the job log's append handle.
-type logFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
-// openLogFile opens events.ndjson for appending. Tests replace it to
-// inject write and sync failures and to record what reaches the file.
-var openLogFile = func(path string) (logFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // logLine is one line of a job log: the point event, then the point's
 // result as the last member. A stream sends the line cut at resultMember,
 // which is the event's own encoding: the label is an escaped JSON
@@ -269,13 +252,13 @@ var errLayout1 = errors.New("job layout 1 (checkpoint.json beside a result-less 
 var errOtherSweep = errors.New("job log written for a different sweep configuration (its id no longer matches the compiled points); delete the job directory to start over")
 
 // jobLog is a job's events.ndjson as core's store for the job's sweep:
-// the points it restored, and the append handle batches are written
-// through — encoded once, one write and one fsync per batch.
+// a codec over a linelog.Log that checks the log's lines when the job
+// loads and encodes each batch once, for one write and one fsync.
 type jobLog struct {
 	labels   []scenario.PointMeta
 	restored map[int]core.CampaignResult
 	lines    int // complete lines in the file
-	f        logFile
+	log      *linelog.Log
 	buf      bytes.Buffer
 }
 
@@ -289,15 +272,37 @@ func (l *jobLog) Append(batch []core.PointResult) error {
 			return err
 		}
 	}
-	_, err := l.f.Write(l.buf.Bytes())
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
+	if err := l.log.Append(l.buf.Bytes()); err != nil {
 		return fmt.Errorf("event log: %w", err)
 	}
 	l.lines += len(batch)
 	return nil
+}
+
+func (l *jobLog) Close() error { return l.log.Close() }
+
+// check is the job log's line check (linelog.Open). A line joins the
+// log only if it is complete, for a distinct point of the grid, with a
+// result and the very event Append writes for that result at the
+// line's position: seq, label and counts must all agree. A first line
+// without a result is layout 1 (errLayout1); a later one is corruption
+// like any other.
+func (l *jobLog) check(data []byte) (bool, error) {
+	var line logLine
+	if data[len(data)-1] != '\n' || json.Unmarshal(data, &line) != nil {
+		return false, nil
+	}
+	if l.lines == 0 && line.Type == "point" && line.Result == nil {
+		return false, errLayout1
+	}
+	_, dup := l.restored[line.Point]
+	if dup || line.Result == nil || line.Point < 0 || line.Point >= len(l.labels) ||
+		line.PointEvent != l.event(l.lines, line.Point, line.Result) {
+		return false, nil
+	}
+	l.restored[line.Point] = *line.Result
+	l.lines++
+	return true, nil
 }
 
 // event is the point event of point's line at position seq.
@@ -313,27 +318,6 @@ func (l *jobLog) event(seq, point int, res *core.CampaignResult) PointEvent {
 		VictimErrors: res.VictimErrors,
 		AttackErrors: res.AttackErrors,
 	}
-}
-
-func (l *jobLog) Close() error {
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
-}
-
-// openLog loads the job log and opens its append handle for a run.
-func (j *job) openLog() (*jobLog, error) {
-	l, err := j.loadLog()
-	if err != nil {
-		return nil, err
-	}
-	if l.f, err = openLogFile(j.eventsPath()); err != nil {
-		return nil, err
-	}
-	return l, nil
 }
 
 // loadJob restores a job from its directory. A done job whose report
@@ -405,48 +389,21 @@ func loadJob(dir string) (*job, error) {
 	return j, nil
 }
 
-// loadLog restores a resumable job's points from events.ndjson. The log
-// is its leading run of complete lines, each for a distinct point of the
-// grid, with a result and the very event Append writes for that result
-// at the line's position: seq, label and counts must all agree. Anything
-// after that run — a torn final line from a kill -9 between write and
-// fsync, or a line corrupted on disk — is truncated away, so the resumed
+// loadLog opens a resumable job's events.ndjson, restoring its points
+// from the log's leading run of valid lines (jobLog.check) and
+// truncating anything after that run — a torn final line from a kill -9
+// between write and fsync, or a line corrupted on disk — so the resumed
 // run's first append starts on a line boundary; points cut off re-run.
 // A directory in layout 1 — a checkpoint.json, or a first line without
-// a result — fails with errLayout1; a later result-less line is
-// corruption like any other.
+// a result — fails with errLayout1 and is left as it is.
 func (j *job) loadLog() (*jobLog, error) {
 	if _, err := os.Stat(filepath.Join(j.dir, "checkpoint.json")); err == nil {
 		return nil, errLayout1
 	}
-	data, err := os.ReadFile(j.eventsPath())
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
 	l := &jobLog{labels: j.compiled.Meta, restored: make(map[int]core.CampaignResult)}
-	size := 0
-	for {
-		n := bytes.IndexByte(data[size:], '\n') + 1
-		var line logLine
-		if n == 0 || json.Unmarshal(data[size:size+n], &line) != nil {
-			break
-		}
-		if l.lines == 0 && line.Type == "point" && line.Result == nil {
-			return nil, errLayout1
-		}
-		_, dup := l.restored[line.Point]
-		if dup || line.Result == nil || line.Point < 0 || line.Point >= len(l.labels) ||
-			line.PointEvent != l.event(l.lines, line.Point, line.Result) {
-			break
-		}
-		l.restored[line.Point] = *line.Result
-		l.lines++
-		size += n
-	}
-	if size < len(data) {
-		if err := os.Truncate(j.eventsPath(), int64(size)); err != nil {
-			return nil, err
-		}
+	var err error
+	if l.log, err = linelog.Open(j.eventsPath(), l.check); err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	j.info.Committed = l.lines
@@ -455,7 +412,7 @@ func (j *job) loadLog() (*jobLog, error) {
 }
 
 // writeJSONAtomic marshals v and atomically replaces path (temp file +
-// rename, as the first write of core's checkpoint store does).
+// rename).
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

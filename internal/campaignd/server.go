@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -302,9 +303,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
-		if n := len(s.order); n > 0 && s.order[n-1] == id {
-			s.order = s.order[:n-1]
-		}
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 		s.mu.Unlock()
 		http.Error(w, fmt.Sprintf("persisting job: %v", err), http.StatusInternalServerError)
 		return
@@ -341,7 +340,7 @@ func (s *Server) runJob(j *job) {
 		return
 	default:
 	}
-	log, err := j.openLog()
+	log, err := j.loadLog()
 	if err != nil {
 		s.settle(j, func(info *JobInfo) {
 			info.State = StateFailed

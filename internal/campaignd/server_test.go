@@ -13,8 +13,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -532,5 +534,68 @@ func TestStatsCountsJobsAndPoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("stats %s missing %s", body, want)
 		}
+	}
+}
+
+// TestFailedSubmitLeavesNoDanglingJob fails a submit's persist step
+// after a second submit has registered behind it. A FIFO at the first
+// job's spec path holds its persist until the second job is listed, and
+// a directory at its state.json path makes the rename into place fail.
+// The failed job must leave the listing whole: 200 with the second job
+// only.
+func TestFailedSubmitLeavesNoDanglingJob(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, dir)
+	specA := tinySpec(601)
+	spec, err := scenario.LoadBytes("a.yaml", []byte(specA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobDir := filepath.Join(dir, "jobs", jobKey(spec, compiled))
+	if err := os.MkdirAll(filepath.Join(jobDir, "state.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fifo := filepath.Join(jobDir, "spec")
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	statusA := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/campaigns?filename=a.yaml", "application/x-yaml", strings.NewReader(specA))
+		if err != nil {
+			statusA <- 0
+			return
+		}
+		resp.Body.Close()
+		statusA <- resp.StatusCode
+	}()
+	cl := testClient(ts.URL)
+	for s.lookup(jobKey(spec, compiled)) == nil {
+		time.Sleep(time.Millisecond)
+	}
+	b, err := cl.Submit("b.yaml", []byte(tinySpec(602)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Release the first submit's spec write; its state.json rename fails.
+	r, err := os.Open(fifo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, r)
+	r.Close()
+	if got := <-statusA; got != http.StatusInternalServerError {
+		t.Fatalf("first submit: status %d, want 500", got)
+	}
+	jobs, err := cl.Jobs()
+	if err != nil {
+		t.Fatalf("listing after a failed submit: %v", err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != b.ID {
+		t.Fatalf("listing holds %+v, want the second job %s only", jobs, b.ID)
 	}
 }

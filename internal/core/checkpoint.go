@@ -19,22 +19,26 @@ package core
 //	{"version":3,"fingerprint":F,"points":N}
 //	{"point":i,"result":{...}}     one line per committed point
 //
-// A writer's first write atomically replaces the file (temp file +
-// rename) with the header, the entries it restored and the new ones;
-// that drops a torn tail. Every later write appends one line per point.
-// A crash mid-append can leave only a final line without its newline,
-// which the loader drops (its point re-runs). A complete line that does
-// not decode is corruption and is rejected. Versions 1 and 2 carried a
-// fingerprint that left program parameters out of a point's identity;
-// they are rejected by version, never trusted.
+// The file is a linelog.Log, the append-only log under every durable
+// sweep store. A new or empty file gets its header in the same write as
+// its first batch, and every batch is one write and one fsync. Opening
+// the file keeps its header and the leading run of entries that decode,
+// name a point in range and repeat none, and truncates everything after
+// that run — a torn final line, or a complete line garbled on disk —
+// so exactly the points cut off re-run. A file whose bytes are a torn
+// prefix of the header starts over. Any other first line that is not
+// this sweep's header rejects the file, untouched: another sweep's
+// fingerprint, a foreign file, or versions 1 and 2, whose fingerprint
+// left program parameters out of a point's identity and is never
+// trusted.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"slices"
 	"sync"
+
+	"tocttou/internal/linelog"
 )
 
 // checkpointVersion is the on-disk format the writer produces and the
@@ -259,7 +263,7 @@ func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
 // merged results are bit-identical to an uninterrupted RunSweepPoints
 // over the same points (per-point results never depend on other
 // points). OnPointDone fires from the commit path, after the point's
-// checkpoint line is written, and every call has been made by the time
+// checkpoint line is durable, and every call has been made by the time
 // this returns. The returned SweepStats covers only the work this call
 // performed (see RunPending).
 //
@@ -295,90 +299,25 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	return results, st, nil
 }
 
-// loadCheckpoint reads and validates an existing checkpoint file. A
-// missing file is an empty checkpoint; a present but mismatched one is an
-// error (stale files must be deleted deliberately, never merged).
-func loadCheckpoint(path string, fp uint64, npoints int) (map[int]CampaignResult, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[int]CampaignResult{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	done, err := parseCheckpoint(data, fp, npoints)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
-	}
-	return done, nil
-}
-
-// parseCheckpoint decodes a format-3 checkpoint (see the file comment)
-// written for the sweep with fingerprint fp over npoints points. Entries
-// for the same point overwrite each other in file order.
-func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResult, error) {
-	first, rest, complete := bytes.Cut(data, []byte{'\n'})
-	var h checkpointHeader
-	if err := json.Unmarshal(first, &h); err != nil {
-		return nil, fmt.Errorf("corrupt: %w", err)
-	}
-	switch {
-	case h.Version == 1 || h.Version == 2:
-		return nil, fmt.Errorf("checkpoint version %d predates point keys (want %d); delete it to start over", h.Version, checkpointVersion)
-	case h.Version != checkpointVersion:
-		return nil, fmt.Errorf("checkpoint version %d, want %d", h.Version, checkpointVersion)
-	case !complete:
-		return nil, fmt.Errorf("corrupt: header line has no newline")
-	case h.Fingerprint != fp || h.Points != npoints:
-		return nil, fmt.Errorf("written for a different sweep configuration (delete it to start over)")
-	}
-	done := make(map[int]CampaignResult)
-	// Every newline-terminated line after the header is an entry; a final
-	// fragment without its newline is a torn append.
-	for line := 2; len(rest) > 0; line++ {
-		var text []byte
-		if text, rest, complete = bytes.Cut(rest, []byte{'\n'}); !complete {
-			break
-		}
-		var e struct {
-			Point  *int            `json:"point"`
-			Result *CampaignResult `json:"result"`
-		}
-		if err := json.Unmarshal(text, &e); err != nil || e.Point == nil || e.Result == nil {
-			return nil, fmt.Errorf("corrupt: line %d is not a checkpoint entry", line)
-		}
-		if *e.Point < 0 || *e.Point >= npoints {
-			return nil, fmt.Errorf("point %d out of range [0, %d)", *e.Point, npoints)
-		}
-		done[*e.Point] = *e.Result
-	}
-	return done, nil
-}
-
 // CheckpointStore is a sweep's checkpoint file, open for commits: the
 // SweepStore of RunSweepPointsCheckpoint, and a store external
-// schedulers can drive directly. Flush makes one more completed point
-// durable, so any file a store wrote resumes under any runner. Append
-// and Flush are safe for concurrent use; the mutex orders them. Write
-// errors are sticky: after the first, every write returns it.
+// schedulers can drive directly. It is a codec over a linelog.Log: it
+// checks the file's lines when it opens and encodes the lines it
+// appends. Append and Flush are safe for concurrent use; the mutex
+// orders them. Write errors are sticky: after the first, every write
+// returns it.
 type CheckpointStore struct {
-	path   string
 	fp     uint64
 	points int
+	header []byte // the header line this sweep's file begins with
+	// restored holds the entries the file held when opened.
+	restored map[int]CampaignResult
 
-	mu sync.Mutex
-	// restored holds the entries the file held when opened until the
-	// first write rewrites them; nil from then on, when writes only
-	// append.
-	restored  map[int]CampaignResult
-	appending bool
-	// f is the append handle the first Append opens; it stays open until
-	// Close. A store written only through Flush opens the file for every
-	// append.
-	f   *os.File
-	buf bytes.Buffer // the batch's encoded lines, reused
-	enc *json.Encoder
-	err error
+	mu     sync.Mutex
+	log    *linelog.Log
+	headed bool // the file holds its header line
+	buf    bytes.Buffer
+	enc    *json.Encoder
 }
 
 // OpenCheckpoint opens (or implicitly creates) the checkpoint at path
@@ -388,132 +327,111 @@ func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*Checkpo
 	if path == "" {
 		return nil, fmt.Errorf("core: checkpoint: empty path")
 	}
-	fp := SweepFingerprint(points, ad)
-	done, err := loadCheckpoint(path, fp, len(points))
+	return openCheckpoint(path, SweepFingerprint(points, ad), len(points))
+}
+
+// openCheckpoint opens the checkpoint at path for the sweep with
+// fingerprint fp over npoints points. The file keeps its header and the
+// leading run of entries that decode, name a point in range and repeat
+// none; everything after that run is truncated, and those points re-run.
+func openCheckpoint(path string, fp uint64, npoints int) (*CheckpointStore, error) {
+	header, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Fingerprint: fp, Points: npoints})
 	if err != nil {
 		return nil, err
 	}
-	return &CheckpointStore{path: path, fp: fp, points: len(points), restored: done}, nil
+	c := &CheckpointStore{fp: fp, points: npoints, header: append(header, '\n'), restored: make(map[int]CampaignResult)}
+	c.enc = json.NewEncoder(&c.buf)
+	if c.log, err = linelog.Open(path, c.check); err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// check is the store's line check (linelog.Open): the header first,
+// then one entry per line.
+func (c *CheckpointStore) check(line []byte) (bool, error) {
+	complete := line[len(line)-1] == '\n'
+	if !c.headed {
+		return c.checkHeader(line, complete)
+	}
+	var e struct {
+		Point  *int            `json:"point"`
+		Result *CampaignResult `json:"result"`
+	}
+	if !complete || json.Unmarshal(line, &e) != nil || e.Point == nil || e.Result == nil || *e.Point < 0 || *e.Point >= c.points {
+		return false, nil
+	}
+	if _, dup := c.restored[*e.Point]; dup {
+		return false, nil
+	}
+	c.restored[*e.Point] = *e.Result
+	return true, nil
+}
+
+// checkHeader checks the file's first line. A torn line that is a
+// prefix of this sweep's header is a torn creation: the file starts
+// over. Any other line that is not this sweep's format-3 header rejects
+// the file, which stays as it is.
+func (c *CheckpointStore) checkHeader(line []byte, complete bool) (bool, error) {
+	if !complete && bytes.HasPrefix(c.header, line) {
+		return false, nil
+	}
+	var h checkpointHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return false, fmt.Errorf("corrupt: %w", err)
+	}
+	switch {
+	case h.Version == 1 || h.Version == 2:
+		return false, fmt.Errorf("checkpoint version %d predates point keys (want %d); delete it to start over", h.Version, checkpointVersion)
+	case h.Version != checkpointVersion:
+		return false, fmt.Errorf("checkpoint version %d, want %d", h.Version, checkpointVersion)
+	case !complete:
+		return false, fmt.Errorf("corrupt: header line has no newline")
+	case h.Fingerprint != c.fp || h.Points != c.points:
+		return false, fmt.Errorf("written for a different sweep configuration (delete it to start over)")
+	}
+	c.headed = true
+	return true, nil
 }
 
 // Restored returns the completions the file held when opened, keyed by
-// point index. Read it before the first write, which rewrites them and
-// drops the store's map; callers must not modify it.
+// point index; callers must not modify it.
 func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
 
 // Close releases the append handle, if one is open.
 func (c *CheckpointStore) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
+	return c.log.Close()
 }
 
-// Flush makes one completed point durable: the first call atomically
-// rewrites the file, later calls append one line. It returns the
-// store's first write error (sticky, as in the checkpointed sweep
-// runner: a checkpoint that cannot be written means the crash-safety the
-// caller asked for is gone).
+// Flush makes one completed point durable: Append of that point.
 func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
 	if point < 0 || point >= c.points {
 		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.points)
 	}
-	return c.write([]PointResult{{point, res}}, false)
+	return c.Append([]PointResult{{point, res}})
 }
 
-// Append makes a batch durable, as a resumed sweep's committer does; the
-// append handle it opens stays open until Close.
+// Append makes a batch durable with one write and one fsync, the
+// header first in a file that has none yet. It returns the store's
+// first write error (sticky: a checkpoint that cannot be written means
+// the crash-safety the caller asked for is gone).
 func (c *CheckpointStore) Append(batch []PointResult) error {
-	return c.write(batch, true)
-}
-
-// write makes a batch durable in file order. The first write atomically
-// replaces the file (temp file + rename) with the header, the restored
-// entries the batch does not hold and the batch's entries — a crash
-// mid-write leaves the previous file or the new one, never a torn
-// header — and, with hold, opens an append handle that stays open until
-// Close. Every later write appends the batch's lines with one write:
-// through the handle while it is open, else by opening and closing the
-// file.
-func (c *CheckpointStore) write(batch []PointResult, hold bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err == nil {
-		if c.err = c.writeLocked(batch, hold); c.err != nil {
-			c.err = fmt.Errorf("core: checkpoint: %w", c.err)
-		}
-	}
-	return c.err
-}
-
-func (c *CheckpointStore) writeLocked(batch []PointResult, hold bool) error {
 	c.buf.Reset()
-	if c.enc == nil {
-		c.enc = json.NewEncoder(&c.buf)
-	}
-	if !c.appending {
-		if err := c.enc.Encode(checkpointHeader{Version: checkpointVersion, Fingerprint: c.fp, Points: c.points}); err != nil {
-			return err
-		}
-		inBatch := make(map[int]bool, len(batch))
-		for _, e := range batch {
-			inBatch[e.Point] = true
-		}
-		idx := make([]int, 0, len(c.restored))
-		for p := range c.restored {
-			if !inBatch[p] {
-				idx = append(idx, p)
-			}
-		}
-		slices.Sort(idx)
-		for _, p := range idx {
-			if err := c.enc.Encode(PointResult{p, c.restored[p]}); err != nil {
-				return err
-			}
-		}
+	if !c.headed {
+		c.buf.Write(c.header)
 	}
 	for _, e := range batch {
 		if err := c.enc.Encode(e); err != nil {
-			return err
+			return fmt.Errorf("core: checkpoint: %w", err)
 		}
 	}
-	switch {
-	case c.f != nil:
-		_, err := c.f.Write(c.buf.Bytes())
-		return err
-	case c.appending:
-		return appendFile(c.path, c.buf.Bytes())
+	if err := c.log.Append(c.buf.Bytes()); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, c.buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		return err
-	}
-	c.restored = nil
-	c.appending = true
-	if !hold {
-		return nil
-	}
-	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0)
-	c.f = f
-	return err
-}
-
-// appendFile writes data to the end of an existing file in one write.
-func appendFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	c.headed = true
+	return nil
 }

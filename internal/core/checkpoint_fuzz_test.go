@@ -3,55 +3,95 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // The sweep identity the committed seed corpus
-// (testdata/fuzz/FuzzLoadCheckpoint: a version-3 file and a torn one,
-// plus version-1 and version-2 files the loader must reject) is written
-// for.
+// (testdata/fuzz/FuzzLoadCheckpoint) is written for. The seeds are a
+// version-3 file and a torn one, version-1 and version-2 files the
+// loader must reject, a corrupt middle line, a repeated point, a torn
+// prefix of the header and a foreign first line.
 const (
 	fuzzFingerprint = 0x5eed
 	fuzzPoints      = 4
 )
 
-// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader. It
-// must never panic, every restored point must be in range, and a result
-// may come only from a complete line: dropping everything after the
-// last newline, or tearing another fragment onto a loadable file,
-// restores exactly the same points.
+// validCheckpoint is the oracle for what opening a checkpoint keeps of
+// data. A file with no complete line that is a prefix of the sweep's
+// header holds nothing (a torn creation); any other first line that is
+// not the sweep's complete format-3 header rejects the file. After the
+// header, the leading complete lines that each decode as an entry for a
+// distinct point in range are the restored points, and size is the
+// length of the header and those lines.
+func validCheckpoint(data []byte) (restored map[int]CampaignResult, size int, rejected bool) {
+	header := fmt.Sprintf("{\"version\":3,\"fingerprint\":%d,\"points\":%d}\n", fuzzFingerprint, fuzzPoints)
+	lines := strings.SplitAfter(string(data), "\n")
+	if !strings.HasSuffix(lines[0], "\n") {
+		return map[int]CampaignResult{}, 0, !strings.HasPrefix(header, lines[0])
+	}
+	var h checkpointHeader
+	if json.Unmarshal([]byte(lines[0]), &h) != nil || h != (checkpointHeader{checkpointVersion, fuzzFingerprint, fuzzPoints}) {
+		return nil, 0, true
+	}
+	restored, size = make(map[int]CampaignResult), len(lines[0])
+	for _, line := range lines[1:] {
+		var e struct {
+			Point  *int            `json:"point"`
+			Result *CampaignResult `json:"result"`
+		}
+		if !strings.HasSuffix(line, "\n") || json.Unmarshal([]byte(line), &e) != nil || e.Point == nil || e.Result == nil {
+			break
+		}
+		if _, dup := restored[*e.Point]; dup || *e.Point < 0 || *e.Point >= fuzzPoints {
+			break
+		}
+		restored[*e.Point] = *e.Result
+		size += len(line)
+	}
+	return restored, size, false
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader as
+// an existing checkpoint file. It must never panic. A rejected file is
+// left as it is. Otherwise the store must restore exactly the leading
+// valid run of entries and leave the file holding exactly the header
+// and those lines, so the next append starts on a line boundary.
 func FuzzLoadCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		done, err := parseCheckpoint(data, fuzzFingerprint, fuzzPoints)
-		if err != nil {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, size, rejected := validCheckpoint(data)
+		store, err := openCheckpoint(path, fuzzFingerprint, fuzzPoints)
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if rejected {
+			if err == nil || !bytes.Equal(got, data) {
+				t.Fatalf("rejected file: err %v, file changed %v; want an error and the file untouched", err, !bytes.Equal(got, data))
+			}
 			return
 		}
-		for p := range done {
-			if p < 0 || p >= fuzzPoints {
-				t.Fatalf("restored point %d out of range [0, %d)", p, fuzzPoints)
+		if err != nil {
+			t.Fatalf("openCheckpoint: %v", err)
+		}
+		defer store.Close()
+		if len(store.Restored()) != len(want) {
+			t.Fatalf("%d points restored, want %d", len(store.Restored()), len(want))
+		}
+		for p, res := range want {
+			if g, ok := store.Restored()[p]; !ok || g != res {
+				t.Fatalf("point %d = %+v (present %v), want %+v", p, g, ok, res)
 			}
 		}
-		same := func(label string, variant []byte) {
-			got, err := parseCheckpoint(variant, fuzzFingerprint, fuzzPoints)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if len(got) != len(done) {
-				t.Fatalf("%s: %d points restored, want %d", label, len(got), len(done))
-			}
-			for p, res := range done {
-				if g, ok := got[p]; !ok || g != res {
-					t.Fatalf("%s: point %d = %+v (present %v), want %+v", label, p, g, ok, res)
-				}
-			}
-		}
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			same("cut at the last newline", data[:i+1])
-		}
-		first, _, _ := bytes.Cut(data, []byte{'\n'})
-		var h checkpointHeader
-		if json.Unmarshal(first, &h) == nil && h.Version == checkpointVersion {
-			same("torn fragment appended", append(bytes.Clone(data), `{"point":0,"result":{"Rounds":9`...))
+		if !bytes.Equal(got, data[:size]) {
+			t.Fatalf("file after open = %q, want its valid prefix %q", got, data[:size])
 		}
 	})
 }

@@ -45,8 +45,7 @@ func TestCheckpointFlushesMemoizedPoints(t *testing.T) {
 	// Every point — including the memoized duplicates — must be in the
 	// file, so a resume after any crash restores them instead of
 	// re-running or miscounting them.
-	fp := SweepFingerprint(points, AdaptiveStop{})
-	done, err := loadCheckpoint(path, fp, len(points))
+	done, err := reloadCheckpoint(path, points)
 	if err != nil {
 		t.Fatalf("reading checkpoint back: %v", err)
 	}
@@ -90,8 +89,7 @@ func TestCheckpointMemoResumeBitIdentical(t *testing.T) {
 	// expected workload from what the crash actually left behind: one
 	// execution per distinct configuration neither restored nor already
 	// claimed by an earlier pending duplicate.
-	fp := SweepFingerprint(points, AdaptiveStop{})
-	done, err := loadCheckpoint(path, fp, len(points))
+	done, err := reloadCheckpoint(path, points)
 	if err != nil {
 		t.Fatalf("reading crashed checkpoint: %v", err)
 	}
@@ -132,7 +130,7 @@ func TestCheckpointMemoResumeBitIdentical(t *testing.T) {
 	}
 
 	// The finished file holds every point bit-identically.
-	doneAll, err := loadCheckpoint(path, fp, len(points))
+	doneAll, err := reloadCheckpoint(path, points)
 	if err != nil {
 		t.Fatalf("reading finished checkpoint: %v", err)
 	}

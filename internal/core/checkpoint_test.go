@@ -172,6 +172,16 @@ func writeCheckpoint(t *testing.T, path string, points []SweepPoint, done []Poin
 	}
 }
 
+// reloadCheckpoint opens the checkpoint at path as a resume would and
+// returns the points it restores.
+func reloadCheckpoint(path string, points []SweepPoint) (map[int]CampaignResult, error) {
+	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
+	if err != nil {
+		return nil, err
+	}
+	return store.Restored(), store.Close()
+}
+
 // checkpointLines splits a checkpoint file into its newline-terminated
 // lines (a torn final fragment is not a line).
 func checkpointLines(t *testing.T, path string) [][]byte {
@@ -227,11 +237,11 @@ func TestCheckpointTornTailResumesBitIdentical(t *testing.T) {
 	if want := roundsOf(points, torn.Point); stats.RoundsExecuted != want {
 		t.Errorf("resume executed %d rounds, want %d (only torn point %d re-runs)", stats.RoundsExecuted, want, torn.Point)
 	}
-	// The first flush rewrote the file whole: no fragment survives.
+	// Opening truncated the fragment: the resumed file is whole lines.
 	if got := checkpointLines(t, path); len(got) != 1+len(points) {
 		t.Errorf("resumed checkpoint has %d lines, want %d", len(got), 1+len(points))
 	}
-	if done, err := loadCheckpoint(path, SweepFingerprint(points, AdaptiveStop{}), len(points)); err != nil || len(done) != len(points) {
+	if done, err := reloadCheckpoint(path, points); err != nil || len(done) != len(points) {
 		t.Errorf("resumed checkpoint reloads %d points (err %v), want %d", len(done), err, len(points))
 	}
 }
@@ -263,13 +273,26 @@ func TestCheckpointPreKeyVersionsRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptCompleteLineRejected garbles a complete entry
+// line in the middle of a finished checkpoint. The line is rejected as
+// an entry: it ends the file's valid run, which the resume truncates,
+// so exactly the points of the truncated lines re-run, the results are
+// bit-identical, and the resumed file reloads every point.
 func TestCheckpointCorruptCompleteLineRejected(t *testing.T) {
 	points := checkpointTestPoints()[:3]
+	want, _, err := RunSweepPoints(points, SweepOptions{})
+	if err != nil {
+		t.Fatalf("reference sweep: %v", err)
+	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if _, _, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path); err != nil {
 		t.Fatalf("checkpointed sweep: %v", err)
 	}
 	lines := checkpointLines(t, path)
+	var kept PointResult
+	if err := json.Unmarshal(lines[1], &kept); err != nil {
+		t.Fatal(err)
+	}
 	for name, middle := range map[string]string{
 		"garbage":       "{\"point\":1,\"res\n",
 		"missing field": "{\"point\":1}\n",
@@ -280,17 +303,36 @@ func TestCheckpointCorruptCompleteLineRejected(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
-			if err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Errorf("corrupt middle line: err = %v, want a corruption rejection", err)
+			got, stats, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
+			if err != nil {
+				t.Fatalf("resume over a corrupt middle line: %v", err)
+			}
+			resultsEqual(t, "resume", got, want)
+			var rerun []int
+			for p := range points {
+				if p != kept.Point {
+					rerun = append(rerun, p)
+				}
+			}
+			if want := roundsOf(points, rerun...); stats.RoundsExecuted != want {
+				t.Errorf("resume executed %d rounds, want %d (points %v, cut with the corrupt line and the one after it)", stats.RoundsExecuted, want, rerun)
+			}
+			done, err := reloadCheckpoint(path, points)
+			if err != nil || len(done) != len(points) {
+				t.Fatalf("resumed checkpoint reloads %d points (err %v), want %d", len(done), err, len(points))
+			}
+			for p := range points {
+				if done[p] != want[p] {
+					t.Errorf("point %d reloaded as %+v, want %+v", p, done[p], want[p])
+				}
 			}
 		})
 	}
 }
 
-// TestCheckpointFlushAppendsOneLine pins the O(1) commit: after the
-// first flush, which rewrites the file, every flush adds exactly its own
-// entry line and leaves the bytes before it untouched.
+// TestCheckpointFlushAppendsOneLine pins the O(1) commit: every flush
+// into an existing file adds exactly its own entry line and leaves the
+// bytes before it untouched.
 func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 	points := checkpointTestPoints()
 	want, _, err := RunSweepPoints(points, SweepOptions{})
@@ -330,7 +372,7 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 			t.Fatalf("flush of point %d: file grew by %d bytes, want exactly its %d-byte entry line", p, len(after)-len(before), len(line))
 		}
 	}
-	done, err := loadCheckpoint(path, SweepFingerprint(points, AdaptiveStop{}), len(points))
+	done, err := reloadCheckpoint(path, points)
 	if err != nil {
 		t.Fatal(err)
 	}

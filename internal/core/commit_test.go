@@ -121,7 +121,7 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 			t.Errorf("batched line %q differs from every per-point Flush line", l)
 		}
 	}
-	done, err := loadCheckpoint(path, SweepFingerprint(points, AdaptiveStop{}), n)
+	done, err := reloadCheckpoint(path, points)
 	if err != nil {
 		t.Fatal(err)
 	}

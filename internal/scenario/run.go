@@ -38,13 +38,7 @@ func Run(spec *Spec, opt RunOptions) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	var results []core.CampaignResult
-	var stats core.SweepStats
-	if opt.Checkpoint != "" {
-		results, stats, err = core.RunSweepPointsCheckpoint(c.Points, core.SweepOptions{}, opt.Checkpoint)
-	} else {
-		results, stats, err = core.RunSweepPoints(c.Points, core.SweepOptions{})
-	}
+	results, stats, err := core.RunSweepPointsCheckpoint(c.Points, core.SweepOptions{}, opt.Checkpoint)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
