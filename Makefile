@@ -34,7 +34,7 @@ bench:
 
 # golden refreshes the committed experiment snapshots. Run it after a
 # deliberate output change and review the diff before committing.
-GOLDEN_EXPERIMENTS = fig6,headline,eq1-exact,faultsweep
+GOLDEN_EXPERIMENTS = fig6,headline,eq1-exact,faultsweep,defense
 golden:
 	$(GO) run ./cmd/tocttou -experiment $(GOLDEN_EXPERIMENTS) -golden testdata/golden
 

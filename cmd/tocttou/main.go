@@ -5,7 +5,7 @@
 //	tocttou -list
 //	tocttou -experiment fig6 [-rounds N] [-seed S] [-sizes 100,500,1000] [-metrics]
 //	tocttou -experiment all [-adaptive [-halfwidth 0.02] [-minrounds 50]]
-//	tocttou -experiment fig6,headline,eq1-exact,faultsweep -golden testdata/golden
+//	tocttou -experiment fig6,headline,eq1-exact,faultsweep,defense -golden testdata/golden
 //	tocttou -experiment faultsweep [-fault-rates 0,0.01,0.2] [-fault-seed 9973]
 //	tocttou -experiment headline -checkpoint headline.ckpt   (crash-safe; rerun resumes)
 //	tocttou -scenario examples/scenarios/fig6.yaml [-golden dir] [-checkpoint file.ckpt]

@@ -114,7 +114,16 @@ func run(args []string) error {
 		UseSyscall: use, FileSize: *sizeKB << 10, Seed: *seed, Trace: true,
 	}
 
-	round, err := findWanted(sc, *want)
+	pred := func(r core.Round) bool {
+		switch *want {
+		case "success":
+			return r.Success
+		case "failure":
+			return !r.Success && r.LD.Detected
+		}
+		return true
+	}
+	round, _, _, err := core.FindRound(sc, 512, 7919, pred)
 	if err != nil {
 		return err
 	}
@@ -221,29 +230,4 @@ func renderInput(path string, width int, csvPath string) error {
 		fmt.Printf("\nwrote %d events to %s\n", len(events), csvPath)
 	}
 	return nil
-}
-
-func findWanted(sc core.Scenario, want string) (core.Round, error) {
-	for i := 0; i < 512; i++ {
-		round, err := core.RunRound(sc)
-		if err != nil {
-			return core.Round{}, err
-		}
-		switch want {
-		case "any":
-			return round, nil
-		case "success":
-			if round.Success {
-				return round, nil
-			}
-		case "failure":
-			if !round.Success && round.LD.Detected {
-				return round, nil
-			}
-		default:
-			return core.Round{}, fmt.Errorf("unknown -want %q", want)
-		}
-		sc.Seed += 7919
-	}
-	return core.Round{}, fmt.Errorf("no %s round found in 512 seeds", want)
 }

@@ -224,23 +224,13 @@ type roundState struct {
 	k      *sim.Kernel
 	f      *fs.FS
 	tracer sim.SliceTracer
-	// prefix caches the point's setup prefix for copy-on-write forking
-	// (see fork.go). It survives across rounds and is rebuilt whenever the
-	// scenario's prefix signature changes.
+	// prefix holds the round's boot records — processes, images, env,
+	// cells — and, while valid, the snapshot forkable rounds of the same
+	// prefix signature fork (see fork.go).
 	prefix prefixState
 	// inj is the context's fault injector, re-armed in place each round
 	// that has a fault plan.
 	inj fault.Injector
-}
-
-// injector arms the round's fault injector for plan p: the context's own,
-// reset in place, or a fresh one on the RunRound path (nil context).
-func (st *roundState) injector(p fault.Plan, seed int64) *fault.Injector {
-	if st == nil {
-		return p.NewInjector(seed)
-	}
-	st.inj.Reset(p, seed)
-	return &st.inj
 }
 
 // release lets go of the context's forked kernel: Drain makes its parked
@@ -251,35 +241,80 @@ func (st *roundState) release() {
 	}
 }
 
+// runRound executes one round. A forkable round on a reusable context
+// whose captured prefix has the same signature forks it; every other round
+// boots through bootRound, and a forkable one then snapshots that boot for
+// the rounds after it. A nil context (RunRound) boots on a fresh one and
+// never snapshots. Booted and forked rounds share everything after.
 func runRound(sc Scenario, st *roundState) (Round, error) {
 	sc = sc.withDefaults()
 	if sc.Victim == nil || sc.Attacker == nil {
 		return Round{}, fmt.Errorf("core: scenario requires a victim and an attacker")
 	}
-	if forkable(sc, st) {
-		return runPrefixedRound(sc, st)
+	snapshot := st != nil && forkable(sc)
+	if st == nil {
+		st = &roundState{}
 	}
-	return runClassicRound(sc, st)
-}
-
-// runClassicRound executes one round by building everything — kernel
-// configuration, fixture tree, processes, thread closures — from scratch
-// (modulo the roundState's recycled allocations). It is the reference
-// execution path; kept separate from runRound so the closures built here
-// don't force the Scenario to escape on the prefix-forking fast path.
-func runClassicRound(sc Scenario, st *roundState) (Round, error) {
 	var tracer *sim.SliceTracer
 	var simTracer sim.Tracer
 	if sc.Trace {
-		if st != nil {
-			st.tracer.Reset()
-			tracer = &st.tracer
-		} else {
-			tracer = &sim.SliceTracer{}
-		}
+		st.tracer.Reset()
+		tracer = &st.tracer
 		simTracer = tracer
 	}
-	simCfg := sc.Machine.SimConfig(sc.Seed, simTracer)
+	// The fault injector rides the per-round configs: its stream is its
+	// own (mixed from the plan seed and the round seed), so arming it
+	// perturbs neither the kernel RNG nor any scheduling decision.
+	var inj *fault.Injector
+	if sc.Faults.Enabled() {
+		if err := sc.Faults.Validate(); err != nil {
+			return Round{}, fmt.Errorf("core: fault plan: %w", err)
+		}
+		st.inj.Reset(sc.Faults, sc.Seed)
+		inj = &st.inj
+	}
+	px := &st.prefix
+	sig := sigOf(sc)
+	if snapshot && px.valid && px.sig == sig {
+		px.fork(sc, st.k, st.f, simTracer, inj)
+	} else {
+		bootRound(sc, st, simTracer, inj)
+		if snapshot {
+			kimg, err := st.k.Snapshot()
+			if err != nil {
+				return Round{}, fmt.Errorf("core: prefix snapshot: %w", err)
+			}
+			px.kimg, px.fimg = kimg, st.f.Snapshot()
+			px.sig, px.valid = sig, true
+		}
+	}
+	k, f := st.k, st.f
+	// The call is gated on inj so the fault-free path never pays the
+	// heap copies of the scenario and env captured by faultd's closures.
+	if inj != nil {
+		px.cells.faultProc, px.cells.restart = armFaultKills(k, f, sc, inj,
+			px.victimProc, px.attackerProc, px.victimImg, px.env, &px.cells.victimErr)
+	}
+	if err := runKernel(sc, k); err != nil {
+		return Round{}, err
+	}
+	return collectRound(sc, k, f, tracer, inj, px.paths,
+		px.victimProc, px.attackerProc, px.cells.victimErr, px.cells.attackerErr)
+}
+
+// bootRound boots one round on st's kernel and file system, building them
+// on first use: kernel and fs config, guard, fixture tree, the victim and
+// attacker processes, the startup-phase draw, the thread bodies and the
+// load hogs, and the process-exit hook. It records the round's processes,
+// images, env and cells in st.prefix and clears prefix.valid, because
+// those records now belong to this round; only runRound's snapshot of this
+// boot makes them a prefix later rounds may fork. The thread bodies and
+// the exit hook read their per-round inputs through the prefix, so they
+// stay valid for every fork.
+func bootRound(sc Scenario, st *roundState, tracer sim.Tracer, inj *fault.Injector) {
+	px := &st.prefix
+	px.valid = false
+	simCfg := sc.Machine.SimConfig(sc.Seed, tracer)
 	simCfg.Chooser = sc.Chooser
 	simCfg.NoiseSlots = sc.NoiseSlots
 	simCfg.StallBound = sc.StallBound
@@ -294,115 +329,100 @@ func runClassicRound(sc Scenario, st *roundState) (Round, error) {
 		TrackContent:          sc.TrackContent,
 		UnsynchronizedLookups: sc.UnsynchronizedLookups,
 	}
-	// The fault injector rides the per-round configs: its stream is its
-	// own (mixed from the plan seed and the round seed), so arming it
-	// perturbs neither the kernel RNG nor any scheduling decision.
-	var inj *fault.Injector
-	if sc.Faults.Enabled() {
-		if err := sc.Faults.Validate(); err != nil {
-			return Round{}, fmt.Errorf("core: fault plan: %w", err)
-		}
-		inj = st.injector(sc.Faults, sc.Seed)
+	if inj != nil {
 		simCfg.Interrupter = inj
 		fsCfg.Faults = inj
 	}
-	var k *sim.Kernel
-	var f *fs.FS
-	switch {
-	case st == nil:
-		k = sim.New(simCfg)
-		f = fs.New(fsCfg)
-	case st.k == nil:
+	if st.k == nil {
 		st.k = sim.New(simCfg)
 		st.f = fs.New(fsCfg)
-		k, f = st.k, st.f
-	default:
+	} else {
 		st.k.Reset(simCfg)
 		st.f.Reset(fsCfg)
-		k, f = st.k, st.f
 	}
+	k, f := st.k, st.f
 	if sc.NewGuard != nil {
 		f.SetGuard(sc.NewGuard())
 	}
-	p := *sc.Paths
-	buildFixture(f, p, sc)
-
+	px.paths = *sc.Paths
+	buildFixture(f, px.paths, sc)
+	// The thread bodies capture this local rather than reading px.env: a
+	// call passing a struct field this large by value gives the closure a
+	// frame big enough that every fresh thread goroutine grows its stack.
 	env := prog.Env{
-		Target:   p.Target,
-		Backup:   p.Backup,
-		Temp:     p.Temp,
-		Passwd:   p.Passwd,
-		Dummy:    p.Dummy,
+		Target:   px.paths.Target,
+		Backup:   px.paths.Backup,
+		Temp:     px.paths.Temp,
+		Passwd:   px.paths.Passwd,
+		Dummy:    px.paths.Dummy,
 		FileSize: sc.FileSize,
 		OwnerUID: sc.AttackerUID,
 		OwnerGID: sc.AttackerGID,
 		Machine:  sc.Machine,
 	}
-
-	victimProc := k.NewProcess(sc.Victim.Name(), 0, 0)
-	attackerProc := k.NewProcess(sc.Attacker.Name(), sc.AttackerUID, sc.AttackerGID)
-	victimImg := userland.NewImage(sc.Machine.TrapCost, true)
-	attackerImg := userland.NewImage(sc.Machine.TrapCost, false)
-
-	var startup time.Duration
-	if sc.Chooser != nil && sc.PhaseSlots > 0 {
-		// Discretized phase: a uniform pick among slot midpoints, so
-		// exploration enumerates the phases exactly and a RandomChooser
-		// campaign samples the identical distribution.
-		slot := k.ChooseIndex(sim.ChoosePhase, sc.PhaseSlots, nil)
-		startup = time.Duration(int64(2*slot+1) * int64(sc.VictimStartupMax) / int64(2*sc.PhaseSlots))
+	px.env = env
+	px.victimProc = k.NewProcess(sc.Victim.Name(), 0, 0)
+	px.attackerProc = k.NewProcess(sc.Attacker.Name(), sc.AttackerUID, sc.AttackerGID)
+	if px.victimImg == nil {
+		px.victimImg = userland.NewImage(sc.Machine.TrapCost, true)
+		px.attackerImg = userland.NewImage(sc.Machine.TrapCost, false)
+		px.victimLibc = &userland.Libc{}
+		px.attackerLibc = &userland.Libc{}
 	} else {
-		startup = stats.UniformDuration(k.RNG(), 0, sc.VictimStartupMax)
+		px.victimImg.Reset(sc.Machine.TrapCost, true)
+		px.attackerImg.Reset(sc.Machine.TrapCost, false)
 	}
-	var victimErr, attackerErr error
-	k.Spawn(victimProc, "victim", func(t *sim.Task) {
+	px.cells = roundCells{startup: startupDelay(sc, k)}
+	victim, attacker := sc.Victim, sc.Attacker
+	k.Spawn(px.victimProc, "victim", func(t *sim.Task) {
 		// Editor activity before the save: randomizes the window's phase
 		// relative to scheduler quanta.
-		t.Compute(startup)
-		victimErr = sc.Victim.Run(userland.Bind(t, f, victimImg), env)
+		t.Compute(px.cells.startup)
+		px.cells.victimErr = victim.Run(px.victimLibc.Rebind(t, f, px.victimImg), env)
 	})
-	attackerThread := k.Spawn(attackerProc, "attacker", func(t *sim.Task) {
-		attackerErr = sc.Attacker.Run(userland.Bind(t, f, attackerImg), env)
+	attackerThread := k.Spawn(px.attackerProc, "attacker", func(t *sim.Task) {
+		px.cells.attackerErr = attacker.Run(px.attackerLibc.Rebind(t, f, px.attackerImg), env)
 	})
 	attackerThread.SetNice(sc.AttackerNice)
-	var loadProc *sim.Process
+	px.loadProc = nil
 	if sc.LoadThreads > 0 {
-		loadProc = k.NewProcess("load", 2000, 2000)
+		px.loadProc = k.NewProcess("load", 2000, 2000)
 		for i := 0; i < sc.LoadThreads; i++ {
-			hog := k.Spawn(loadProc, hogName(i), func(t *sim.Task) {
-				for !t.Killed() {
-					t.Compute(200 * time.Microsecond)
-				}
-			})
+			hog := k.Spawn(px.loadProc, hogName(i), hogBody)
 			// The hogs run identical closures, so exploration may merge
 			// dispatch picks among hogs with equal remaining compute.
 			hog.SetScheduleClass(1)
 		}
 	}
-	// The call is gated on inj so the fault-free path never pays the
-	// heap copies of the scenario and env captured by faultd's closures.
-	var faultProc *sim.Process
-	var restart *faultRestart
-	if inj != nil {
-		faultProc, restart = armFaultKills(k, f, sc, inj, victimProc, attackerProc, victimImg, env, &victimErr)
+	k.OnProcessExit(func(proc *sim.Process) {
+		c := &px.cells
+		if proc != px.victimProc || c.restart != nil && c.restart.pending {
+			// An injected crash with a supervised restart pending is not
+			// the end: the round continues once the victim relaunches.
+			return
+		}
+		// The save completed (or the victim died unsupervised); the
+		// window (if any) is closed.
+		k.KillProcess(px.attackerProc)
+		if px.loadProc != nil {
+			k.KillProcess(px.loadProc)
+		}
+		if c.faultProc != nil {
+			k.KillProcess(c.faultProc)
+		}
+	})
+}
+
+// startupDelay draws the victim's pre-save delay, the round's first use
+// of the kernel's randomness. With a Chooser and PhaseSlots it is a
+// uniform pick among slot midpoints, so exploration enumerates the phases
+// exactly and a RandomChooser campaign samples the identical distribution.
+func startupDelay(sc Scenario, k *sim.Kernel) time.Duration {
+	if sc.Chooser != nil && sc.PhaseSlots > 0 {
+		slot := k.ChooseIndex(sim.ChoosePhase, sc.PhaseSlots, nil)
+		return time.Duration(int64(2*slot+1) * int64(sc.VictimStartupMax) / int64(2*sc.PhaseSlots))
 	}
-	if faultProc == nil {
-		k.OnProcessExit(func(proc *sim.Process) {
-			if proc == victimProc {
-				// The save completed; the window (if any) is closed.
-				k.KillProcess(attackerProc)
-				if loadProc != nil {
-					k.KillProcess(loadProc)
-				}
-			}
-		})
-	} else {
-		k.OnProcessExit(faultExitHook(k, victimProc, attackerProc, loadProc, faultProc, restart))
-	}
-	if err := runKernel(sc, k); err != nil {
-		return Round{}, err
-	}
-	return collectRound(sc, k, f, tracer, inj, p, victimProc, attackerProc, victimErr, attackerErr)
+	return stats.UniformDuration(k.RNG(), 0, sc.VictimStartupMax)
 }
 
 // runKernel runs the booted round to completion and classifies the
@@ -478,9 +498,9 @@ type faultRestart struct{ pending bool }
 // their drawn virtual-time instants. The draws happen in a fixed order
 // (victim first, then attacker) so the injector's RNG stream is consumed
 // identically on every host. Returns the faultd process (nil when no kill
-// fires — the common case, which leaves the round's process set and its
-// exit hook on the exact fault-free path) and the restart coordinator (nil
-// unless a supervised victim kill is armed). Callers gate the call on a
+// fires — the common case, which leaves the round's process set on the
+// exact fault-free path) and the restart coordinator (nil unless a
+// supervised victim kill is armed); the round's exit hook reads both. Callers gate the call on a
 // non-nil injector: the closures below capture sc and env, which moves
 // both to the heap in this function's prologue — a cost fault-free rounds
 // must not pay.

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"tocttou/internal/attack"
+	"tocttou/internal/defense"
 	"tocttou/internal/fault"
 	"tocttou/internal/fs"
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
+	"tocttou/internal/sim"
 	"tocttou/internal/userland"
 	"tocttou/internal/victim"
 )
@@ -63,50 +65,101 @@ func randomForkScenario(rng *rand.Rand) Scenario {
 	return sc
 }
 
+// bootOnlyVariant turns a forkable scenario into one of the three kinds
+// of round that boot on every run and never snapshot: a guard round (the
+// §8 defense), a RandomChooser round with discretized startup phases, or
+// a round whose victim's type is not comparable.
+func bootOnlyVariant(sc Scenario, kind int) Scenario {
+	switch kind {
+	case 0:
+		sc.NewGuard = func() fs.Guard { return defense.New(defense.Enforce) }
+	case 1:
+		sc.Chooser = sim.RandomChooser{}
+		sc.PhaseSlots = 4
+	default:
+		sc.Victim = funcProgram{inner: sc.Victim}
+	}
+	return sc
+}
+
 // TestForkMatchesReplayProperty is the forking path's equivalence property:
 // for every scenario, a round executed by forking a worker's captured
 // prefix must be bit-for-bit identical — outcome, counters, errors, trace —
-// to the same seed executed classically on a fresh kernel. Run under -race
-// at GOMAXPROCS=1 and 8 by `make race` / CI.
+// to the same seed executed on a fresh kernel. On some draws a round that
+// cannot fork (bootOnlyVariant) runs on the same context between two
+// forkable rounds: it must equal its own fresh run, leave the prefix
+// invalid, and the next forkable round must boot and capture it again.
+// Run under -race at GOMAXPROCS=1 and 8 by `make race` / CI.
 func TestForkMatchesReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
+	// A second stream draws the interleavings, so the forkable scenarios
+	// drawn from rng stay the same with or without them.
+	mix := rand.New(rand.NewSource(20261018))
 	scenarios := 12
 	roundsPer := 6
 	if testing.Short() {
 		scenarios, roundsPer = 4, 3
 	}
+	same := func(s, r int, sc Scenario, st *roundState) bool {
+		t.Helper()
+		got, gerr := runRound(sc, st)
+		fresh, ferr := RunRound(sc)
+		// A round may legitimately fail (e.g. a kill-plan round that
+		// trips the virtual-time watchdog); the property is that both
+		// paths fail identically.
+		if (gerr == nil) != (ferr == nil) || (gerr != nil && gerr.Error() != ferr.Error()) {
+			t.Fatalf("scenario %d round %d seed %d: reused-context error %v, fresh error %v",
+				s, r, sc.Seed, gerr, ferr)
+		}
+		if gerr != nil {
+			// Production (the sweep engine) never reuses a context
+			// after a failed round; start the next one fresh.
+			*st = roundState{}
+			return false
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("scenario %d round %d seed %d: reused-context round differs from a fresh run\nreused: %+v\nfresh:  %+v",
+				s, r, sc.Seed, got, fresh)
+		}
+		return true
+	}
+	interleaved := 0
 	for s := 0; s < scenarios; s++ {
 		sc := randomForkScenario(rng)
-		if !forkable(sc, &roundState{}) {
+		if !forkable(sc) {
 			t.Fatalf("scenario %d unexpectedly not forkable", s)
+		}
+		bootAt, kind := -1, 0
+		if mix.Intn(2) == 0 {
+			bootAt, kind = 1+mix.Intn(roundsPer-1), mix.Intn(3)
 		}
 		var st roundState
 		base := sc.Seed
 		for r := 0; r < roundsPer; r++ {
 			sc.Seed = base + int64(r)*SeedStride
-			forked, ferr := runRound(sc, &st)
-			classic, cerr := RunRound(sc)
-			// A round may legitimately fail (e.g. a kill-plan round that
-			// trips the virtual-time watchdog); the property is that both
-			// paths fail identically.
-			if (ferr == nil) != (cerr == nil) || (ferr != nil && ferr.Error() != cerr.Error()) {
-				t.Fatalf("scenario %d round %d seed %d: forked error %v, classic error %v",
-					s, r, sc.Seed, ferr, cerr)
+			if r == bootAt {
+				boot := bootOnlyVariant(sc, kind)
+				if forkable(boot.withDefaults()) {
+					t.Fatalf("scenario %d round %d: boot-only variant %d is forkable", s, r, kind)
+				}
+				if same(s, r, boot, &st) {
+					if st.prefix.valid {
+						t.Fatalf("scenario %d round %d: prefix still valid after a boot-only round (variant %d)", s, r, kind)
+					}
+					interleaved++
+				}
 			}
-			if ferr != nil {
-				// Production (the sweep engine) never reuses a context
-				// after a failed round; start the next one fresh.
-				st = roundState{}
+			if !same(s, r, sc, &st) {
 				continue
 			}
 			if r > 0 && !st.prefix.valid {
 				t.Fatalf("scenario %d round %d: prefix not captured", s, r)
 			}
-			if !reflect.DeepEqual(forked, classic) {
-				t.Fatalf("scenario %d round %d seed %d: forked round differs from classic replay\nforked:  %+v\nclassic: %+v",
-					s, r, sc.Seed, forked, classic)
-			}
 		}
+	}
+	t.Logf("%d boot-only rounds interleaved", interleaved)
+	if interleaved == 0 {
+		t.Fatal("no boot-only round ran between forkable rounds")
 	}
 }
 
@@ -170,12 +223,12 @@ func TestForkableExclusions(t *testing.T) {
 	}
 	guard := base
 	guard.NewGuard = func() fs.Guard { return nil }
-	if forkable(guard.withDefaults(), &roundState{}) {
+	if forkable(guard.withDefaults()) {
 		t.Fatal("guard scenario must not be forkable")
 	}
 	fn := base
 	fn.Victim = funcProgram{inner: victim.NewVi()}
-	if forkable(fn.withDefaults(), &roundState{}) {
+	if forkable(fn.withDefaults()) {
 		t.Fatal("non-comparable program must not be forkable")
 	}
 	var st roundState

@@ -84,17 +84,22 @@ func TestInterruptStopsSweepGracefully(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-	// Drain mid-sweep: the first completed point closes the interrupt
-	// channel, exactly as a SIGTERM-draining server would.
+	// Drain mid-sweep, as a SIGTERM-draining server would: point 0's last
+	// round closes the interrupt channel as it commits. Closing it from
+	// OnPointDone instead raced the sweep's end, because under
+	// checkpointing that hook fires only after the batch's fsync, by
+	// which time the workers had often claimed every round and the sweep
+	// finished uninterrupted.
 	interrupt := make(chan struct{})
 	var once sync.Once
 	var first completionLog
-	firstHook := first.hook()
 	opt := SweepOptions{
-		Interrupt: interrupt,
-		OnPointDone: func(p int, res CampaignResult) {
-			firstHook(p, res)
-			once.Do(func() { close(interrupt) })
+		Interrupt:   interrupt,
+		OnPointDone: first.hook(),
+		OnRound: func(p, round int, _ Round) {
+			if p == 0 && round == points[0].Rounds-1 {
+				once.Do(func() { close(interrupt) })
+			}
 		},
 	}
 	_, _, err = RunSweepPointsCheckpoint(points, opt, path)
