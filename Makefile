@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ -run 'Campaign|Sweep|Adaptive|FindRound|OnRound|Aborted|Explore|Fault|Checkpoint|Watchdog|Panic|Fork|Coalesced|Memo|Horizon|EINTR|PointKey|Resume|Commit|Batch'
+	$(GO) test -race ./internal/core/ -run 'Campaign|Sweep|Adaptive|FindRound|OnRound|Aborted|Explore|Fault|Checkpoint|Watchdog|Panic|Fork|Coalesced|Horizon|EINTR|PointKey|Resume|Commit|Batch'
 	$(GO) test -race ./internal/experiments/ -run 'Sweep|Adaptive|Fault|Checkpoint'
 	$(GO) test -race ./internal/scenario/ -run 'Fleet|Checkpoint'
 	$(GO) test -race ./internal/campaignd/

@@ -123,13 +123,15 @@ func run(args []string) error {
 		}
 		return true
 	}
-	round, _, _, err := core.FindRound(sc, 512, 7919, pred)
+	// The header names the seed of the round shown, so -seed with it
+	// reproduces the round without -want.
+	round, found, _, err := core.FindRound(sc, 512, 7919, pred)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("round: machine=%s victim=%s attacker=%s size=%dKB seed=%d\n",
-		m.Name, vict.Name(), att.Name(), *sizeKB, sc.Seed)
+		m.Name, vict.Name(), att.Name(), *sizeKB, found)
 	fmt.Printf("outcome: success=%v window=%v detected=%v L=%.1fµs D=%.1fµs\n\n",
 		round.Success, round.WindowOK, round.LD.Detected,
 		round.LD.Lmicros(), round.LD.Dmicros())

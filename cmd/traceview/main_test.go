@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -190,5 +191,34 @@ func TestInputRendersExportedRound(t *testing.T) {
 	}
 	if lines := strings.Count(string(data), "\n"); lines < len(round.Events) {
 		t.Errorf("CSV re-export has %d lines for %d events", lines, len(round.Events))
+	}
+}
+
+// TestWantedSeedReproduces pins that the header names the round it
+// shows: re-running with the printed -seed and no -want must print the
+// same header and outcome.
+func TestWantedSeedReproduces(t *testing.T) {
+	seedRe := regexp.MustCompile(`seed=(-?[0-9]+)`)
+	for _, args := range [][]string{
+		{"-machine", "up", "-victim", "vi", "-size", "500", "-want", "success"},
+		{"-machine", "smp", "-victim", "gedit", "-attacker", "v1", "-size", "2", "-want", "failure"},
+	} {
+		head := func(args []string) []string {
+			out := captureStdout(t, func() {
+				if err := run(args); err != nil {
+					t.Fatalf("run(%v): %v", args, err)
+				}
+			})
+			return strings.SplitN(out, "\n", 3)[:2]
+		}
+		wanted := head(args)
+		m := seedRe.FindStringSubmatch(wanted[0])
+		if m == nil {
+			t.Fatalf("run(%v): header %q names no seed", args, wanted[0])
+		}
+		replay := head(append(args[:len(args)-2:len(args)-2], "-seed", m[1]))
+		if replay[0] != wanted[0] || replay[1] != wanted[1] {
+			t.Errorf("run(%v) printed\n%s\n%s\nbut -seed %s alone printed\n%s\n%s", args, wanted[0], wanted[1], m[1], replay[0], replay[1])
+		}
 	}
 }

@@ -63,15 +63,9 @@ type JobInfo struct {
 	State       string `json:"state"`
 	SubmittedAt string `json:"submitted_at"`
 	// Points is the compiled grid size; Committed counts point events in
-	// the log. Memoized counts the points the finishing run copied from
-	// a log-restored point with the same key instead of
-	// simulating them (core.SweepResume.Memoized). The resume step counts
-	// them before any executor runs, so the number is the same
-	// in-process and over a worker fleet; restored points themselves do
-	// not count.
+	// the log.
 	Points    int `json:"points"`
 	Committed int `json:"committed"`
-	Memoized  int `json:"memoized"`
 	// Cached marks a submit response served from the completed store:
 	// an identical re-submission of a finished campaign re-runs nothing.
 	Cached bool `json:"cached,omitempty"`
@@ -112,7 +106,6 @@ type EndEvent struct {
 	State            string `json:"state"`
 	Points           int    `json:"points"`
 	Committed        int    `json:"committed"`
-	Memoized         int    `json:"memoized"`
 	Error            string `json:"error,omitempty"`
 	Watchdog         bool   `json:"watchdog,omitempty"`
 	AssertionFailure string `json:"assertion_failure,omitempty"`
@@ -200,7 +193,6 @@ func (j *job) endEventLocked() json.RawMessage {
 		State:            j.info.State,
 		Points:           j.info.Points,
 		Committed:        j.info.Committed,
-		Memoized:         j.info.Memoized,
 		Error:            j.info.Error,
 		Watchdog:         j.info.Watchdog,
 		AssertionFailure: j.info.AssertionFailure,

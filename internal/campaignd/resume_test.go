@@ -126,7 +126,7 @@ func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, log []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	info.State, info.Committed, info.Memoized, info.Cached = StateInterrupted, 0, 0, false
+	info.State, info.Committed, info.Cached = StateInterrupted, 0, false
 	state, err := json.Marshal(info)
 	if err != nil {
 		t.Fatal(err)
@@ -142,12 +142,11 @@ func stageInterrupted(t *testing.T, info JobInfo, src, dataDir string, log []byt
 	}
 }
 
-// TestResumeMemoizedSameInProcessAndFleet resumes one interrupted job
-// twice, in-process and over a two-worker fleet: both runs go through
-// the same resume step, so they must stream the same points, render the
-// same report and report the same memoized count, in state.json and in
-// the end event.
-func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
+// TestResumeSameInProcessAndFleet resumes one interrupted job twice,
+// in-process and over a two-worker fleet: both runs go through the same
+// resume step, so they must stream the same points and render the same
+// report.
+func TestResumeSameInProcessAndFleet(t *testing.T) {
 	info, src := finishedJob(t, "svc-small.yaml", smallSpec)
 	// Keep the first committed point: the cut a crash after one commit
 	// leaves.
@@ -155,7 +154,6 @@ func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
 
 	type outcome struct {
 		end      *EndEvent
-		stored   JobInfo
 		report   string
 		streamed int
 	}
@@ -173,7 +171,6 @@ func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
 			t.Fatalf("staged job %s not restored", info.ID)
 		}
 		s.wg.Wait() // the resumed job runs to its terminal state
-		out.stored = readState(t, j)
 		out.end = endEvent(t, j)
 		out.streamed = j.snapshot().Committed
 		report, err := os.ReadFile(j.reportPath())
@@ -197,13 +194,6 @@ func TestResumeMemoizedSameInProcessAndFleet(t *testing.T) {
 		if out.report != want {
 			t.Errorf("%s: resumed report diverged from the local run:\n%s", name, out.report)
 		}
-		if out.stored.Memoized != out.end.Memoized {
-			t.Errorf("%s: state.json memoized %d, end event %d", name, out.stored.Memoized, out.end.Memoized)
-		}
-	}
-	if inproc.end.Memoized != fleet.end.Memoized || inproc.stored.Memoized != fleet.stored.Memoized {
-		t.Errorf("memoized differs by executor: in-process %d/%d, fleet %d/%d (state.json/end event)",
-			inproc.stored.Memoized, inproc.end.Memoized, fleet.stored.Memoized, fleet.end.Memoized)
 	}
 }
 

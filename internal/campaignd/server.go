@@ -370,7 +370,7 @@ func (s *Server) runJob(j *job) {
 		return err
 	}
 	var quarantined []workerpool.Quarantine
-	rs, err := core.ResumeSweep(log, j.compiled.Points, core.SweepOptions{}, onBatch)
+	rs, err := core.ResumeSweep(log, j.compiled.Points, onBatch)
 	log.restored = nil // settled into results; nothing reads the map again
 	if err == nil {
 		if s.cfg.Workers > 0 {
@@ -398,7 +398,7 @@ func (s *Server) runJob(j *job) {
 			info.Watchdog = strings.Contains(err.Error(), "core: watchdog:")
 		})
 	default:
-		s.finishDone(j, results, rs.Memoized, quarantined)
+		s.finishDone(j, results, quarantined)
 	}
 }
 
@@ -407,8 +407,8 @@ func (s *Server) runJob(j *job) {
 // evaluates the spec's assertions. Quarantined points (fleet mode only)
 // are appended after the rendering so an unchaosed report stays
 // byte-identical to the local golden.
-func (s *Server) finishDone(j *job, results []core.CampaignResult, memoized int, quarantined []workerpool.Quarantine) {
-	out := &scenario.Outcome{Spec: j.spec, Compiled: j.compiled, Results: results, Stats: core.SweepStats{PointsMemoized: memoized}}
+func (s *Server) finishDone(j *job, results []core.CampaignResult, quarantined []workerpool.Quarantine) {
+	out := &scenario.Outcome{Spec: j.spec, Compiled: j.compiled, Results: results}
 	var buf strings.Builder
 	if err := out.Render(&buf); err != nil {
 		s.settle(j, func(info *JobInfo) {
@@ -434,14 +434,13 @@ func (s *Server) finishDone(j *job, results []core.CampaignResult, memoized int,
 	}
 	s.settle(j, func(info *JobInfo) {
 		info.State = StateDone
-		info.Memoized = memoized
 		info.AssertionFailure = assertion
 		info.Quarantined = nil
 		for _, q := range quarantined {
 			info.Quarantined = append(info.Quarantined, q.Point)
 		}
 	})
-	s.cfg.Logf("campaignd: job %s done (%d points, %d memoized, %d quarantined)", j.id, len(results), memoized, len(quarantined))
+	s.cfg.Logf("campaignd: job %s done (%d points, %d quarantined)", j.id, len(results), len(quarantined))
 }
 
 // renderQuarantine is the report appendix describing poison points: the
@@ -645,14 +644,12 @@ type Stats struct {
 	PointsCommitted int64          `json:"points_committed"`
 	PointsPerSec    float64        `json:"points_per_sec"`
 	MemoHits        int64          `json:"memo_hits"`
-	PointsMemoized  int            `json:"points_memoized"`
 	// Fleet supervision counters (always present; zero in-process).
 	// WorkerRestarts counts worker replacements after crashes/stalls;
 	// LeasesRequeued counts leases a worker death sent back to the
 	// queue; PointsDeduped counts committed points a dead worker's lease
-	// would have double-counted (the exactly-once seam, the fleet
-	// analogue of PointsMemoized); PointsQuarantined counts poison
-	// points set aside across all jobs.
+	// would have double-counted (the exactly-once seam); PointsQuarantined
+	// counts poison points set aside across all jobs.
 	WorkerRestarts    int64   `json:"worker_restarts"`
 	LeasesRequeued    int64   `json:"leases_requeued"`
 	PointsDeduped     int64   `json:"points_deduped"`
@@ -667,7 +664,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.jobs {
 		info := j.snapshot()
 		st.Jobs[info.State]++
-		st.PointsMemoized += info.Memoized
 		st.PointsQuarantined += len(info.Quarantined)
 	}
 	s.mu.Unlock()

@@ -85,13 +85,8 @@ type SweepStore interface {
 type SweepResume struct {
 	// Pending lists, ascending, the points the executor must run.
 	Pending []int
-	// Memoized counts the restored copies: pending points whose exact key
-	// a restored point holds, settled with its result instead of being
-	// simulated. Restored points themselves do not count.
-	Memoized int
 
 	points []SweepPoint
-	sums   []keySum // every point's key hash, for RunPending's memo pass
 	store  SweepStore
 	done   func(batch []PointResult) error
 
@@ -108,54 +103,30 @@ type SweepResume struct {
 // (campaignd). store holds what earlier runs of this sweep committed;
 // the caller opened it for these points (OpenCheckpoint rejects a file
 // written for a different sweep by fingerprint). Before any simulation
-// ResumeSweep settles every point it can: a restored point as it is,
-// and a pending point whose exact key a restored point holds as a copy
-// of it. The copies are appended to the store first; then all settled
-// points reach done as one batch, in ascending index order. Copies
-// follow the rules of memo.go: with options that make per-point
-// execution observable, only restored points replay. On error the
-// store is closed.
+// the restored points reach done as one batch, in ascending index
+// order; every other point is pending. On error the store is closed.
 //
 // done receives batches from one goroutine at a time: this replay, then
 // the committer. It must not retain a batch, whose slice is reused. An
 // error from it fails the batch: the replay's is returned, a committer
 // batch's is sticky (see Commit).
-func ResumeSweep(store SweepStore, points []SweepPoint, opt SweepOptions, done func(batch []PointResult) error) (*SweepResume, error) {
-	sums := make([]keySum, len(points))
-	fingerprints(points, opt.Adaptive, sums)
+func ResumeSweep(store SweepStore, points []SweepPoint, done func(batch []PointResult) error) (*SweepResume, error) {
 	restored := store.Restored()
-	var rep []int
-	if len(restored) > 0 && !memoObservable(opt) {
-		rep = memoReps(points, restored, sums)
-	}
-	r := &SweepResume{points: points, sums: sums, store: store, done: done}
+	r := &SweepResume{points: points, store: store, done: done}
 	r.wake.L = &r.mu
-	var settled, copies []PointResult
+	var settled []PointResult
 	for i := range points {
 		if res, ok := restored[i]; ok {
 			settled = append(settled, PointResult{i, res})
-			continue
+		} else {
+			r.Pending = append(r.Pending, i)
 		}
-		if rep != nil {
-			if res, ok := restored[rep[i]]; ok {
-				copies = append(copies, PointResult{i, res})
-				settled = append(settled, PointResult{i, res})
-				continue
-			}
+	}
+	if len(settled) > 0 {
+		if err := done(settled); err != nil {
+			store.Close()
+			return nil, err
 		}
-		r.Pending = append(r.Pending, i)
-	}
-	r.Memoized = len(copies)
-	var err error
-	if len(copies) > 0 {
-		err = store.Append(copies)
-	}
-	if err == nil && len(settled) > 0 {
-		err = done(settled)
-	}
-	if err != nil {
-		store.Close()
-		return nil, err
 	}
 	return r, nil
 }
@@ -240,16 +211,12 @@ func (r *SweepResume) Drain() error {
 
 // RunPending is the in-process executor: it runs the pending points
 // through RunSweepSubset with opt (its OnPointDone replaced by Commit),
-// so pending duplicates of one another are memoized there, then drains
-// the committer. The stats cover the executed work, plus Memoized in
-// PointsMemoized. A commit error fails the run ahead of the sweep's own
-// outcome.
+// then drains the committer. The stats cover the executed work. A
+// commit error fails the run ahead of the sweep's own outcome.
 func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
 	// Commit errors are sticky; Drain reports the first.
 	opt.OnPointDone = func(p int, res CampaignResult) { r.Commit(p, res) }
-	opt.keySums = r.sums
 	_, st, err := RunSweepSubset(r.points, r.Pending, opt)
-	st.PointsMemoized += r.Memoized
 	if derr := r.Drain(); derr != nil {
 		return st, derr
 	}
@@ -280,7 +247,7 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	}
 	results := make([]CampaignResult, len(points))
 	user := opt.OnPointDone
-	rs, err := ResumeSweep(store, points, opt, func(batch []PointResult) error {
+	rs, err := ResumeSweep(store, points, func(batch []PointResult) error {
 		for _, pr := range batch {
 			results[pr.Point] = pr.Result
 			if user != nil {

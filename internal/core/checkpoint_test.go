@@ -382,3 +382,62 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointResumeRemapsErrorPoint pins that a resumed sweep reports
+// a failing round at the caller's grid coordinate. Point 0 is restored,
+// so the resume runs points 1-3 as a subset and point 2 fails: the
+// reported index must be 2, not the dense subset index 1.
+func TestCheckpointResumeRemapsErrorPoint(t *testing.T) {
+	a := viSc(machine.SMP2(), 4<<10, 98001, false)
+	points := []SweepPoint{
+		{Scenario: a, Rounds: 10},
+		{Scenario: a, Rounds: 10},
+		{Scenario: failingScenario(98003), Rounds: 10},
+		{Scenario: a, Rounds: 10},
+	}
+
+	aRes, _, err := RunSweepPoints(points[:1], SweepOptions{})
+	if err != nil {
+		t.Fatalf("healthy point: %v", err)
+	}
+	// Hand-write a checkpoint holding only point 0, as if the first run
+	// crashed right after committing it.
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	writeCheckpoint(t, path, points, []PointResult{{Point: 0, Result: aRes[0]}})
+
+	_, _, err = RunSweepPointsCheckpoint(points, SweepOptions{}, path)
+	if err == nil {
+		t.Fatal("resume over a failing point succeeded, want error")
+	}
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v is not a *SweepError", err)
+	}
+	if se.Point != 2 {
+		t.Errorf("failing point = %d, want caller coordinate 2 (point 0 was restored)", se.Point)
+	}
+}
+
+// TestCheckpointFreshRunReportsErrorPoint is the same check for a
+// checkpointed run that starts from an empty file.
+func TestCheckpointFreshRunReportsErrorPoint(t *testing.T) {
+	a := viSc(machine.SMP2(), 4<<10, 98011, false)
+	points := []SweepPoint{
+		{Scenario: a, Rounds: 10},
+		{Scenario: a, Rounds: 10},
+		{Scenario: failingScenario(98013), Rounds: 10},
+		{Scenario: a, Rounds: 10},
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	_, _, err := RunSweepPointsCheckpoint(points, SweepOptions{}, path)
+	if err == nil {
+		t.Fatal("fresh checkpointed run over a failing point succeeded, want error")
+	}
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v is not a *SweepError", err)
+	}
+	if se.Point != 2 {
+		t.Errorf("failing point = %d, want caller coordinate 2", se.Point)
+	}
+}

@@ -50,7 +50,7 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	seen := make(map[int]int)
 	batches := 0
-	rs, err := ResumeSweep(openStore(t, path, points), points, SweepOptions{}, func(batch []PointResult) error {
+	rs, err := ResumeSweep(openStore(t, path, points), points, func(batch []PointResult) error {
 		batches++
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -138,7 +138,7 @@ func TestCommitBatchErrorIsSticky(t *testing.T) {
 	points, results := commitGrid(8)
 	boom := errors.New("done failed")
 	calls := 0
-	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, SweepOptions{}, func([]PointResult) error {
+	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, func([]PointResult) error {
 		calls++
 		return boom
 	})
@@ -167,7 +167,7 @@ func TestCommitBatchErrorIsSticky(t *testing.T) {
 // a drain with nothing committed starts no committer.
 func TestCommitAfterDrainFails(t *testing.T) {
 	points, results := commitGrid(4)
-	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, SweepOptions{}, func([]PointResult) error { return nil })
+	rs, err := ResumeSweep(openStore(t, filepath.Join(t.TempDir(), "sweep.ckpt"), points), points, func([]PointResult) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

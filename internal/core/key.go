@@ -4,9 +4,9 @@ package core
 // is a pure function of its scenario and seed, so a point is fully
 // identified by its defaulted configuration and round budget — and
 // every identity the engine trusts derives from this one encoding:
-// in-process memoization compares keys exactly, PointFingerprint and
-// SweepFingerprint hash them, and through those the checkpoint header,
-// the worker fleet's lease checks and campaignd's job ids.
+// PointFingerprint and SweepFingerprint hash it, and through those the
+// checkpoint header, the worker fleet's lease checks and campaignd's job
+// ids.
 //
 // The encoding follows the scenario by value: every plain field, the
 // full machine profile and the victim and attacker programs, pointers
@@ -14,8 +14,7 @@ package core
 // address and never depends on map order, so a worker process that
 // recompiles the same spec computes the same key. Code cannot be
 // encoded: SuccessCheck, NewGuard, Chooser and func-valued program
-// fields contribute only their presence, and make the point
-// non-memoizable.
+// fields contribute only their presence.
 
 import (
 	"fmt"
@@ -27,14 +26,14 @@ import (
 )
 
 // PointKey returns the canonical encoding of a point's result-
-// determining configuration, and whether it is exact: false when the
-// point carries code (a hook, a chooser, a func-valued program field)
-// whose behavior the key records only by presence. Two points with
-// equal exact keys run bit-identical campaigns.
-func PointKey(p SweepPoint) (key string, exact bool) {
+// determining configuration. Two points with equal keys run
+// bit-identical campaigns, unless they carry code (a hook, a chooser, a
+// func-valued program field) whose behavior the key records only by
+// presence.
+func PointKey(p SweepPoint) string {
 	var w keyWriter
 	w.point(p)
-	return string(w.b), w.exact
+	return string(w.b)
 }
 
 // PointFingerprint is the FNV-1a hash of PointKey. The worker fleet tags
@@ -52,45 +51,26 @@ func PointFingerprint(p SweepPoint) uint64 {
 // sweeps with equal fingerprints run bit-identical campaigns, modulo
 // the code the keys record only by presence.
 func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
-	return fingerprints(points, ad, nil)
+	sweep, _ := Fingerprints(points, ad)
+	return sweep
 }
 
 // Fingerprints returns SweepFingerprint and every point's
-// PointFingerprint, encoding each key once.
+// PointFingerprint, encoding each key once. The keys stream through one
+// reused buffer: no key outlives its hashing. The "v2" tag names the key
+// encoding; checkpoint files carry their own format version.
 func Fingerprints(points []SweepPoint, ad AdaptiveStop) (sweep uint64, perPoint []uint64) {
-	sums := make([]keySum, len(points))
-	sweep = fingerprints(points, ad, sums)
-	perPoint = make([]uint64, len(points))
-	for i, s := range sums {
-		perPoint[i] = s.hash
-	}
-	return sweep, perPoint
-}
-
-// keySum is what the memo pass matches a point on before it compares
-// keys: the key's FNV-1a hash (its PointFingerprint) and exactness.
-type keySum struct {
-	hash  uint64
-	exact bool
-}
-
-// fingerprints streams the sweep's keys through one reused buffer: no
-// key outlives its hashing. With sums non-nil it also fills sums[i] for
-// every point. The "v2" tag names the key encoding; checkpoint files
-// carry their own format version.
-func fingerprints(points []SweepPoint, ad AdaptiveStop, sums []keySum) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v2 n=%d adaptive=%v|", len(points), ad)
+	perPoint = make([]uint64, len(points))
 	var w keyWriter
 	for i, p := range points {
 		w.point(p)
 		h.Write(w.b)
 		h.Write([]byte{'|'})
-		if sums != nil {
-			sums[i] = keySum{fnv64a(w.b), w.exact}
-		}
+		perPoint[i] = fnv64a(w.b)
 	}
-	return h.Sum64()
+	return h.Sum64(), perPoint
 }
 
 // fnv64a is the FNV-1a hash of b.
@@ -102,10 +82,9 @@ func fnv64a(b []byte) uint64 {
 
 // keyWriter appends the canonical encoding of a value to b.
 type keyWriter struct {
-	b     []byte
-	exact bool
+	b []byte
 	// path holds the pointers being followed, so a cyclic structure
-	// terminates (and makes the key inexact) instead of recursing.
+	// terminates instead of recursing.
 	path []uintptr
 }
 
@@ -114,7 +93,7 @@ func (w *keyWriter) point(p SweepPoint) {
 	sc := p.Scenario.withDefaults()
 	chooser := sc.Chooser != nil
 	sc.Chooser = nil
-	w.b, w.exact, w.path = w.b[:0], !chooser, w.path[:0]
+	w.b, w.path = w.b[:0], w.path[:0]
 	w.b = fmt.Appendf(w.b, "rounds=%d chooser=%t ", p.Rounds, chooser)
 	w.value(reflect.ValueOf(sc))
 }
@@ -148,7 +127,6 @@ func (w *keyWriter) value(v reflect.Value) {
 		}
 		if slices.Contains(w.path, v.Pointer()) {
 			w.b = append(w.b, "cycle"...)
-			w.exact = false
 			return
 		}
 		w.path = append(w.path, v.Pointer())
@@ -174,11 +152,10 @@ func (w *keyWriter) value(v reflect.Value) {
 	case reflect.Map:
 		entries := make([]string, 0, v.Len())
 		for it := v.MapRange(); it.Next(); {
-			e := keyWriter{exact: true, path: w.path}
+			e := keyWriter{path: w.path}
 			e.value(it.Key())
 			e.b = append(e.b, ':')
 			e.value(it.Value())
-			w.exact = w.exact && e.exact
 			entries = append(entries, string(e.b))
 		}
 		slices.Sort(entries)
@@ -194,7 +171,6 @@ func (w *keyWriter) value(v reflect.Value) {
 			return
 		}
 		w.b = append(w.b, "set"...)
-		w.exact = false
 	}
 }
 

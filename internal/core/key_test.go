@@ -10,6 +10,7 @@ import (
 
 	"tocttou/internal/attack"
 	"tocttou/internal/core"
+	"tocttou/internal/defense"
 	"tocttou/internal/fs"
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
@@ -104,7 +105,7 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 // It returns the number of leaves checked.
 func checkEveryLeafChangesKey(t *testing.T, label string, build func() core.SweepPoint, root func(*core.SweepPoint) reflect.Value) int {
 	t.Helper()
-	base, _ := core.PointKey(build())
+	base := core.PointKey(build())
 	for k := 0; ; k++ {
 		p := build()
 		name, n := "", 0
@@ -118,7 +119,7 @@ func checkEveryLeafChangesKey(t *testing.T, label string, build func() core.Swee
 		if name == "" {
 			return k
 		}
-		if key, _ := core.PointKey(p); key == base {
+		if key := core.PointKey(p); key == base {
 			t.Errorf("perturbing %s left PointKey unchanged", name)
 		}
 	}
@@ -178,28 +179,43 @@ func TestPointKeyCoversEveryField(t *testing.T) {
 	// Programs of different types never share a key, fields or not.
 	p, q := keyTestPoint(), keyTestPoint()
 	p.Scenario.Attacker, q.Scenario.Attacker = attack.Idle{}, keyTestProgram{}
-	kp, _ := core.PointKey(p)
-	kq, _ := core.PointKey(q)
+	kp := core.PointKey(p)
+	kq := core.PointKey(q)
 	if kp == kq {
 		t.Error("two field-less attacker types share a key")
 	}
 }
 
-// TestPointKeyCodeIsInexact pins that the hooks the key can record only
-// by presence make a point non-memoizable.
+// TestPointKeyCodeIsInexact pins that the key records the hooks it
+// cannot encode by presence only: setting a hook changes the key, and
+// two hooks with different behavior give the same key.
 func TestPointKeyCodeIsInexact(t *testing.T) {
-	if _, exact := core.PointKey(keyTestPoint()); !exact {
-		t.Fatal("plain point is not exact")
-	}
-	for name, mutate := range map[string]func(*core.Scenario){
-		"SuccessCheck": func(sc *core.Scenario) { sc.SuccessCheck = func(*fs.FS, core.Paths, int) bool { return true } },
-		"NewGuard":     func(sc *core.Scenario) { sc.NewGuard = func() fs.Guard { return nil } },
-		"Chooser":      func(sc *core.Scenario) { sc.Chooser = sim.RandomChooser{} },
+	plain := core.PointKey(keyTestPoint())
+	for name, set := range map[string][2]func(*core.Scenario){
+		"SuccessCheck": {
+			func(sc *core.Scenario) { sc.SuccessCheck = func(*fs.FS, core.Paths, int) bool { return true } },
+			func(sc *core.Scenario) { sc.SuccessCheck = func(*fs.FS, core.Paths, int) bool { return false } },
+		},
+		"NewGuard": {
+			func(sc *core.Scenario) { sc.NewGuard = func() fs.Guard { return nil } },
+			func(sc *core.Scenario) { sc.NewGuard = func() fs.Guard { return defense.New(defense.Enforce) } },
+		},
+		"Chooser": {
+			func(sc *core.Scenario) { sc.Chooser = sim.RandomChooser{} },
+			func(sc *core.Scenario) { sc.Chooser = &sim.ScriptChooser{Script: []int{1}} },
+		},
 	} {
-		p := keyTestPoint()
-		mutate(&p.Scenario)
-		if _, exact := core.PointKey(p); exact {
-			t.Errorf("%s set: key still exact", name)
+		var keys [2]string
+		for i, mutate := range set {
+			p := keyTestPoint()
+			mutate(&p.Scenario)
+			keys[i] = core.PointKey(p)
+		}
+		if keys[0] == plain {
+			t.Errorf("%s set: key equals the plain point's", name)
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%s: two hooks gave different keys; code must be keyed by presence only", name)
 		}
 	}
 }
@@ -235,13 +251,10 @@ func TestPointKeyStableAcrossCompiles(t *testing.T) {
 		path := filepath.Join("..", "..", "examples", "scenarios", file)
 		a, b := compileFile(t, path), compileFile(t, path)
 		for i := range a.Points {
-			ka, exact := core.PointKey(a.Points[i])
-			kb, _ := core.PointKey(b.Points[i])
+			ka := core.PointKey(a.Points[i])
+			kb := core.PointKey(b.Points[i])
 			if ka != kb {
 				t.Fatalf("%s point %d: keys of two compiles differ:\n%s\n%s", file, i, ka, kb)
-			}
-			if !exact {
-				t.Errorf("%s point %d: key not exact", file, i)
 			}
 		}
 	}

@@ -36,12 +36,6 @@ func RunSweepSubset(points []SweepPoint, indices []int, opt SweepOptions) ([]Cam
 		sub[k] = points[idx]
 	}
 	subOpt := opt
-	if opt.keySums != nil {
-		subOpt.keySums = make([]keySum, len(indices))
-		for k, idx := range indices {
-			subOpt.keySums[k] = opt.keySums[idx]
-		}
-	}
 	if user := opt.OnRound; user != nil {
 		subOpt.OnRound = func(p, round int, r Round) { user(indices[p], round, r) }
 	}

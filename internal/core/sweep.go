@@ -89,15 +89,12 @@ type SweepOptions struct {
 	// the caller's point index. It fires exactly once per completed
 	// point, under that point's fold lock; calls for different points
 	// may be concurrent, and points cut short by cancellation or
-	// Interrupt never fire. Unlike OnRound it composes with sweep-point
-	// memoization: a memoized duplicate fires the moment its
-	// representative completes, with the duplicate's own index. Under
-	// RunSweepPointsCheckpoint it fires from the sweep's committer, one
-	// call at a time, once the point's checkpoint line is written, and
-	// additionally replays the points the checkpoint settles
-	// (ResumeSweep: ascending index order, before any simulation), so a
-	// resumed sweep reports every point exactly once — the streaming
-	// seam the campaign service is built on.
+	// Interrupt never fire. Under RunSweepPointsCheckpoint it fires from
+	// the sweep's committer, one call at a time, once the point's
+	// checkpoint line is written, and additionally replays the points
+	// the checkpoint restored (ResumeSweep: ascending index order, before
+	// any simulation), so a resumed sweep reports every point exactly
+	// once — the streaming seam the campaign service is built on.
 	OnPointDone func(point int, res CampaignResult)
 	// Interrupt, when non-nil, requests a graceful mid-sweep stop the
 	// moment it is closed: workers stop claiming rounds, in-flight
@@ -106,11 +103,6 @@ type SweepOptions struct {
 	// have already reached OnPointDone (and, under checkpointing, the
 	// checkpoint file), so an interrupted sweep resumes bit-identically.
 	Interrupt <-chan struct{}
-	// keySums, when set, holds every point's key hash and exactness,
-	// computed by ResumeSweep's fingerprint pass, so the memo pass need
-	// not encode every key again. Unexported: the resume step's hand-off
-	// to RunPending.
-	keySums []keySum
 	// stopAfterPoints, when positive, cancels the sweep right after that
 	// many points complete and makes RunSweepPoints return
 	// ErrSweepInterrupted. Unexported: it simulates a mid-sweep crash for
@@ -128,10 +120,8 @@ type SweepStats struct {
 	RoundsExecuted int
 	// PointsStopped counts points halted early by the adaptive rule.
 	PointsStopped int
-	// PointsMemoized counts points whose result was copied from an
-	// identically-configured earlier point instead of being simulated
-	// (see memo.go); memoized points contribute nothing to
-	// RoundsExecuted or RoundsCommitted.
+	// PointsMemoized is always zero: every point is simulated. The field
+	// stays because the benchmark module reads it.
 	PointsMemoized int
 }
 
@@ -175,71 +165,9 @@ func RunSweep(scs []Scenario, rounds int, opt SweepOptions) ([]CampaignResult, e
 }
 
 // RunSweepPoints is RunSweep with per-point budgets and execution stats.
-// Points that are provably duplicates — equal exact point keys — are
-// simulated once and share the result (see memo.go for the exact
-// conditions).
+// Every point is simulated, duplicates included: a grid whose points
+// share a key costs their rounds again but cannot change a result.
 func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, SweepStats, error) {
-	// Budgets are validated before memoization so the reported index is
-	// the caller's grid coordinate, never a post-dedupe dense index.
-	for i, p := range points {
-		if p.Rounds <= 0 {
-			return nil, SweepStats{}, fmt.Errorf("core: sweep point %d needs rounds > 0, got %d", i, p.Rounds)
-		}
-	}
-	var rep []int
-	if !memoObservable(opt) && len(points) > 1 {
-		rep = memoReps(points, nil, opt.keySums)
-	}
-	if rep == nil {
-		return runSweepPointsDirect(points, opt)
-	}
-	var uniq []int              // representatives, ascending
-	dups := make(map[int][]int) // representative -> its duplicates
-	for i, r := range rep {
-		if r == i {
-			uniq = append(uniq, i)
-		} else {
-			dups[r] = append(dups[r], i)
-		}
-	}
-	sub := make([]SweepPoint, len(uniq))
-	for u, i := range uniq {
-		sub[u] = points[i]
-	}
-	subOpt := opt
-	if user := opt.OnPointDone; user != nil {
-		// A memoized duplicate completes the moment its representative
-		// does: fan the completion out under the same fold lock, with the
-		// duplicate's own index, so observers (the sweep's store) see
-		// every point exactly once.
-		subOpt.OnPointDone = func(u int, res CampaignResult) {
-			user(uniq[u], res)
-			for _, d := range dups[uniq[u]] {
-				user(d, res)
-			}
-		}
-	}
-	res, stats, err := runSweepPointsDirect(sub, subOpt)
-	stats.PointsMemoized = len(points) - len(sub)
-	if err != nil {
-		var se *SweepError
-		if errors.As(err, &se) {
-			se.Point = uniq[se.Point]
-		}
-		return nil, stats, err
-	}
-	out := make([]CampaignResult, len(points))
-	for u, i := range uniq {
-		out[i] = res[u]
-		for _, d := range dups[i] {
-			out[d] = res[u]
-		}
-	}
-	return out, stats, nil
-}
-
-// runSweepPointsDirect executes every point as given, with no dedupe.
-func runSweepPointsDirect(points []SweepPoint, opt SweepOptions) ([]CampaignResult, SweepStats, error) {
 	if len(points) == 0 {
 		return nil, SweepStats{}, nil
 	}

@@ -1,8 +1,8 @@
 package core
 
 // Tests for the public sweep seams the campaign service stands on: the
-// OnPointDone completion hook (exact-once, original indices, memo
-// fan-out, checkpoint replay) and graceful Interrupt-channel stops.
+// OnPointDone completion hook (exact-once, original indices, checkpoint
+// replay) and graceful Interrupt-channel stops.
 
 import (
 	"errors"
@@ -54,9 +54,8 @@ func (l *completionLog) check(t *testing.T, label string, want []CampaignResult)
 }
 
 func TestOnPointDoneFiresExactlyOncePerPoint(t *testing.T) {
-	// Point 2 duplicates point 0 (same scenario value, same programs), so
-	// the hook must also fan out through the memoization plan with the
-	// duplicate's own index.
+	// Point 2 duplicates point 0 (same scenario value, same programs):
+	// each still fires once, with its own index.
 	dup := viSc(machine.Uniprocessor(), 100<<10, 97001, false)
 	points := []SweepPoint{
 		{Scenario: dup, Rounds: 25},
@@ -65,12 +64,9 @@ func TestOnPointDoneFiresExactlyOncePerPoint(t *testing.T) {
 		{Scenario: faultViSc(97005), Rounds: 25},
 	}
 	var log completionLog
-	res, stats, err := RunSweepPoints(points, SweepOptions{OnPointDone: log.hook()})
+	res, _, err := RunSweepPoints(points, SweepOptions{OnPointDone: log.hook()})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
-	}
-	if stats.PointsMemoized != 1 {
-		t.Fatalf("PointsMemoized = %d, want 1 (point 2 duplicates point 0)", stats.PointsMemoized)
 	}
 	log.check(t, "plain sweep", res)
 }

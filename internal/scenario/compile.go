@@ -1,9 +1,9 @@
 package scenario
 
 // Compilation: a validated Spec lowers to a []core.SweepPoint, so the
-// sweep engine's memoization, coalescing, checkpointing, and adaptive
-// budgets apply unchanged. The fig6 and faultsweep experiments are
-// exactly the compiled points of their shipped specs.
+// sweep engine's coalescing, checkpointing, and adaptive budgets apply
+// unchanged. The fig6 and faultsweep experiments are exactly the
+// compiled points of their shipped specs.
 
 import (
 	"fmt"

@@ -17,7 +17,7 @@ func loadExample(t *testing.T, name string) *Spec {
 // TestScenarioCheckpointComposes pins that -scenario × -checkpoint rides
 // the sweep engine's crash-safe path: a checkpointed scenario run matches
 // the direct run bit-for-bit, and a rerun resumes from the file without
-// re-simulating (memoized restores count, nothing executes twice).
+// re-simulating (nothing executes twice).
 func TestScenarioCheckpointComposes(t *testing.T) {
 	spec := loadExample(t, "fig6.yaml")
 	spec.Rounds = 25

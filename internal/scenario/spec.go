@@ -9,6 +9,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -1053,6 +1054,13 @@ func (s *Spec) validate(root *node) error {
 		return specErr(&node{line: root.keyLine["sizes_kb"]}, "sizes_kb",
 			"%d sizes × %d policies × %d fault rates exceed the %d-point limit",
 			len(s.SizesKB), len(s.Policies), len(s.FaultRates), maxPoints)
+	}
+	// Point i runs at seed + i*stride, which wraps int64: two points
+	// share a seed when the stride's trailing zero bits leave fewer than
+	// bits.Len(n-1) bits for i.
+	if npoints > 1 && bits.TrailingZeros64(uint64(s.SeedStride))+bits.Len(uint(npoints-1)) > 64 {
+		return specErr(&node{line: root.keyLine["seed_stride"]}, "seed_stride",
+			"%d repeats a seed within the %d-point grid (seed + i*stride wraps int64)", s.SeedStride, npoints)
 	}
 	for i, a := range s.Assertions {
 		p := fmt.Sprintf("assertions[%d]", i)

@@ -75,6 +75,12 @@ func TestSpecRejections(t *testing.T) {
 		{"zero seed_stride",
 			minimalSpec + "seed_stride: 0\n",
 			[]string{"seed_stride", "non-zero"}},
+		{"seed_stride wraps onto an earlier seed",
+			strings.Replace(minimalSpec, "sizes_kb: [100]", "sizes_kb: [100, 200, 300, 400, 100]", 1) + "seed_stride: 4611686018427387904\n",
+			[]string{"line 9", "seed_stride", "repeats a seed within the 5-point grid"}},
+		{"fleet seed_stride wraps onto an earlier seed",
+			"name: x\nmachine: up\nrounds: 2\nseed: 1\nseed_stride: -9223372036854775808\nfleet:\n  total: 3\n  jitter_seed: 1\n  templates:\n    - name: a\n      weight: 1\n      victim: vi\n      attacker: v1\n      size_kb: 20\n",
+			[]string{"line 5", "seed_stride", "repeats a seed within the 3-point grid"}},
 		{"unknown machine",
 			strings.Replace(minimalSpec, "machine: up", "machine: quantum", 1),
 			[]string{"machine", "unknown machine \"quantum\"", "line 3"}},
@@ -193,6 +199,28 @@ func TestSpecRejections(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSpecSeedStrideBoundary pins the largest grid a power-of-two
+// stride serves: 2^62 gives four distinct seeds, and SetSizes rejects a
+// fifth size as parsing would.
+func TestSpecSeedStrideBoundary(t *testing.T) {
+	spec := mustParse(t, strings.Replace(minimalSpec, "sizes_kb: [100]", "sizes_kb: [100, 200, 300, 400]", 1)+"seed_stride: 4611686018427387904\n")
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool)
+	for _, p := range c.Points {
+		if seen[p.Scenario.Seed] {
+			t.Fatalf("seed %d repeats", p.Scenario.Seed)
+		}
+		seen[p.Scenario.Seed] = true
+	}
+	err = spec.SetSizes([]int{100, 200, 300, 400, 500})
+	if err == nil || !strings.Contains(err.Error(), "repeats a seed") {
+		t.Fatalf("SetSizes to 5 sizes: err = %v, want a repeated-seed rejection", err)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestFleetExactlyOnceAfterCommitBeforeAck(t *testing.T) {
 	// and dies before the lease ack. The requeued lease must detect the
 	// committed point via the store (fingerprint-verified on arrival)
 	// and not re-fold it — onPoint exactly once per point, a
-	// PointsMemoized-style dedupe counter, bit-identical results. A
+	// PointsDeduped counter, bit-identical results. A
 	// single worker takes the first lease whatever the scheduling (with
 	// two, the second could drain the queue before worker 0 loads), so
 	// the crash always fires; its replacement finishes the campaign.
