@@ -1,6 +1,6 @@
 // Command tocttoud serves campaigns over HTTP: clients submit the same
 // declarative scenario files `tocttou -scenario` runs, the daemon shards
-// their sweep points across a bounded worker pool, and every committed
+// their sweep points across the host's cores, and every committed
 // point streams to watchers as NDJSON. Jobs are durable — a killed and
 // restarted daemon resumes in-flight campaigns bit-identically from
 // their job logs — and identical re-submissions are cache hits.

@@ -318,8 +318,10 @@ func (l *jobLog) event(seq, point int, res *core.CampaignResult) PointEvent {
 // made ready to resume: its spec re-parses and re-compiles — both are
 // deterministic — and its log is validated (loadLog). A spec that no
 // longer loads (a hand-edited directory), one that compiles to another
-// sweep than its id names (errOtherSweep) and a directory in layout 1
-// (errLayout1) surface as failed jobs rather than a crashed server.
+// sweep than its id names (errOtherSweep), a directory in layout 1
+// (errLayout1) and a state.json naming a state this build does not know
+// surface as failed jobs rather than a crashed server or a job scheduled
+// under a state no client understands.
 func loadJob(dir string) (*job, error) {
 	var info JobInfo
 	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
@@ -346,6 +348,9 @@ func loadJob(dir string) (*job, error) {
 		// The state said done but the report is gone: re-run from the
 		// log (every point restores; only the rendering redoes).
 		j.info.State = StateInterrupted
+	case StateQueued, StateRunning, StateInterrupted:
+	default:
+		return j, j.failLoad(fmt.Errorf("state.json names unknown job state %q", info.State))
 	}
 	specData, err := os.ReadFile(j.specPath())
 	if err != nil {
@@ -373,12 +378,17 @@ func loadJob(dir string) (*job, error) {
 		}
 	}
 	if err != nil {
-		j.info.State = StateFailed
-		j.info.Error = err.Error()
-		j.releaseLocked() // not yet shared: no lock needed
-		return j, writeJSONAtomic(j.statePath(), j.info)
+		return j, j.failLoad(err)
 	}
 	return j, nil
+}
+
+// failLoad fails a job loadJob cannot resume and persists the failure.
+func (j *job) failLoad(err error) error {
+	j.info.State = StateFailed
+	j.info.Error = err.Error()
+	j.releaseLocked() // not yet shared: no lock needed
+	return writeJSONAtomic(j.statePath(), j.info)
 }
 
 // loadLog opens a resumable job's events.ndjson, restoring its points

@@ -3,8 +3,8 @@ package campaignd
 // Package campaignd is the campaign-as-a-service sweep server: an HTTP
 // service (stdlib net/http only) that accepts the scenario DSL's
 // YAML/JSON specs, resumes them through core.ResumeSweep, runs their
-// points on the process-wide bounded worker pool (or a supervised
-// worker fleet), and streams per-point results to clients as NDJSON as
+// points in-process (core's sweep engine, one executor per host core) or
+// on a supervised worker fleet, and streams per-point results to clients as NDJSON as
 // each point commits.
 //
 // Correctness contract: a watched campaign's report is byte-identical to
@@ -61,7 +61,7 @@ type Config struct {
 	// DataDir is the durability root; jobs live under DataDir/jobs/<id>.
 	DataDir string
 	// MaxActiveJobs bounds concurrently running campaigns (each one
-	// shards its points over the shared round pool); 0 selects 2.
+	// runs its rounds on one executor per host core); 0 selects 2.
 	MaxActiveJobs int
 	// Workers, when positive, executes each campaign's points in a
 	// supervised fleet of worker subprocesses (internal/workerpool)

@@ -11,12 +11,13 @@ import (
 // restart path that rebuilds a job from its directory, with or without
 // a report.txt beside them. It must never panic. A job it returns as
 // resumable holds a compiled grid whose jobKey is its id; a job it
-// returns as done or failed holds no spec or grid. A state.json that
-// decodes as failed, or as done with its report present, loads as it
-// says. Seeds (testdata/fuzz/FuzzLoadJob) are written for fuzzSpec, whose
-// id is 6f93b8faab654485: one per state, a torn state.json, an id that
-// does not match the spec, and a state.json from a build whose JobInfo
-// still had a "memoized" field.
+// returns as done or failed holds no spec or grid. A loaded job's state
+// is one of the five job states, and a state.json that decodes as
+// failed, or as done with its report present, loads as it says. Seeds
+// (testdata/fuzz/FuzzLoadJob) are written for fuzzSpec, whose id is
+// 6f93b8faab654485: one per state, a torn state.json, an id that does not
+// match the spec, a state.json from a build whose JobInfo still had a
+// "memoized" field, and one naming a state no build defines.
 func FuzzLoadJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, state, spec []byte, report bool) {
 		dir := t.TempDir()
@@ -44,6 +45,11 @@ func FuzzLoadJob(f *testing.F) {
 		}
 		if settled && j.info.State != stored.State {
 			t.Fatalf("a %s state.json loaded as %s", stored.State, j.info.State)
+		}
+		switch j.info.State {
+		case StateQueued, StateRunning, StateDone, StateFailed, StateInterrupted:
+		default:
+			t.Fatalf("a %q state.json loaded as unknown state %q", stored.State, j.info.State)
 		}
 		switch j.info.State {
 		case StateFailed, StateDone:

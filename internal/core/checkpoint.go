@@ -10,8 +10,8 @@ package core
 // finished it. Resuming validates the sweep's fingerprint (the hash of
 // its point keys, key.go), restores the completed points verbatim, and
 // runs only the remainder. Because each point's result depends solely on
-// its own scenario and seed (workers share nothing across points but the
-// pool), entries are independent of each other and the merged output is
+// its own scenario and seed (executors share nothing across points but
+// reused round contexts), entries are independent of each other and the merged output is
 // bit-identical to an uninterrupted run.
 //
 // Format 3 is line-oriented:

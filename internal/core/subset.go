@@ -4,8 +4,8 @@ package core
 // partitions a compiled sweep's points into leases and hands each lease
 // to a subprocess; the subprocess re-compiles the same spec and runs
 // only its leased indices through RunSweepSubset. Because every point's
-// result is a pure function of its own scenario and seed (workers share
-// nothing across points but the pool), a subset run commits results
+// result is a pure function of its own scenario and seed (executors
+// share nothing across points but reused round contexts), a subset run commits results
 // bit-identical to the same points inside a full RunSweepPoints — which
 // is what makes lease requeue after a worker crash a checkable
 // invariant instead of a hope.

@@ -1,15 +1,17 @@
 package core
 
 // The sweep engine runs many campaigns — "sweep points" — as one unit of
-// work on a process-wide worker pool. It exists because reproducing the
-// paper's figures is dominated by orchestration once a single round is
-// cheap: a sweep of N parameter points run as N back-to-back RunCampaign
-// calls pays N pool constructions, N end-of-campaign barriers, and N
-// O(rounds) result buffers. Here instead:
+// work. It exists because reproducing the paper's figures is dominated by
+// orchestration once a single round is cheap: a sweep of N parameter
+// points run as N back-to-back RunCampaign calls pays N start-ups, N
+// end-of-campaign barriers, and N O(rounds) result buffers. Here instead:
 //
-//   - One shared pool of workers claims (point, round) tickets from the
-//     whole sweep, so a slow point's tail no longer idles the machine —
-//     workers that exhaust one point immediately continue into the next.
+//   - The caller and its helper goroutines, started per sweep, claim
+//     (point, round) tickets from the whole sweep, so a slow point's tail
+//     no longer idles the machine — executors that exhaust one point
+//     immediately continue into the next. Each runs on a round context
+//     from the callerStates free list, so kernels, file systems and
+//     trace buffers outlive the sweep.
 //   - Rounds stream into per-point CampaignResult accumulators as they
 //     finish. The integer counters fold commutatively; the float Welford
 //     summaries (L, D, Window) are order-sensitive, so a small reorder
@@ -151,10 +153,10 @@ func (e *SweepError) Error() string {
 func (e *SweepError) Unwrap() error { return e.Err }
 
 // RunSweep runs one campaign of the given budget per scenario, drawing
-// all rounds from the shared worker pool. Per-round seeds derive exactly
+// all rounds from one ticket space. Per-round seeds derive exactly
 // as in RunCampaign, and with the default fixed budget each result is
 // bit-identical to RunCampaign(scs[i], rounds) — regardless of
-// GOMAXPROCS or how the pool interleaves the points.
+// GOMAXPROCS or how the executors interleave the points.
 func RunSweep(scs []Scenario, rounds int, opt SweepOptions) ([]CampaignResult, error) {
 	points := make([]SweepPoint, len(scs))
 	for i, sc := range scs {
@@ -182,15 +184,7 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 	}
 	r.aggs = make([]pointAgg, len(points))
 
-	helpers := parallelism() - 1
-	if max := int(r.total) - 1; helpers > max {
-		helpers = max
-	}
-	dispatch(r, &r.wg, helpers)
-	st := getCallerState()
-	r.work(st)
-	putCallerState(st)
-	r.wg.Wait()
+	runParallel(int(r.total), r.work)
 
 	stats := SweepStats{RoundsExecuted: int(r.executed.Load())}
 	if r.err != nil {
@@ -237,8 +231,6 @@ type sweepRun struct {
 
 	errMu sync.Mutex
 	err   *SweepError
-
-	wg sync.WaitGroup // outstanding pool helpers
 }
 
 // pointAgg accumulates one point's result, committing rounds in index
@@ -249,12 +241,6 @@ type pointAgg struct {
 	next    int           // next round index to fold
 	pending map[int]Round // out-of-order completions awaiting commit
 	done    atomic.Bool   // adaptive rule satisfied; skip remaining work
-}
-
-// runOn implements poolJob.
-func (r *sweepRun) runOn(st *roundState) {
-	r.work(st)
-	r.wg.Done()
 }
 
 // work claims and executes tickets until the sweep is exhausted or
@@ -396,13 +382,14 @@ func (r *sweepRun) fold(p int, agg *pointAgg, round Round) {
 }
 
 // FindRound searches the seeds sc.Seed + i*stride (i ascending from 0)
-// for the first round satisfying want, using the shared worker pool to
-// evaluate candidate batches concurrently. It returns the matching
+// for the first round satisfying want, evaluating candidate batches on
+// the caller and per-batch helper goroutines. It returns the matching
 // round (re-simulated fresh, so its Events are owned by the caller), the
 // seed that produced it, and the number of candidates examined — the
-// same values a serial first-match scan yields. want runs inside pool
-// workers: it must be safe for concurrent calls and must not retain the
-// Round or its Events (they alias a worker's reused trace buffer).
+// same values a serial first-match scan yields. want runs on several
+// goroutines at once: it must be safe for concurrent calls and must not
+// retain the Round or its Events (they alias an executor's reused trace
+// buffer).
 func FindRound(sc Scenario, maxTries int, stride int64, want func(Round) bool) (Round, int64, int, error) {
 	batch := 4 * parallelism()
 	for lo := 0; lo < maxTries; lo += batch {
@@ -411,11 +398,7 @@ func FindRound(sc Scenario, maxTries int, stride int64, want func(Round) bool) (
 			hi = maxTries
 		}
 		f := &findRun{sc: sc, stride: stride, lo: lo, hi: hi, want: want, best: -1, errIdx: -1}
-		dispatch(f, &f.wg, hi-lo-1)
-		st := getCallerState()
-		f.work(st)
-		putCallerState(st)
-		f.wg.Wait()
+		runParallel(hi-lo, f.work)
 		if f.errIdx >= 0 && (f.best < 0 || f.errIdx < f.best) {
 			return Round{}, 0, 0, f.err
 		}
@@ -446,14 +429,6 @@ type findRun struct {
 	best   int // lowest matching candidate index, -1 if none
 	err    error
 	errIdx int // lowest failing candidate index, -1 if none
-
-	wg sync.WaitGroup
-}
-
-// runOn implements poolJob.
-func (f *findRun) runOn(st *roundState) {
-	f.work(st)
-	f.wg.Done()
 }
 
 func (f *findRun) work(st *roundState) {
@@ -492,13 +467,7 @@ func (f *findRun) work(st *roundState) {
 	}
 }
 
-// --- process-wide worker pool --------------------------------------------
-
-// poolJob is work a pool worker executes with its long-lived round
-// context.
-type poolJob interface {
-	runOn(st *roundState)
-}
+// --- executors --------------------------------------------------------
 
 // parallelism returns the target number of concurrent round executors
 // (submitting caller included). At least 2, so the concurrent commit
@@ -510,77 +479,51 @@ func parallelism() int {
 	return 2
 }
 
-var enginePool struct {
-	once sync.Once
-	jobs chan poolJob
-}
-
-// ensurePool lazily starts the process-wide workers. They are few
-// (parallelism()), long-lived, and park on the job channel between
-// sweeps; each keeps one roundState, so its kernel, FS, and trace buffer
-// are reused across every campaign in the process, not just within one.
-func ensurePool() chan poolJob {
-	enginePool.once.Do(func() {
-		enginePool.jobs = make(chan poolJob)
-		for i := 0; i < parallelism(); i++ {
-			go func() {
-				var st roundState
-				for j := range enginePool.jobs {
-					j.runOn(&st)
-				}
-			}()
-		}
-	})
-	return enginePool.jobs
-}
-
-// dispatch offers a job to up to n idle pool workers, registering each
-// acceptance on wg before the worker can possibly complete. Busy workers
-// are never waited for — the caller always executes the job itself too,
-// so progress needs no free worker.
-func dispatch(j poolJob, wg *sync.WaitGroup, n int) {
-	if n <= 0 {
-		return
-	}
-	jobs := ensurePool()
-	for i := 0; i < n; i++ {
+// runParallel runs work, which claims tickets until none are left, on the
+// calling goroutine and on min(parallelism()-1, tickets-1) more goroutines
+// started for this call, each with its own round context from
+// callerStates, and returns once all of them have. Results do not depend
+// on which goroutine ran a round: sweeps commit in round-index order and
+// FindRound keeps the lowest matching index.
+func runParallel(tickets int, work func(st *roundState)) {
+	var wg sync.WaitGroup
+	for i := 0; i < min(parallelism()-1, tickets-1); i++ {
 		wg.Add(1)
-		select {
-		case jobs <- j:
-		default:
-			wg.Add(-1)
-			return
-		}
+		go func() {
+			defer wg.Done()
+			withCallerState(work)
+		}()
 	}
+	withCallerState(work)
+	wg.Wait()
 }
 
-// callerStates recycles round contexts for submitting goroutines,
-// extending the pool workers' cross-campaign reuse to the caller's own
-// share of the work. It is a bounded free list rather than a sync.Pool
-// because a forked context parks its kernel's thread shells on goroutines
-// that reference it: a context the GC-driven pool silently dropped would
-// stay reachable from those goroutines, with its kernel, fs and prefix
-// images, for the life of the process. Here a context that does not fit
-// is released (its shells drained) instead. The capacity is parallelism():
-// at most that many sweeps make progress at once, so that many spare
-// contexts cover every concurrent caller on a busy host, and callers
-// beyond it pay one fresh context per sweep, not a leak.
-var callerStates = make(chan *roundState, parallelism())
+// callerStates is the free list of round contexts between sweeps, so a
+// context's kernel, fs and trace buffer are reused across every campaign
+// in the process, not just within one. It is a bounded free list rather
+// than a sync.Pool because a forked context parks its kernel's thread
+// shells on goroutines that reference it: a context the GC-driven pool
+// silently dropped would stay reachable from those goroutines, with its
+// kernel, fs and prefix images, for the life of the process. Here a
+// context that does not fit is released (its shells drained) instead.
+// The capacity is 2*parallelism(): every executor of two concurrent
+// sweeps (campaignd runs two jobs at once) finds a context on the list,
+// and executors beyond it pay one fresh context per sweep, not a leak.
+var callerStates = make(chan *roundState, 2*parallelism())
 
-// getCallerState takes a spare round context, or builds a fresh one.
-func getCallerState() *roundState {
+// withCallerState runs work on a context from the free list, or on a
+// fresh one when the list is empty, then returns the context to the list
+// or releases it when the list is full. Only a context between rounds
+// goes back; one a panicking round abandoned was reset by runRoundSafe
+// and holds no kernel.
+func withCallerState(work func(st *roundState)) {
+	var st *roundState
 	select {
-	case st := <-callerStates:
-		return st
+	case st = <-callerStates:
 	default:
-		return new(roundState)
+		st = new(roundState)
 	}
-}
-
-// putCallerState returns a context to the free list, releasing it when
-// the list is full. Only a context between rounds may be put back; one a
-// panicking round abandoned was reset by runRoundSafe and holds no kernel.
-func putCallerState(st *roundState) {
+	work(st)
 	select {
 	case callerStates <- st:
 	default:

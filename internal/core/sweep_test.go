@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,11 +17,11 @@ import (
 )
 
 // These tests pin down the sweep engine's contract: interleaving many
-// campaigns on the shared pool must be invisible in the results (bit-
-// identical to a serial per-round fold), adaptive stopping must be
+// campaigns over concurrent executors must be invisible in the results
+// (bit-identical to a serial per-round fold), adaptive stopping must be
 // deterministic and equal a fixed-budget campaign of the committed
 // length, and a failing round must cancel the sweep promptly without
-// leaking pool goroutines.
+// leaking goroutines.
 
 // serialCampaign is the reference implementation: the pre-sweep serial
 // fold, one RunRound per derived seed, committed in index order.
@@ -390,10 +393,10 @@ func TestSweepCallerStatesBounded(t *testing.T) {
 					first = runtime.NumGoroutine()
 				}
 			}
-			// Contexts that live on are the pool workers' and the free
-			// list's, at most parallelism() each; every one parks at most
-			// one shell per thread a faulted round spawns (victim,
-			// attacker, the fault process, a restarted victim).
+			// Contexts that live on are the free list's, at most
+			// 2*parallelism(); every one parks at most one shell per
+			// thread a faulted round spawns (victim, attacker, the fault
+			// process, a restarted victim).
 			bound := first + 2*parallelism()*4
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > bound && time.Now().Before(deadline) {
@@ -403,5 +406,44 @@ func TestSweepCallerStatesBounded(t *testing.T) {
 				t.Fatalf("goroutines grew from %d after the first sweep to %d after %d (bound %d): caller round contexts are leaking", first, got, sweeps, bound)
 			}
 		})
+	}
+}
+
+// TestSweepFirstUsesEveryExecutor pins that a process's first sweep runs
+// on every executor it asks for, not on its caller alone. It re-executes
+// the test binary so that the sweep under test is the child process's
+// first, with the parent's GOMAXPROCS. Every executor puts its round
+// context back on the free list, so after the sweep the list holds one
+// context per executor; with two or more Ps, at least two of them must
+// have run a round (built a kernel).
+func TestSweepFirstUsesEveryExecutor(t *testing.T) {
+	if os.Getenv("TOCTTOU_FIRST_SWEEP") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSweepFirstUsesEveryExecutor$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "TOCTTOU_FIRST_SWEEP=1", fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)))
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("first-sweep child: %v\n%s", err, out)
+		}
+		return
+	}
+	if n := len(callerStates); n != 0 {
+		t.Fatalf("free list holds %d contexts before the process's first sweep", n)
+	}
+	const rounds = 1000
+	pts := []SweepPoint{{Scenario: viSc(machine.SMP2(), 20<<10, 52711, false), Rounds: rounds}}
+	if _, _, err := RunSweepPoints(pts, SweepOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	executors := min(parallelism(), rounds)
+	if n := len(callerStates); n != executors {
+		t.Fatalf("free list holds %d contexts after the first sweep, want one per executor (%d): %d helpers never ran the work loop", n, executors, executors-n)
+	}
+	ran := 0
+	for i := 0; i < executors; i++ {
+		if st := <-callerStates; st.k != nil {
+			ran++
+		}
+	}
+	if procs := runtime.GOMAXPROCS(0); procs >= 2 && ran < 2 {
+		t.Fatalf("rounds ran on %d of %d contexts with GOMAXPROCS=%d, want at least 2", ran, executors, procs)
 	}
 }

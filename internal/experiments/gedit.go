@@ -175,7 +175,7 @@ func (r *TimelineResult) Render(w io.Writer) error {
 }
 
 // findRound searches seeds for a traced round matching pred, evaluating
-// candidates on the shared worker pool. The first-match semantics (and
+// candidates concurrently (core.FindRound). The first-match semantics (and
 // the seed stride) are those of the old serial scan.
 func findRound(sc core.Scenario, want func(core.Round) bool) (core.Round, int64, int, error) {
 	return core.FindRound(sc, 512, 9973, want)

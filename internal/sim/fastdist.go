@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // This file gives fastSource direct Float64 / NormFloat64 / ExpFloat64
 // methods that reproduce math/rand's value streams bit for bit. Routing
@@ -12,18 +9,13 @@ import (
 // lagged-Fibonacci step inline into the ziggurat loops — worth it because
 // a simulated round draws a jittered latency per modeled syscall/compute
 // and two noise draws per background burst. The algorithms and strip
-// tables (zigtables.go) are exactly math/rand's; initFastDist validates
-// the streams against the stdlib at startup and any mismatch disables the
-// path, falling back to the *rand.Rand wrapper.
+// tables (zigtables.go) are exactly math/rand's;
+// TestFastDistMatchesMathRand checks the streams against the stdlib.
 
 const (
 	zigRn = 3.442619855899      // rightmost strip start, normal ziggurat
 	zigRe = 7.69711747013104972 // rightmost strip start, exponential ziggurat
 )
-
-// fastDistOK reports that the direct distribution methods reproduced
-// math/rand bit-for-bit during init-time validation.
-var fastDistOK bool
 
 func zigAbs(i int32) uint32 {
 	if i < 0 {
@@ -91,26 +83,4 @@ func (s *fastSource) ExpFloat64() float64 {
 			return x
 		}
 	}
-}
-
-// initFastDist validates the direct samplers against math/rand. The draw
-// counts are chosen so every code path runs many times: the base-strip
-// tails fire roughly once per ~400 (normal) / ~380 (exponential) draws.
-func initFastDist() {
-	if !fastSeedOK {
-		return
-	}
-	for _, seed := range []int64{1, 7, 1007, -404, 3 << 60} {
-		var src fastSource
-		src.Seed(seed)
-		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 20_000; i++ {
-			if src.NormFloat64() != ref.NormFloat64() ||
-				src.ExpFloat64() != ref.ExpFloat64() ||
-				src.Float64() != ref.Float64() {
-				return
-			}
-		}
-	}
-	fastDistOK = true
 }

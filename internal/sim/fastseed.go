@@ -62,7 +62,6 @@ func init() {
 		lehmerPow[i] = x
 	}
 	initFastSeed()
-	initFastDist()
 }
 
 // normSeed maps an arbitrary seed onto the Lehmer LCG's state space

@@ -302,11 +302,12 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) RNG() *rand.Rand { return k.rng }
 
 // JitterDuration samples a jittered latency around base using the machine's
-// configured relative noise. When the validated direct sampler is available
-// it draws without going through the *rand.Rand wrapper; the short-circuit
-// mirrors stats.Jitter.Sample so both paths consume draws identically.
+// configured relative noise. When the validated fast source backs the
+// kernel it draws without going through the *rand.Rand wrapper; the
+// short-circuit mirrors stats.Jitter.Sample so both paths consume draws
+// identically.
 func (k *Kernel) JitterDuration(base time.Duration) time.Duration {
-	if k.src != nil && fastDistOK {
+	if k.src != nil {
 		if base <= 0 || k.jitter.Rel <= 0 {
 			return base
 		}
@@ -318,7 +319,7 @@ func (k *Kernel) JitterDuration(base time.Duration) time.Duration {
 // ExpDuration samples an exponentially distributed duration with the given
 // mean, mirroring stats.Exponential draw-for-draw.
 func (k *Kernel) ExpDuration(mean time.Duration) time.Duration {
-	if k.src != nil && fastDistOK {
+	if k.src != nil {
 		if mean <= 0 {
 			return 0
 		}
@@ -330,7 +331,7 @@ func (k *Kernel) ExpDuration(mean time.Duration) time.Duration {
 // LogNormalDuration samples a log-normal duration with the given median
 // and log-sigma, mirroring stats.LogNormal draw-for-draw.
 func (k *Kernel) LogNormalDuration(median time.Duration, sigma float64) time.Duration {
-	if k.src != nil && fastDistOK {
+	if k.src != nil {
 		if median <= 0 {
 			return 0
 		}
@@ -342,7 +343,7 @@ func (k *Kernel) LogNormalDuration(median time.Duration, sigma float64) time.Dur
 // Bernoulli returns true with probability p, mirroring stats.Bernoulli
 // draw-for-draw.
 func (k *Kernel) Bernoulli(p float64) bool {
-	if k.src != nil && fastDistOK {
+	if k.src != nil {
 		if p <= 0 {
 			return false
 		}

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -218,6 +219,11 @@ type proc struct {
 	lease   []int // leased point indices; nil when idle
 	leaseID int
 	killed  bool // supervisor-initiated kill (deadline or teardown)
+}
+
+// holds reports whether point idx belongs to the lease p is working on.
+func (p *proc) holds(lease, idx int) bool {
+	return p.lease != nil && lease == p.leaseID && slices.Contains(p.lease, idx)
 }
 
 type fleetRun struct {
@@ -412,13 +418,14 @@ func (r *fleetRun) handleMsg(p *proc, msg *Message) error {
 	}
 }
 
-// ingest folds one worker-committed result: fingerprint-verified
-// against the supervisor's own view of the grid, deduplicated against
-// the committed store, delivered to onPoint exactly once.
+// ingest folds one worker-committed result: checked against the lease
+// the worker holds, fingerprint-verified against the supervisor's own
+// view of the grid, deduplicated against the committed store, delivered
+// to onPoint exactly once.
 func (r *fleetRun) ingest(p *proc, msg *Message) error {
 	idx := msg.Point
-	if idx < 0 || idx >= len(r.points) || msg.Result == nil {
-		r.cfg.Logf("workerpool: worker %d sent invalid point message (point=%d); replacing it", p.id, idx)
+	if idx < 0 || idx >= len(r.points) || msg.Result == nil || !p.holds(msg.Lease, idx) {
+		r.cfg.Logf("workerpool: worker %d sent invalid point message (lease=%d point=%d); replacing it", p.id, msg.Lease, idx)
 		r.kill(p)
 		return nil
 	}

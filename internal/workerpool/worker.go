@@ -158,7 +158,7 @@ func (w *worker) stopHeartbeat() {
 }
 
 // lease executes the leased points sequentially — rounds within a point
-// still spread over the in-process pool — committing each result the
+// still spread over one executor per host core — committing each result the
 // moment it is done, then acks. Sequential execution keeps crash blame
 // precise: the supervisor attributes a death to the first uncommitted
 // point of the lease, which is exactly the one in progress.
