@@ -46,19 +46,13 @@ type Options struct {
 	// core.RunSweepPointsCheckpoint with this file path: completed points
 	// flush atomically as they commit, and a rerun resumes from the file,
 	// re-simulating only the missing points (bit-identical results). Only
-	// meaningful for experiments where SupportsCheckpoint reports true; an
-	// experiment that runs several sweeps numbers the extra files
-	// (path, path.2, ...).
+	// meaningful for experiments where SupportsCheckpoint reports true.
 	Checkpoint string
 	// FaultRates overrides faultsweep's swept injection rates (nil = the
 	// spec's ladder). Each must lie in [0, 1].
 	FaultRates []float64
 	// FaultSeed overrides faultsweep's fault-plan seed (0 = the spec's).
 	FaultSeed int64
-
-	// ckptCalls counts checkpointed sweeps within one experiment run so
-	// each gets its own file; it lives on the runner's local Options copy.
-	ckptCalls int
 }
 
 func (o Options) rounds(def int) int {
@@ -85,16 +79,14 @@ func (o Options) sweep() core.SweepOptions {
 }
 
 // runSweep is the experiments' standard sweep entry point: core.RunSweep
-// semantics, plus checkpoint routing when the option is set. Pointer
-// receiver so the per-run checkpoint-file counter advances across an
-// experiment's multiple sweeps.
-func (o *Options) runSweep(scs []core.Scenario, rounds int) ([]core.CampaignResult, error) {
+// semantics, plus checkpoint routing when the option is set.
+func (o Options) runSweep(scs []core.Scenario, rounds int) ([]core.CampaignResult, error) {
 	return o.runSweepWith(scs, rounds, o.sweep())
 }
 
 // runSweepWith is runSweep with explicit sweep options (for experiments
 // that attach an OnRound observer).
-func (o *Options) runSweepWith(scs []core.Scenario, rounds int, so core.SweepOptions) ([]core.CampaignResult, error) {
+func (o Options) runSweepWith(scs []core.Scenario, rounds int, so core.SweepOptions) ([]core.CampaignResult, error) {
 	points := make([]core.SweepPoint, len(scs))
 	for i, sc := range scs {
 		points[i] = core.SweepPoint{Scenario: sc, Rounds: rounds}
@@ -104,18 +96,13 @@ func (o *Options) runSweepWith(scs []core.Scenario, rounds int, so core.SweepOpt
 }
 
 // runSweepPoints routes a point sweep through the checkpoint runner when
-// Options.Checkpoint is set; the second and later sweeps of one
-// experiment run get numbered sibling files.
-func (o *Options) runSweepPoints(points []core.SweepPoint, so core.SweepOptions) ([]core.CampaignResult, core.SweepStats, error) {
+// Options.Checkpoint is set. Every checkpointable experiment runs exactly
+// one sweep, so the file holds that sweep alone.
+func (o Options) runSweepPoints(points []core.SweepPoint, so core.SweepOptions) ([]core.CampaignResult, core.SweepStats, error) {
 	if o.Checkpoint == "" {
 		return core.RunSweepPoints(points, so)
 	}
-	o.ckptCalls++
-	path := o.Checkpoint
-	if o.ckptCalls > 1 {
-		path = fmt.Sprintf("%s.%d", path, o.ckptCalls)
-	}
-	return core.RunSweepPointsCheckpoint(points, so, path)
+	return core.RunSweepPointsCheckpoint(points, so, o.Checkpoint)
 }
 
 // Result is a renderable experiment outcome.

@@ -1,22 +1,26 @@
 package sim
 
-import (
-	"math/rand"
-	"unsafe"
-)
+import "math/rand"
 
-// This file makes Kernel.Reset's RNG reseed cheap. math/rand's Seed costs
-// 1841 sequential Lehmer (48271·x mod 2³¹−1) steps computed with Schrage
-// divisions, which profiling shows is ~15% of a short simulation round once
-// the rest of the hot path is allocation-free. fastSource is a bit-exact
-// replica of math/rand's additive lagged-Fibonacci generator whose Seed
-// replaces the Schrage chain with Mersenne-prime reductions split into
-// eight independent jump-ahead lanes (x_{k+8} = 48271⁸·x_k mod M), so the
-// multiply chain's data dependency is 8x shorter and the CPU can overlap
-// the lanes. The emitted streams are validated against math/rand for a
-// spread of seeds at init; any mismatch (e.g. a changed runtime layout
-// breaking the cooked-table extraction) silently falls back to the stdlib
-// source, keeping correctness independent of the fast path.
+// This file gives the kernel its one generator: NewRand wraps fastSource,
+// an exact replica of math/rand's additive lagged-Fibonacci source, in a
+// *rand.Rand, so every draw (Float64, NormFloat64, ExpFloat64, Intn, ...)
+// runs math/rand's own code over a state vector math/rand would hold.
+// What the replica changes is the reseed. math/rand's Seed costs 1841
+// sequential Lehmer (48271·x mod 2³¹−1) steps computed with Schrage
+// divisions, which profiling showed is ~15% of a short simulation round
+// once the rest of the hot path is allocation-free. fastSource.Seed
+// computes each LCG value as one independent product with a precomputed
+// power table (48271^i mod M) and a Mersenne-prime fold, so the chain's
+// data dependency disappears and the CPU overlaps the multiplies.
+//
+// The streams equal math/rand's by construction: the recurrence and the
+// seeding arithmetic are math/rand's, and the one piece of math/rand's
+// state that is not public, its 607-entry warm-up table, is recovered at
+// init from a stdlib source's public output (recoverCookedTab).
+// TestFastSourceMatchesMathRand is the guard: it compares every kind of
+// draw the kernel makes, and a reseed, against math/rand for a spread of
+// seeds.
 
 const (
 	rngLen  = 607
@@ -25,17 +29,9 @@ const (
 	lehmerA = 48271
 )
 
-// rngCookedTab is math/rand's rngCooked warm-up table, recovered at init by
-// XORing a freshly seeded stdlib source's state vector with the seeding
-// LCG's contribution (vec[i] = lcg_i ^ cooked[i], and lcg_i is reproducible
-// here). Recovering it at runtime avoids copying the 607-entry literal and
-// self-verifies: if the extraction reads garbage, validation fails and the
-// fast path is disabled.
+// rngCookedTab is math/rand's rngCooked warm-up table: a seeded state
+// vector is vec[i] = lcg_i ^ cooked[i], with lcg_i computable here.
 var rngCookedTab [rngLen]uint64
-
-// fastSeedOK reports that fastSource reproduced math/rand bit-for-bit
-// during init-time validation.
-var fastSeedOK bool
 
 // lehmerMul advances one Lehmer step with multiplier a (a < 2³¹): one
 // 64-bit multiply and a Mersenne-prime fold instead of Schrage's two
@@ -61,7 +57,7 @@ func init() {
 		x = lehmerMul(x, lehmerA)
 		lehmerPow[i] = x
 	}
-	initFastSeed()
+	recoverCookedTab()
 }
 
 // normSeed maps an arbitrary seed onto the Lehmer LCG's state space
@@ -77,17 +73,37 @@ func normSeed(seed int64) uint64 {
 	return uint64(seed)
 }
 
-// seedLCG writes the 1841 consecutive seeding-LCG values s_1..s_1841
-// derived from seed into out, each as an independent product with the
-// precomputed power table.
-func seedLCG(seed int64, out *[1848]uint64) {
-	x := normSeed(seed)
-	for i := range out {
-		out[i] = lehmerMul(lehmerPow[i], x)
+// recoverCookedTab reads the warm-up table back out of rand.NewSource(1).
+// Each draw of the source stores its output in the slot it returns, and
+// the first 607 draws write every slot once, so after them the whole state
+// vector is known. Stepping the recurrence back 607 times (each step added
+// the tap slot to the feed slot) restores the freshly seeded vector, and
+// XORing out seed 1's LCG contribution leaves the table.
+func recoverCookedTab() {
+	ref := rand.New(rand.NewSource(1))
+	s := fastSource{feed: rngLen - rngTap}
+	for range rngLen {
+		s.step()
+		s.vec[s.feed] = int64(ref.Uint64())
+	}
+	for range rngLen {
+		s.vec[s.feed] -= s.vec[s.tap]
+		if s.tap++; s.tap == rngLen {
+			s.tap = 0
+		}
+		if s.feed++; s.feed == rngLen {
+			s.feed = 0
+		}
+	}
+	x := normSeed(1)
+	pw := lehmerPow[20 : 20+3*rngLen]
+	for i := range rngCookedTab {
+		u := lehmerMul(pw[3*i], x)<<40 ^ lehmerMul(pw[3*i+1], x)<<20 ^ lehmerMul(pw[3*i+2], x)
+		rngCookedTab[i] = uint64(s.vec[i]) ^ u
 	}
 }
 
-// fastSource is a drop-in rand.Source64 producing streams bit-identical to
+// fastSource is a rand.Source64 producing streams bit-identical to
 // rand.NewSource(seed): the same additive lagged-Fibonacci recurrence over
 // the same seeded state vector.
 type fastSource struct {
@@ -115,8 +131,8 @@ func (s *fastSource) Seed(seed int64) {
 	}
 }
 
-// Uint64 mirrors math/rand's rngSource.Uint64.
-func (s *fastSource) Uint64() uint64 {
+// step moves tap and feed back one slot, as every draw does first.
+func (s *fastSource) step() {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -125,6 +141,11 @@ func (s *fastSource) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
+}
+
+// Uint64 mirrors math/rand's rngSource.Uint64.
+func (s *fastSource) Uint64() uint64 {
+	s.step()
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
@@ -133,70 +154,12 @@ func (s *fastSource) Uint64() uint64 {
 // Int63 mirrors math/rand's rngSource.Int63.
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
-// rngMirror matches the runtime layout of math/rand's unexported rngSource,
-// read (never written) through the source interface's data pointer during
-// init-time extraction and validation.
-type rngMirror struct {
-	tap, feed int
-	vec       [rngLen]int64
-}
-
-// mirrorOf returns the state of a stdlib source created by rand.NewSource.
-func mirrorOf(s rand.Source) *rngMirror {
-	type iface struct{ tab, data unsafe.Pointer }
-	return (*rngMirror)((*iface)(unsafe.Pointer(&s)).data)
-}
-
-// initFastSeed recovers the cooked table and validates the replica.
-// fastSeedOK stays false unless every check passes.
-func initFastSeed() {
-	ref := mirrorOf(rand.NewSource(1))
-	var lcg [1848]uint64
-	seedLCG(1, &lcg)
-	for i := 0; i < rngLen; i++ {
-		u := lcg[20+3*i]<<40 ^ lcg[20+3*i+1]<<20 ^ lcg[20+3*i+2]
-		rngCookedTab[i] = uint64(ref.vec[i]) ^ u
-	}
-	for _, seed := range []int64{1, 2, 42, 1007, -9, 3 << 60, lehmerM} {
-		want := mirrorOf(rand.NewSource(seed))
-		var got fastSource
-		got.Seed(seed)
-		if got.tap != want.tap || got.feed != want.feed || got.vec != want.vec {
-			return
-		}
-	}
-	// Behavioral spot check through the rand.Rand wrapper, covering the
-	// Int63/Uint64/Float64 paths the kernel draws from.
-	var fsrc fastSource
-	fsrc.Seed(1007)
-	a := rand.New(&fsrc)
-	b := rand.New(rand.NewSource(1007))
-	for i := 0; i < 256; i++ {
-		if a.Int63() != b.Int63() || a.Uint64() != b.Uint64() || a.Float64() != b.Float64() {
-			return
-		}
-	}
-	fastSeedOK = true
-}
-
-// newKernelSource returns the RNG source for a kernel: the validated fast
-// replica when available, the stdlib source otherwise. The second return
-// is non-nil only for the fast path and enables direct reseeding.
-func newKernelSource(seed int64) (rand.Source, *fastSource) {
-	if fastSeedOK {
-		s := &fastSource{}
-		s.Seed(seed)
-		return s, s
-	}
-	return rand.NewSource(seed), nil
-}
-
 // NewRand returns a generator whose stream equals
-// rand.New(rand.NewSource(seed)), backed by the validated fast replica
-// when available and by the stdlib source otherwise. Its Seed method then
-// restarts the stream in place without the stdlib's 1841-step seeding
-// chain, so a per-round generator can be reused instead of reallocated.
+// rand.New(rand.NewSource(seed)). Its Seed method restarts the stream in
+// place through fastSource.Seed, without the stdlib's 1841-step seeding
+// chain, so a per-round generator is reseeded instead of reallocated.
 func NewRand(seed int64) *rand.Rand {
-	src, _ := newKernelSource(seed)
-	return rand.New(src)
+	s := &fastSource{}
+	s.Seed(seed)
+	return rand.New(s)
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -155,8 +154,7 @@ type Kernel struct {
 	events eventQueue
 	cpus   []*cpu
 	ready  readyQueue // run queue of Ready threads awaiting a CPU
-	rng    *rand.Rand
-	src    *fastSource // non-nil iff the validated fast reseed path backs rng
+	rng    *rand.Rand // NewRand's generator, reseeded in place by Reset
 	jitter stats.Jitter
 	tracer Tracer
 
@@ -219,11 +217,9 @@ type Kernel struct {
 // New creates a kernel for the given machine configuration.
 func New(cfg Config) *Kernel {
 	cfg = cfg.withDefaults()
-	src, fsrc := newKernelSource(cfg.Seed)
 	k := &Kernel{
 		cfg:        cfg,
-		rng:        rand.New(src),
-		src:        fsrc,
+		rng:        NewRand(cfg.Seed),
 		jitter:     stats.Jitter{Rel: cfg.Jitter},
 		tracer:     cfg.Tracer,
 		mainResume: make(chan struct{}),
@@ -267,11 +263,7 @@ func (k *Kernel) Reset(cfg Config) {
 		}
 	}
 	k.stats.reset(cfg.CPUs)
-	if k.src != nil {
-		k.src.Seed(cfg.Seed)
-	} else {
-		k.rng.Seed(cfg.Seed)
-	}
+	k.rng.Seed(cfg.Seed)
 	k.jitter = stats.Jitter{Rel: cfg.Jitter}
 	k.tracer = cfg.Tracer
 	clear(k.threads)
@@ -302,56 +294,25 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) RNG() *rand.Rand { return k.rng }
 
 // JitterDuration samples a jittered latency around base using the machine's
-// configured relative noise. When the validated fast source backs the
-// kernel it draws without going through the *rand.Rand wrapper; the
-// short-circuit mirrors stats.Jitter.Sample so both paths consume draws
-// identically.
+// configured relative noise.
 func (k *Kernel) JitterDuration(base time.Duration) time.Duration {
-	if k.src != nil {
-		if base <= 0 || k.jitter.Rel <= 0 {
-			return base
-		}
-		return k.jitter.Apply(k.src.NormFloat64(), base)
-	}
 	return k.jitter.Sample(k.rng, base)
 }
 
 // ExpDuration samples an exponentially distributed duration with the given
-// mean, mirroring stats.Exponential draw-for-draw.
+// mean.
 func (k *Kernel) ExpDuration(mean time.Duration) time.Duration {
-	if k.src != nil {
-		if mean <= 0 {
-			return 0
-		}
-		return time.Duration(k.src.ExpFloat64() * float64(mean))
-	}
 	return stats.Exponential(k.rng, mean)
 }
 
 // LogNormalDuration samples a log-normal duration with the given median
-// and log-sigma, mirroring stats.LogNormal draw-for-draw.
+// and log-sigma.
 func (k *Kernel) LogNormalDuration(median time.Duration, sigma float64) time.Duration {
-	if k.src != nil {
-		if median <= 0 {
-			return 0
-		}
-		return time.Duration(float64(median) * math.Exp(k.src.NormFloat64()*sigma))
-	}
 	return stats.LogNormal(k.rng, median, sigma)
 }
 
-// Bernoulli returns true with probability p, mirroring stats.Bernoulli
-// draw-for-draw.
+// Bernoulli returns true with probability p.
 func (k *Kernel) Bernoulli(p float64) bool {
-	if k.src != nil {
-		if p <= 0 {
-			return false
-		}
-		if p >= 1 {
-			return true
-		}
-		return k.src.Float64() < p
-	}
 	return stats.Bernoulli(k.rng, p)
 }
 

@@ -24,16 +24,8 @@ func (j Jitter) Sample(rng *rand.Rand, base time.Duration) time.Duration {
 	if base <= 0 || j.Rel <= 0 {
 		return base
 	}
-	return j.Apply(rng.NormFloat64(), base)
-}
-
-// Apply maps one standard-normal draw onto the jittered value around base.
-// Split from Sample so a caller with its own (bit-identical) normal source
-// reuses the identical truncation arithmetic. Callers must apply Sample's
-// base/Rel short-circuit themselves: Apply assumes a draw was warranted.
-func (j Jitter) Apply(norm float64, base time.Duration) time.Duration {
 	sigma := j.Rel * float64(base)
-	x := float64(base) + norm*sigma
+	x := float64(base) + rng.NormFloat64()*sigma
 	lo := float64(base) - 3*sigma
 	hi := float64(base) + 3*sigma
 	if x < lo {

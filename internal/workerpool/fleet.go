@@ -218,7 +218,7 @@ type proc struct {
 	loaded  bool
 	lease   []int // leased point indices; nil when idle
 	leaseID int
-	killed  bool // supervisor-initiated kill (deadline or teardown)
+	killed  bool // supervisor-initiated kill (deadline, bad message or teardown)
 }
 
 // holds reports whether point idx belongs to the lease p is working on.
@@ -377,6 +377,11 @@ func (r *fleetRun) handle(ev fleetEvent) error {
 }
 
 func (r *fleetRun) handleMsg(p *proc, msg *Message) error {
+	if p.killed {
+		// A replaced worker's buffered messages are void: its exit event
+		// settles the lease and blames the point it was killed on.
+		return nil
+	}
 	switch msg.Type {
 	case MsgHeartbeat:
 		return nil // liveness already recorded by the reader
@@ -453,9 +458,10 @@ func (r *fleetRun) ingest(p *proc, msg *Message) error {
 	return nil
 }
 
-// assign hands the next lease to an idle loaded worker.
+// assign hands the next lease to an idle loaded worker. Only handleMsg
+// calls it, never for a killed worker.
 func (r *fleetRun) assign(p *proc) {
-	if !p.loaded || p.lease != nil || len(r.pending) == 0 || p.killed {
+	if !p.loaded || p.lease != nil || len(r.pending) == 0 {
 		return
 	}
 	n := leasePoints

@@ -23,7 +23,10 @@ var fuzzFPs = []uint64{0x1111111111111111, 0x2222222222222222, 0x333333333333333
 // never read: the stream yields what its prefix up to the last newline
 // yields. Every point the supervisor commits arrived in a message with
 // the point's fingerprint, an index in the grid and the lease the worker
-// held when the message arrived, and is committed at most once.
+// held when the message arrived, and is committed at most once. Once the
+// supervisor has killed the worker, no message it sends changes the
+// lease, the pending queue, the backoff streak or the commits: the exit
+// event settles all of them.
 func FuzzWorkerMessages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		msgs, err := readMessages(stream)
@@ -45,6 +48,8 @@ func FuzzWorkerMessages(f *testing.F) {
 			committed: make(map[int]core.CampaignResult),
 			pending:   []int{2, 3},
 			leaseSeq:  1,
+			// A streak in progress, so a stray reset shows.
+			failStreak: 5,
 			onPoint: func(idx int, res core.CampaignResult) error {
 				if idx < 0 || idx >= len(fuzzFPs) {
 					t.Fatalf("committed out-of-range point %d", idx)
@@ -64,8 +69,13 @@ func FuzzWorkerMessages(f *testing.F) {
 		p := &proc{cmd: &exec.Cmd{}, stdin: nopWriteCloser{io.Discard}, loaded: true, lease: []int{0, 1}, leaseID: 1}
 		for _, msg := range msgs {
 			cur, held, heldID = msg, append([]int(nil), p.lease...), p.leaseID
+			killed, pending, streak, ncommits := p.killed, slices.Clone(r.pending), r.failStreak, len(r.committed)
 			if err := r.handleMsg(p, msg); err != nil {
 				t.Fatalf("handling %+v: %v", msg, err)
+			}
+			if killed && (p.leaseID != heldID || !slices.Equal(p.lease, held) || !slices.Equal(r.pending, pending) || r.failStreak != streak || len(r.committed) != ncommits) {
+				t.Fatalf("%+v from a killed worker changed its state: lease %d %v -> %d %v, pending %v -> %v, failStreak %d -> %d, commits %d -> %d",
+					msg, heldID, held, p.leaseID, p.lease, pending, r.pending, streak, r.failStreak, ncommits, len(r.committed))
 			}
 		}
 	})
