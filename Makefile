@@ -20,8 +20,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ -run 'Campaign|Sweep|Adaptive|FindRound|OnRound|Aborted|Explore|Fault|Checkpoint|Watchdog|Panic|Fork|Coalesced|Horizon|EINTR|PointKey|Resume|Commit|Batch'
-	$(GO) test -race ./internal/experiments/ -run 'Sweep|Adaptive|Fault|Checkpoint'
+	$(GO) test -race ./internal/core/ -run 'Campaign|Sweep|FindRound|OnRound|Aborted|Explore|Fault|Checkpoint|Watchdog|Panic|Fork|Coalesced|Horizon|EINTR|PointKey|Resume|Commit|Batch'
+	$(GO) test -race ./internal/experiments/ -run 'Sweep|Fault|Checkpoint'
 	$(GO) test -race ./internal/scenario/ -run 'Fleet|Checkpoint'
 	$(GO) test -race ./internal/campaignd/
 	$(GO) test -race ./internal/workerpool/

@@ -4,7 +4,7 @@
 //
 //	tocttou -list
 //	tocttou -experiment fig6 [-rounds N] [-seed S] [-sizes 100,500,1000] [-metrics]
-//	tocttou -experiment all [-adaptive [-halfwidth 0.02] [-minrounds 50]]
+//	tocttou -experiment all [-rounds 50]
 //	tocttou -experiment fig6,headline,eq1-exact,faultsweep,defense -golden testdata/golden
 //	tocttou -experiment faultsweep [-fault-rates 0,0.01,0.2] [-fault-seed 9973]
 //	tocttou -experiment headline -checkpoint headline.ckpt   (crash-safe; rerun resumes)
@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -50,9 +51,6 @@ func run(args []string) error {
 	rounds := fl.Int("rounds", 0, "rounds per campaign (0 = experiment default)")
 	seed := fl.Int64("seed", 0, "base seed (0 = fixed default)")
 	sizesArg := fl.String("sizes", "", "comma-separated file sizes in KB, where applicable")
-	adaptive := fl.Bool("adaptive", false, "enable adaptive round budgets (sequential stopping at -halfwidth)")
-	halfWidth := fl.Float64("halfwidth", 0.02, "target 95% Wilson half-width on the success rate for -adaptive")
-	minRounds := fl.Int("minrounds", 0, "minimum rounds per point before -adaptive may stop it (0 = engine default)")
 	showMetrics := fl.Bool("metrics", false, "append kernel counters and window/D/L histograms to supporting experiments")
 	traceOut := fl.String("trace-out", "", "run one traced round and write its events as JSONL to this file")
 	traceScen := fl.String("trace-scenario", "vi-smp", "scenario for -trace-out: vi-uni, vi-smp, gedit-v1, gedit-v2")
@@ -78,44 +76,20 @@ func run(args []string) error {
 		return err
 	}
 
-	// Reject contradictory or out-of-range adaptive settings up front
-	// instead of silently running with them.
-	var halfWidthSet, minRoundsSet, explorePhasesSet, preemptionBoundSet, witnessOutSet bool
-	var faultRatesSet, faultSeedSet bool
+	// Reject contradictory or out-of-range settings up front instead of
+	// silently running with them.
 	setFlags := make(map[string]bool)
-	fl.Visit(func(f *flag.Flag) {
-		setFlags[f.Name] = true
-		switch f.Name {
-		case "halfwidth":
-			halfWidthSet = true
-		case "minrounds":
-			minRoundsSet = true
-		case "explore-phases":
-			explorePhasesSet = true
-		case "preemption-bound":
-			preemptionBoundSet = true
-		case "witness-out":
-			witnessOutSet = true
-		case "fault-rates":
-			faultRatesSet = true
-		case "fault-seed":
-			faultSeedSet = true
+	fl.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	for _, f := range []string{"explore-phases", "preemption-bound", "witness-out"} {
+		if setFlags[f] && !*explore {
+			return fmt.Errorf("-%s only applies with -explore", f)
 		}
-	})
-	if halfWidthSet && !*adaptive {
-		return fmt.Errorf("-halfwidth only applies with -adaptive; add -adaptive or drop -halfwidth")
 	}
-	if minRoundsSet && !*adaptive {
-		return fmt.Errorf("-minrounds only applies with -adaptive; add -adaptive or drop -minrounds")
+	if *rounds < 0 {
+		return fmt.Errorf("-rounds must be >= 0 (0 = experiment default)")
 	}
-	if explorePhasesSet && !*explore {
-		return fmt.Errorf("-explore-phases only applies with -explore")
-	}
-	if preemptionBoundSet && !*explore {
-		return fmt.Errorf("-preemption-bound only applies with -explore")
-	}
-	if witnessOutSet && !*explore {
-		return fmt.Errorf("-witness-out only applies with -explore")
+	if *tracePID < 0 || *tracePID > math.MaxInt32 {
+		return fmt.Errorf("-trace-pid must be in [0, %d]", math.MaxInt32)
 	}
 	if *explorePhases < 0 {
 		return fmt.Errorf("-explore-phases must be >= 0, got %d", *explorePhases)
@@ -131,7 +105,7 @@ func run(args []string) error {
 	if *scenarioPath != "" {
 		for _, conflicting := range []string{
 			"experiment", "rounds", "seed", "sizes", "metrics",
-			"adaptive", "halfwidth", "minrounds", "fault-rates", "fault-seed",
+			"fault-rates", "fault-seed",
 			"list", "explore", "trace-out",
 		} {
 			if setFlags[conflicting] {
@@ -166,15 +140,9 @@ func run(args []string) error {
 		}
 		return clientRun(*serverURL, *submitPath, *watchID, *jobsList)
 	}
-	if *adaptive && (*halfWidth <= 0 || *halfWidth >= 1) {
-		return fmt.Errorf("-halfwidth must be strictly between 0 and 1 (a success-rate half-width), got %v", *halfWidth)
-	}
-	if *minRounds < 0 {
-		return fmt.Errorf("-minrounds must be >= 0, got %d", *minRounds)
-	}
 
 	// The fault/checkpoint flags bind to specific experiment selections;
-	// reject mismatches at parse time like the adaptive flags above.
+	// reject mismatches at parse time like the flags above.
 	names := splitNames(*name)
 	if *checkpoint != "" && *scenarioPath == "" {
 		if *traceOut != "" || *explore {
@@ -187,11 +155,11 @@ func run(args []string) error {
 			return fmt.Errorf("-checkpoint is not supported by experiment %q (its result does not derive purely from sweep points)", names[0])
 		}
 	}
-	if (faultRatesSet || faultSeedSet) && !containsName(names, "faultsweep") {
+	if (setFlags["fault-rates"] || setFlags["fault-seed"]) && !containsName(names, "faultsweep") {
 		return fmt.Errorf("-fault-rates and -fault-seed only apply to the faultsweep experiment")
 	}
 	var parsedRates []float64
-	if faultRatesSet {
+	if setFlags["fault-rates"] {
 		for _, s := range strings.Split(*faultRates, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
@@ -280,13 +248,6 @@ func run(args []string) error {
 	}
 
 	opt := experiments.Options{Rounds: *rounds, Seed: *seed, Metrics: *showMetrics}
-	if *adaptive {
-		// Opt-in sequential stopping: sweep-based experiments stop each
-		// point once its estimate is tight enough instead of running the
-		// full fixed budget (results then depend on the committed length).
-		opt.AdaptiveHalfWidth = *halfWidth
-		opt.MinRounds = *minRounds
-	}
 	opt.Sizes = sizes
 	opt.Checkpoint = *checkpoint
 	opt.FaultRates = parsedRates

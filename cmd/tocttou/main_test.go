@@ -11,6 +11,7 @@ import (
 // any simulation runs; every rejected combination must name the offending
 // flag so the error is actionable.
 func TestRunRejectsBadFlagCombos(t *testing.T) {
+	traceOut := filepath.Join(t.TempDir(), "t.jsonl")
 	cases := []struct {
 		name string
 		args []string
@@ -76,6 +77,21 @@ func TestRunRejectsBadFlagCombos(t *testing.T) {
 			[]string{"-trace-out", "t.jsonl", "-checkpoint", "x.ckpt"},
 			"-checkpoint",
 		},
+		{
+			"negative rounds",
+			[]string{"-experiment", "fig7", "-rounds", "-5"},
+			"-rounds must be >= 0 (0 = experiment default)",
+		},
+		{
+			"trace pid wrapping int32",
+			[]string{"-trace-out", traceOut, "-trace-pid", "4294967298"},
+			"-trace-pid must be in [0, 2147483647]",
+		},
+		{
+			"trace pid negative",
+			[]string{"-trace-out", traceOut, "-trace-pid", "-1"},
+			"-trace-pid must be in [0, 2147483647]",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,7 +133,7 @@ func TestScenarioFlagValidation(t *testing.T) {
 		{
 			"scenario with adaptive",
 			[]string{"-scenario", "x.yaml", "-adaptive"},
-			"-adaptive does not apply",
+			"flag provided but not defined: -adaptive",
 		},
 		{
 			"scenario with explore",

@@ -227,7 +227,7 @@ const maxSpecBytes = 4 << 20
 // serve cache hits from.
 func jobKey(spec *scenario.Spec, c *scenario.Compiled) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "fp=%016x name=%s report=%s|", core.SweepFingerprint(c.Points, core.AdaptiveStop{}), spec.Name, spec.Report)
+	fmt.Fprintf(h, "fp=%016x name=%s report=%s|", core.SweepFingerprint(c.Points), spec.Name, spec.Report)
 	for _, m := range c.Meta {
 		fmt.Fprintf(h, "m=%+v|", m)
 	}

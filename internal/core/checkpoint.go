@@ -241,7 +241,7 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	if path == "" {
 		return RunSweepPoints(points, opt)
 	}
-	store, err := OpenCheckpoint(path, points, opt.Adaptive)
+	store, err := openCheckpoint(path, SweepFingerprint(points), len(points))
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
@@ -289,12 +289,13 @@ type CheckpointStore struct {
 
 // OpenCheckpoint opens (or implicitly creates) the checkpoint at path
 // for the given sweep grid. A file written for a different sweep is
-// rejected by fingerprint, never merged.
-func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*CheckpointStore, error) {
+// rejected by fingerprint, never merged. The AdaptiveStop argument is
+// ignored.
+func OpenCheckpoint(path string, points []SweepPoint, _ AdaptiveStop) (*CheckpointStore, error) {
 	if path == "" {
 		return nil, fmt.Errorf("core: checkpoint: empty path")
 	}
-	return openCheckpoint(path, SweepFingerprint(points, ad), len(points))
+	return openCheckpoint(path, SweepFingerprint(points), len(points))
 }
 
 // openCheckpoint opens the checkpoint at path for the sweep with

@@ -27,7 +27,7 @@ func TestSweepFingerprintPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = 0xfd490c57b9a7e272
-	if got := core.SweepFingerprint(compiled.Points, core.AdaptiveStop{}); got != want {
+	if got := core.SweepFingerprint(compiled.Points); got != want {
 		t.Errorf("fig6 sweep fingerprint = %#016x, want %#016x", got, uint64(want))
 	}
 }

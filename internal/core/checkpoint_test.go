@@ -252,7 +252,7 @@ func TestCheckpointTornTailResumesBitIdentical(t *testing.T) {
 // is rejected by version, untouched, with a message saying what to do.
 func TestCheckpointPreKeyVersionsRejected(t *testing.T) {
 	points := checkpointTestPoints()[:2]
-	fp := SweepFingerprint(points, AdaptiveStop{})
+	fp := SweepFingerprint(points)
 	for _, version := range []int{1, 2} {
 		path := filepath.Join(t.TempDir(), "sweep.ckpt")
 		data := []byte(fmt.Sprintf("{\"version\":%d,\"fingerprint\":%d,\"points\":%d}\n", version, fp, len(points)))

@@ -45,13 +45,13 @@ func PointFingerprint(p SweepPoint) uint64 {
 	return fnv64a(w.b)
 }
 
-// SweepFingerprint is the FNV-1a hash of a sweep's point keys and
-// adaptive configuration — the value the checkpoint header embeds. The
-// worker fleet's load check and campaignd's job ids key on it: two
-// sweeps with equal fingerprints run bit-identical campaigns, modulo
-// the code the keys record only by presence.
-func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
-	sweep, _ := Fingerprints(points, ad)
+// SweepFingerprint is the FNV-1a hash of a sweep's point keys — the
+// value the checkpoint header embeds. The worker fleet's load check and
+// campaignd's job ids key on it: two sweeps with equal fingerprints run
+// bit-identical campaigns, modulo the code the keys record only by
+// presence.
+func SweepFingerprint(points []SweepPoint) uint64 {
+	sweep, _ := Fingerprints(points)
 	return sweep
 }
 
@@ -59,9 +59,11 @@ func SweepFingerprint(points []SweepPoint, ad AdaptiveStop) uint64 {
 // PointFingerprint, encoding each key once. The keys stream through one
 // reused buffer: no key outlives its hashing. The "v2" tag names the key
 // encoding; checkpoint files carry their own format version.
-func Fingerprints(points []SweepPoint, ad AdaptiveStop) (sweep uint64, perPoint []uint64) {
+func Fingerprints(points []SweepPoint) (sweep uint64, perPoint []uint64) {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v2 n=%d adaptive=%v|", len(points), ad)
+	// "adaptive={0 0 0}" is what the removed early-stop setting printed
+	// when off; it stays so stored fingerprints and job ids remain valid.
+	fmt.Fprintf(h, "v2 n=%d adaptive={0 0 0}|", len(points))
 	perPoint = make([]uint64, len(points))
 	var w keyWriter
 	for i, p := range points {

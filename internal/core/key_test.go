@@ -302,7 +302,7 @@ func TestPointKeySeparatesProgramParameters(t *testing.T) {
 		"backoff": policySpec(0, 21),
 	} {
 		other := compileSpec(t, "policy.yaml", data)
-		if core.SweepFingerprint(base.Points, core.AdaptiveStop{}) == core.SweepFingerprint(other.Points, core.AdaptiveStop{}) {
+		if core.SweepFingerprint(base.Points) == core.SweepFingerprint(other.Points) {
 			t.Errorf("%s: sweeps share a SweepFingerprint", name)
 		}
 		if core.PointFingerprint(base.Points[0]) == core.PointFingerprint(other.Points[0]) {

@@ -20,10 +20,9 @@ package core
 //     are therefore bit-identical to the serial fold.
 //   - The first round error cancels the whole sweep promptly instead of
 //     surfacing only after every remaining round has run.
-//   - An opt-in adaptive budget stops a point early once the Wilson
-//     interval on its success rate is narrow enough. The committed
-//     prefix is still folded in order, so an adaptive result equals the
-//     fixed-budget result of a campaign with exactly that many rounds.
+//
+// Every point runs its whole fixed budget, as the paper's rates do, so a
+// committed round is a pure function of its scenario, seed and index.
 
 import (
 	"errors"
@@ -38,47 +37,17 @@ import (
 // SweepPoint pairs a scenario with its round budget.
 type SweepPoint struct {
 	Scenario Scenario
-	// Rounds is the point's (maximum) round budget; must be > 0.
+	// Rounds is the point's round budget; must be > 0.
 	Rounds int
 }
 
-// AdaptiveStop configures sequential stopping for a sweep: a point stops
-// spending rounds once the Wilson score interval on its observed success
-// rate has half-width at most HalfWidth. The zero value disables it.
-type AdaptiveStop struct {
-	// HalfWidth is the target confidence half-width on the success rate
-	// in [0, 1]; 0 disables adaptive stopping.
-	HalfWidth float64
-	// Z is the interval's z value (0 selects 1.96, ~95% confidence).
-	Z float64
-	// MinRounds is the minimum committed rounds before the rule is
-	// consulted (0 selects 50), guarding against spuriously tight
-	// intervals on tiny samples near rates of 0 or 1.
-	MinRounds int
-}
-
-func (a AdaptiveStop) enabled() bool { return a.HalfWidth > 0 }
-
-func (a AdaptiveStop) z() float64 {
-	if a.Z > 0 {
-		return a.Z
-	}
-	return 1.96
-}
-
-func (a AdaptiveStop) minRounds() int {
-	if a.MinRounds > 0 {
-		return a.MinRounds
-	}
-	return 50
-}
+// AdaptiveStop is empty: sweeps no longer stop points early. The type
+// stays, and OpenCheckpoint keeps an argument of it, because the
+// benchmark module passes AdaptiveStop{} there.
+type AdaptiveStop struct{}
 
 // SweepOptions tunes a sweep execution.
 type SweepOptions struct {
-	// Adaptive, when its HalfWidth is positive, lets each point stop
-	// early; the default (zero) runs every point's full fixed budget,
-	// keeping all results bit-identical to serial RunCampaign calls.
-	Adaptive AdaptiveStop
 	// OnRound, when non-nil, observes every committed round. It is
 	// called in ascending round-index order within each point (the
 	// commit order), under that point's fold lock; calls for different
@@ -87,16 +56,16 @@ type SweepOptions struct {
 	// retained past the call.
 	OnRound func(point, round int, r Round)
 	// OnPointDone, when non-nil, observes each point the moment its last
-	// round commits (full budget spent or adaptive rule satisfied), with
-	// the caller's point index. It fires exactly once per completed
-	// point, under that point's fold lock; calls for different points
-	// may be concurrent, and points cut short by cancellation or
-	// Interrupt never fire. Under RunSweepPointsCheckpoint it fires from
-	// the sweep's committer, one call at a time, once the point's
-	// checkpoint line is written, and additionally replays the points
-	// the checkpoint restored (ResumeSweep: ascending index order, before
-	// any simulation), so a resumed sweep reports every point exactly
-	// once — the streaming seam the campaign service is built on.
+	// round commits, with the caller's point index. It fires exactly once
+	// per completed point, under that point's fold lock; calls for
+	// different points may be concurrent, and points cut short by
+	// cancellation or Interrupt never fire. Under
+	// RunSweepPointsCheckpoint it fires from the sweep's committer, one
+	// call at a time, once the point's checkpoint line is written, and
+	// additionally replays the points the checkpoint restored
+	// (ResumeSweep: ascending index order, before any simulation), so a
+	// resumed sweep reports every point exactly once — the streaming seam
+	// the campaign service is built on.
 	OnPointDone func(point int, res CampaignResult)
 	// Interrupt, when non-nil, requests a graceful mid-sweep stop the
 	// moment it is closed: workers stop claiming rounds, in-flight
@@ -116,12 +85,9 @@ type SweepOptions struct {
 type SweepStats struct {
 	// RoundsCommitted counts rounds folded into the results.
 	RoundsCommitted int
-	// RoundsExecuted counts rounds actually simulated; it can exceed
-	// RoundsCommitted when adaptive stopping discards in-flight
-	// overshoot, and fall far short of the budget on cancellation.
+	// RoundsExecuted counts rounds actually simulated; it falls short of
+	// the budget on cancellation.
 	RoundsExecuted int
-	// PointsStopped counts points halted early by the adaptive rule.
-	PointsStopped int
 	// PointsMemoized is always zero: every point is simulated. The field
 	// stays because the benchmark module reads it.
 	PointsMemoized int
@@ -204,11 +170,9 @@ func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, Sw
 		agg := &r.aggs[i]
 		results[i] = agg.res
 		stats.RoundsCommitted += agg.res.Rounds
-		if agg.done.Load() {
-			stats.PointsStopped++
-		} else if agg.next != points[i].Rounds {
-			// Defensive: with no error and no adaptive stop, every
-			// budgeted round must have been committed.
+		if agg.next != points[i].Rounds {
+			// Defensive: with no error, every budgeted round must have
+			// been committed.
 			return nil, stats, fmt.Errorf("core: internal: sweep point %d committed %d of %d rounds", i, agg.next, points[i].Rounds)
 		}
 	}
@@ -240,7 +204,6 @@ type pointAgg struct {
 	res     CampaignResult
 	next    int           // next round index to fold
 	pending map[int]Round // out-of-order completions awaiting commit
-	done    atomic.Bool   // adaptive rule satisfied; skip remaining work
 }
 
 // work claims and executes tickets until the sweep is exhausted or
@@ -269,10 +232,6 @@ func (r *sweepRun) work(st *roundState) {
 		}
 		p := r.pointAt(t)
 		i := int(t - r.offsets[p])
-		agg := &r.aggs[p]
-		if agg.done.Load() {
-			continue // adaptive-stopped point: skip its remaining budget
-		}
 		sc := r.points[p].Scenario
 		sc.Seed += int64(i+1) * SeedStride
 		round, err := runRoundSafe(sc, st)
@@ -333,9 +292,6 @@ func (r *sweepRun) commit(p, i int, round Round) {
 	agg := &r.aggs[p]
 	agg.mu.Lock()
 	defer agg.mu.Unlock()
-	if agg.done.Load() {
-		return // stopped while this round was in flight: discard
-	}
 	if i != agg.next {
 		if agg.pending == nil {
 			agg.pending = make(map[int]Round)
@@ -344,7 +300,7 @@ func (r *sweepRun) commit(p, i int, round Round) {
 		return
 	}
 	r.fold(p, agg, round)
-	for !agg.done.Load() {
+	for {
 		nr, ok := agg.pending[agg.next]
 		if !ok {
 			return
@@ -354,23 +310,14 @@ func (r *sweepRun) commit(p, i int, round Round) {
 	}
 }
 
-// fold commits one in-order round and consults the adaptive rule.
+// fold commits one in-order round.
 func (r *sweepRun) fold(p int, agg *pointAgg, round Round) {
 	if r.opt.OnRound != nil {
 		r.opt.OnRound(p, agg.next, round)
 	}
 	agg.res.addRound(round)
 	agg.next++
-	ad := r.opt.Adaptive
-	if ad.enabled() && agg.res.Rounds >= ad.minRounds() && agg.res.Rounds < r.points[p].Rounds {
-		if lo, hi := agg.res.Proportion().WilsonInterval(ad.z()); (hi-lo)/2 <= ad.HalfWidth {
-			agg.done.Store(true)
-			agg.pending = nil // any overshoot past the stopping index is discarded
-		}
-	}
-	// A point completes by exhausting its budget or by stopping early;
-	// either way this is the unique fold that finished it.
-	if agg.done.Load() || agg.next == r.points[p].Rounds {
+	if agg.next == r.points[p].Rounds { // the unique fold that completes the point
 		if r.opt.OnPointDone != nil {
 			r.opt.OnPointDone(p, agg.res)
 		}
@@ -531,7 +478,7 @@ func withCallerState(work func(st *roundState)) {
 	}
 }
 
-// errAs is a tiny local alias to keep campaign.go's imports tidy.
+// sweepErrorAs returns the *SweepError err wraps, if any (errors.As).
 func sweepErrorAs(err error) (*SweepError, bool) {
 	var se *SweepError
 	if errors.As(err, &se) {

@@ -26,16 +26,6 @@ type Options struct {
 	// Sizes overrides the experiment's swept file sizes in KB, where
 	// applicable (nil = default sweep).
 	Sizes []int
-	// AdaptiveHalfWidth, when positive, switches the sweep-based
-	// experiments to sequential stopping: each sweep point stops
-	// spending rounds once the 95% Wilson interval on its success rate
-	// has half-width at most this value. The default 0 keeps the fixed
-	// budgets, so every experiment output stays bit-identical to the
-	// serial per-campaign runner.
-	AdaptiveHalfWidth float64
-	// MinRounds, when positive, sets the adaptive stopper's minimum
-	// rounds per point before the interval test applies.
-	MinRounds int
 	// Metrics appends the kernel-metrics section (per-point counter
 	// summaries plus window/D/L histograms) to experiments that support
 	// it. Scenarios that default to untraced run traced so the latency
@@ -69,19 +59,10 @@ func (o Options) seed(def int64) int64 {
 	return def
 }
 
-// sweep translates the options into the engine's sweep configuration.
-func (o Options) sweep() core.SweepOptions {
-	var so core.SweepOptions
-	if o.AdaptiveHalfWidth > 0 {
-		so.Adaptive = core.AdaptiveStop{HalfWidth: o.AdaptiveHalfWidth, MinRounds: o.MinRounds}
-	}
-	return so
-}
-
 // runSweep is the experiments' standard sweep entry point: core.RunSweep
 // semantics, plus checkpoint routing when the option is set.
 func (o Options) runSweep(scs []core.Scenario, rounds int) ([]core.CampaignResult, error) {
-	return o.runSweepWith(scs, rounds, o.sweep())
+	return o.runSweepWith(scs, rounds, core.SweepOptions{})
 }
 
 // runSweepWith is runSweep with explicit sweep options (for experiments
@@ -142,7 +123,7 @@ func specRunner(name string) Runner {
 
 // runSpec runs the named spec: Options override its fields with the
 // checks a parsed spec gets, the compiled points run through
-// runSweepPoints (so -checkpoint and -adaptive apply), and the outcome
+// runSweepPoints (so -checkpoint applies), and the outcome
 // renders with the spec's report. The spec's assertions are not
 // evaluated: they bound the shipped budget, not an overridden one.
 func runSpec(name string, opt Options) (*scenario.Outcome, error) {
@@ -178,7 +159,7 @@ func runSpec(name string, opt Options) (*scenario.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, stats, err := opt.runSweepPoints(c.Points, opt.sweep())
+	results, stats, err := opt.runSweepPoints(c.Points, core.SweepOptions{})
 	if err != nil {
 		return nil, err
 	}

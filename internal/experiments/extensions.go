@@ -75,12 +75,11 @@ func Sendmail(opt Options) (Result, error) {
 	// Refused deliveries aren't part of CampaignResult; count them as the
 	// rounds stream past instead of buffering every Round.
 	refused := make([]int, len(machines))
-	so := opt.sweep()
-	so.OnRound = func(point, _ int, r core.Round) {
+	so := core.SweepOptions{OnRound: func(point, _ int, r core.Round) {
 		if errors.Is(r.VictimErr, victim.ErrDeliveryRefused) {
 			refused[point]++
 		}
-	}
+	}}
 	results, err := opt.runSweepWith(scs, rounds, so)
 	if err != nil {
 		return nil, fmt.Errorf("sendmail: %w", err)

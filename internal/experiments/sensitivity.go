@@ -101,7 +101,7 @@ func SessionStudy(opt Options) (Result, error) {
 		}
 		points = append(points, core.SweepPoint{Scenario: sc, Rounds: rounds})
 	}
-	results, _, err := opt.runSweepPoints(points, opt.sweep())
+	results, _, err := opt.runSweepPoints(points, core.SweepOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}

@@ -85,57 +85,3 @@ func TestFig6SeedStreamsPairwiseDisjoint(t *testing.T) {
 		t.Fatalf("expected %d distinct seeds, got %d", len(scs)*rounds, len(seen))
 	}
 }
-
-// TestFig6AdaptiveReducesRounds checks the opt-in budget: at a 0.04
-// half-width the low-rate uniprocessor points satisfy the Wilson rule
-// long before 500 rounds, and the results stay deterministic.
-func TestFig6AdaptiveReducesRounds(t *testing.T) {
-	scs := fig6Scenarios(t)
-	const budget = 500
-	points := make([]core.SweepPoint, len(scs))
-	for i, sc := range scs {
-		points[i] = core.SweepPoint{Scenario: sc, Rounds: budget}
-	}
-	opt := core.SweepOptions{Adaptive: core.AdaptiveStop{HalfWidth: 0.04}}
-	res, stats, err := core.RunSweepPoints(points, opt)
-	if err != nil {
-		t.Fatalf("adaptive sweep: %v", err)
-	}
-	total := len(scs) * budget
-	if stats.RoundsCommitted >= total {
-		t.Errorf("adaptive committed %d rounds, want < fixed total %d", stats.RoundsCommitted, total)
-	}
-	if stats.PointsStopped == 0 {
-		t.Error("no point stopped early at half-width 0.04")
-	}
-	t.Logf("adaptive: %d/%d rounds committed, %d/%d points stopped early",
-		stats.RoundsCommitted, total, stats.PointsStopped, len(scs))
-	res2, stats2, err := core.RunSweepPoints(points, opt)
-	if err != nil {
-		t.Fatalf("adaptive sweep (repeat): %v", err)
-	}
-	// RoundsExecuted counts discarded in-flight overshoot and so depends
-	// on scheduling; the deterministic contract covers the committed
-	// rounds and the results themselves.
-	if stats2.RoundsCommitted != stats.RoundsCommitted || stats2.PointsStopped != stats.PointsStopped {
-		t.Errorf("adaptive stats nondeterministic: %+v vs %+v", stats, stats2)
-	}
-	for i := range res {
-		if res[i] != res2[i] {
-			t.Errorf("adaptive point %d nondeterministic:\n a: %+v\n b: %+v", i, res[i], res2[i])
-		}
-	}
-}
-
-// TestAdaptiveOffByDefault guards the goldens: a zero Options value must
-// translate to a sweep with no adaptive stopping.
-func TestAdaptiveOffByDefault(t *testing.T) {
-	var o Options
-	if so := o.sweep(); so.Adaptive.HalfWidth != 0 {
-		t.Fatalf("default Options enable adaptive stopping: %+v", so.Adaptive)
-	}
-	o.AdaptiveHalfWidth = 0.02
-	if so := o.sweep(); so.Adaptive.HalfWidth != 0.02 {
-		t.Fatalf("AdaptiveHalfWidth not forwarded: %+v", so.Adaptive)
-	}
-}

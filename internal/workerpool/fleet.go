@@ -165,7 +165,7 @@ func Run(cfg Config, filename string, spec []byte, points []core.SweepPoint, res
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sweepFP, fps := core.Fingerprints(points, core.AdaptiveStop{})
+	sweepFP, fps := core.Fingerprints(points)
 	r := &fleetRun{
 		cfg:         cfg,
 		filename:    filename,

@@ -118,7 +118,7 @@ func (w *worker) load(msg *Message) error {
 	if err != nil {
 		return fmt.Errorf("compiling %s: %w", msg.Filename, err)
 	}
-	fp, fps := core.Fingerprints(compiled.Points, core.AdaptiveStop{})
+	fp, fps := core.Fingerprints(compiled.Points)
 	if got := fpString(fp); got != msg.Fingerprint {
 		return fmt.Errorf("workerpool: %s compiles to fingerprint %s here, daemon expects %s (binary version skew?)", msg.Filename, got, msg.Fingerprint)
 	}
