@@ -95,7 +95,7 @@ func BenchmarkFig7ViSMPLD(b *testing.B) {
 	res := runExperiment(b, "fig7", experiments.Options{Rounds: 80})
 	fig := res.(*experiments.Fig7Result)
 	b.ReportMetric(fig.Slope, "L_slope_us_per_KB")
-	b.ReportMetric(fig.Rows[len(fig.Rows)-1].Result.D.Mean(), "D_1MB_us")
+	b.ReportMetric(fig.Rows[len(fig.Rows)-1].Result.Metrics.DUs.Mean(), "D_1MB_us")
 }
 
 // BenchmarkTable1ViSMPOneByte regenerates Table 1 (paper: L=61.6±3.78,
@@ -103,8 +103,8 @@ func BenchmarkFig7ViSMPLD(b *testing.B) {
 func BenchmarkTable1ViSMPOneByte(b *testing.B) {
 	res := runExperiment(b, "table1", experiments.Options{Rounds: 400})
 	tbl := res.(*experiments.Table1Result)
-	b.ReportMetric(tbl.Campaign.L.Mean(), "L_us")
-	b.ReportMetric(tbl.Campaign.D.Mean(), "D_us")
+	b.ReportMetric(tbl.Campaign.Metrics.LUs.Mean(), "L_us")
+	b.ReportMetric(tbl.Campaign.Metrics.DUs.Mean(), "D_us")
 	b.ReportMetric(tbl.Campaign.Rate()*100, "rate_pct")
 	b.ReportMetric(tbl.PredictedMC*100, "predicted_pct")
 }
@@ -114,8 +114,8 @@ func BenchmarkTable1ViSMPOneByte(b *testing.B) {
 func BenchmarkTable2GeditSMP(b *testing.B) {
 	res := runExperiment(b, "table2", experiments.Options{Rounds: 400})
 	tbl := res.(*experiments.Table2Result)
-	b.ReportMetric(tbl.Campaign.L.Mean(), "L_us")
-	b.ReportMetric(tbl.Campaign.D.Mean(), "D_us")
+	b.ReportMetric(tbl.Campaign.Metrics.LUs.Mean(), "L_us")
+	b.ReportMetric(tbl.Campaign.Metrics.DUs.Mean(), "D_us")
 	b.ReportMetric(tbl.Campaign.Rate()*100, "observed_pct")
 	b.ReportMetric(tbl.PredictedPoint*100, "predicted_pct")
 }

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("  program 1 (naive, traps in-window): %s\n", v1.Proportion())
 	fmt.Printf("  program 2 (pre-faulted, Fig. 9):    %s\n", v2.Proportion())
 	fmt.Printf("  detection gap D: v1 = %.1fµs vs v2 = %.1fµs (the trap + cold branch)\n\n",
-		v1.D.Mean(), v2.D.Mean())
+		v1.Metrics.DUs.Mean(), v2.Metrics.DUs.Mean())
 
 	// A failed v1 round, like the paper's Figure 8.
 	show("FAILED program-1 round (paper Fig. 8)", scenario(attack.NewV1(), 63),

@@ -51,6 +51,6 @@ func main() {
 	}
 	fmt.Printf("\n100-round campaign: %s\n", campaign.Proportion())
 	fmt.Printf("L = %.1f ± %.1f µs, D = %.1f ± %.1f µs\n",
-		campaign.L.Mean(), campaign.L.Stdev(), campaign.D.Mean(), campaign.D.Stdev())
+		campaign.Metrics.LUs.Mean(), campaign.Metrics.LUs.Stdev(), campaign.Metrics.DUs.Mean(), campaign.Metrics.DUs.Stdev())
 	fmt.Println("\nPaper §5: \"the success rate of 100% for all file sizes\" on the SMP.")
 }

@@ -13,6 +13,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tocttou/internal/fault"
+	"tocttou/internal/metrics"
+	"tocttou/internal/stats"
 )
 
 // policySpec is a one-point faulty vi/v1 campaign under a custom
@@ -194,6 +198,86 @@ func TestResumeSameInProcessAndFleet(t *testing.T) {
 		if out.report != want {
 			t.Errorf("%s: resumed report diverged from the local run:\n%s", name, out.report)
 		}
+	}
+}
+
+// parentResult is a CampaignResult as builds before the one latency
+// record wrote it: L, D, Window and WindowRounds sat between AttackErrors
+// and SuspendedRounds, duplicating Metrics.LUs, .DUs, .WindowUs and
+// .WindowUs.N().
+type parentResult struct {
+	Rounds, Successes, Detected, AttackErrors int
+	L, D, Window                              stats.Summary
+	WindowRounds, SuspendedRounds             int
+	Metrics                                   metrics.Point
+	Faults                                    fault.Counters
+	VictimErrors                              int
+}
+
+// TestResumeRestoresParentLines restarts a server over an interrupted
+// job whose log holds every point in the line layout older builds
+// wrote, with the L, D, Window and WindowRounds members. Every point
+// must restore and none re-run: the job ends done, its log is left as
+// it is, and its report is byte-identical to the local run's.
+func TestResumeRestoresParentLines(t *testing.T) {
+	const spec = smallSpec + "trace: true\n"
+	info, src := finishedJob(t, "svc-traced.yaml", spec)
+	var old []byte
+	withL := 0
+	for _, line := range bytes.SplitAfter(cutLog(t, src, info.Points), []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
+		var l logLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatal(err)
+		}
+		r, m := l.Result, l.Result.Metrics
+		if m.LUs.N() > 0 {
+			withL++
+		}
+		enc, err := json.Marshal(struct {
+			PointEvent
+			Result parentResult `json:"result"`
+		}{l.PointEvent, parentResult{
+			r.Rounds, r.Successes, r.Detected, r.AttackErrors,
+			m.LUs, m.DUs, m.WindowUs,
+			int(m.WindowUs.N()), r.SuspendedRounds,
+			m, r.Faults, r.VictimErrors,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(append(old, enc...), '\n')
+	}
+	if withL == 0 || !bytes.Contains(old, []byte(`"WindowRounds":30,`)) {
+		t.Fatal("rewritten log carries no L or window observations")
+	}
+
+	dir := t.TempDir()
+	stageInterrupted(t, info, src, dir, old)
+	s, err := New(Config{DataDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Drain()
+	j := s.lookup(info.ID)
+	if j == nil {
+		t.Fatalf("staged job %s not restored", info.ID)
+	}
+	s.wg.Wait()
+	if end := endEvent(t, j); end.State != StateDone || end.Committed != info.Points {
+		t.Fatalf("resumed job ended %q with %d of %d points (%s)", end.State, end.Committed, info.Points, end.Error)
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, "jobs", info.ID, "events.ndjson")); err != nil || !bytes.Equal(kept, old) {
+		t.Errorf("resume changed the old log (err %v): a line was refused or a point re-ran", err)
+	}
+	report, err := os.ReadFile(j.reportPath())
+	if err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	if want := localReport(t, "svc-traced.yaml", spec); string(report) != want {
+		t.Errorf("report after resuming from old lines diverged from the local run:\n%s", report)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestCalibrationProbe(t *testing.T) {
 		}
 		t.Logf("%-28s rate=%6.1f%%  detected=%d/%d  L=%7.1f±%5.1fµs  D=%6.1f±%4.1fµs  W=%9.1fµs",
 			name, res.Rate()*100, res.Detected, res.Rounds,
-			res.L.Mean(), res.L.Stdev(), res.D.Mean(), res.D.Stdev(), res.Window.Mean())
+			res.Metrics.LUs.Mean(), res.Metrics.LUs.Stdev(), res.Metrics.DUs.Mean(), res.Metrics.DUs.Stdev(), res.Metrics.WindowUs.Mean())
 		return res
 	}
 

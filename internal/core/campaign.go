@@ -28,21 +28,17 @@ type CampaignResult struct {
 	Detected int
 	// AttackErrors counts rounds whose attack step failed outright.
 	AttackErrors int
-	// L and D summarize the paper's §3.4 quantities in microseconds,
-	// over rounds where both were measurable.
-	L stats.Summary
-	D stats.Summary
-	// Window summarizes the vulnerability window length in microseconds.
-	Window stats.Summary
-	// WindowRounds counts rounds whose window was observed (traced), and
-	// SuspendedRounds those where the victim lost its CPU inside it —
-	// together they estimate Equation 1's P(victim suspended).
-	WindowRounds    int
+	// SuspendedRounds counts the rounds whose window was observed and
+	// in which the victim lost its CPU inside it; over
+	// Metrics.WindowUs.N() it estimates Equation 1's P(victim suspended).
 	SuspendedRounds int
-	// Metrics is the observability summary of the campaign: Welford
-	// mean/variance of the per-round kernel counters plus log₂ histograms
-	// of the window/D/L latencies (latencies require a traced scenario).
-	// It folds in commit order, so it is bit-identical across GOMAXPROCS
+	// Metrics is the campaign's one latency record and its observability
+	// summary: Welford mean/variance of the per-round kernel counters,
+	// and summaries plus log₂ histograms of the paper's §3.4 laxity L
+	// (LUs) and detection latency D (DUs), over rounds where both were
+	// measurable, and of the vulnerability window (WindowUs), over rounds
+	// where it was observed. The latencies require a traced scenario. It
+	// folds in commit order, so it is bit-identical across GOMAXPROCS
 	// like the rest of the result.
 	Metrics metrics.Point
 	// Faults totals the injected faults delivered across all rounds
@@ -66,10 +62,6 @@ func (r *CampaignResult) addRound(round Round) {
 	}
 	if round.LD.Detected {
 		r.Detected++
-		if round.LD.WindowFound && round.LD.T3 > 0 {
-			r.L.Add(round.LD.Lmicros())
-			r.D.Add(round.LD.Dmicros())
-		}
 	}
 	if round.AttackerErr != nil {
 		r.AttackErrors++
@@ -78,12 +70,8 @@ func (r *CampaignResult) addRound(round Round) {
 		r.VictimErrors++
 	}
 	r.Faults.Add(round.Faults)
-	if round.WindowOK {
-		r.Window.Add(float64(round.Window) / 1e3)
-		r.WindowRounds++
-		if round.VictimSuspended {
-			r.SuspendedRounds++
-		}
+	if round.WindowOK && round.VictimSuspended {
+		r.SuspendedRounds++
 	}
 	r.Metrics.Observe(round.Kernel, round.End, round.LD, round.Window, round.WindowOK, round.Faults)
 }
@@ -91,10 +79,11 @@ func (r *CampaignResult) addRound(round Round) {
 // PSuspended returns the measured P(victim suspended within the window),
 // or 0 when no windows were observed.
 func (r CampaignResult) PSuspended() float64 {
-	if r.WindowRounds == 0 {
+	n := r.Metrics.WindowUs.N()
+	if n == 0 {
 		return 0
 	}
-	return float64(r.SuspendedRounds) / float64(r.WindowRounds)
+	return float64(r.SuspendedRounds) / float64(n)
 }
 
 // Rate returns the observed success rate in [0, 1].
@@ -109,7 +98,7 @@ func (r CampaignResult) Proportion() stats.Proportion {
 func (r CampaignResult) String() string {
 	return fmt.Sprintf("success %d/%d (%.1f%%), L=%.1f±%.1fµs D=%.1f±%.1fµs",
 		r.Successes, r.Rounds, r.Rate()*100,
-		r.L.Mean(), r.L.Stdev(), r.D.Mean(), r.D.Stdev())
+		r.Metrics.LUs.Mean(), r.Metrics.LUs.Stdev(), r.Metrics.DUs.Mean(), r.Metrics.DUs.Stdev())
 }
 
 // RunCampaign executes rounds of the scenario with derived per-round

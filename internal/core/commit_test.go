@@ -25,7 +25,7 @@ func commitGrid(n int) ([]SweepPoint, []CampaignResult) {
 		points[i] = SweepPoint{Scenario: viSc(machine.SMP2(), int64(i+1)<<10, int64(5000+i), false), Rounds: 3}
 		results[i].Rounds = 3
 		results[i].Successes = i % 4
-		results[i].Window.Add(float64(i) + 0.25)
+		results[i].Metrics.WindowUs.Add(float64(i) + 0.25)
 	}
 	return points, results
 }

@@ -94,8 +94,8 @@ func TestSuspensionMeasurementOnUniprocessor(t *testing.T) {
 	// must have VictimSuspended set, and P(susp) ≈ success rate.
 	sc := viSc(machine.Uniprocessor(), 500<<10, 606, true)
 	res := campaign(t, sc, 150)
-	if res.WindowRounds != 150 {
-		t.Fatalf("windows observed = %d, want all", res.WindowRounds)
+	if res.Metrics.WindowUs.N() != 150 {
+		t.Fatalf("windows observed = %d, want all", res.Metrics.WindowUs.N())
 	}
 	ps := res.PSuspended()
 	rate := res.Rate()

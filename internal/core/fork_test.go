@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -185,7 +186,7 @@ func TestForkPoolNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	high := st.k.PooledThreads()
-	before := runtime.NumGoroutine()
+	before := simGoroutines()
 	for i := 0; i < 20; i++ {
 		sc := a
 		if i%2 == 1 {
@@ -199,17 +200,50 @@ func TestForkPoolNoLeak(t *testing.T) {
 			t.Fatalf("iteration %d: pool grew to %d shells (high-water %d): dropped forks are not recycling", i, got, high)
 		}
 	}
-	if g := runtime.NumGoroutine(); g > before+high {
+	if g := settleSimGoroutines(before + high); g > before+high {
 		t.Fatalf("goroutines grew from %d to %d across dropped forks (pool high-water %d)", before, g, high)
 	}
 	st.k.Drain()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
+	settleSimGoroutines(before)
 	if st.k.PooledThreads() != 0 {
 		t.Fatalf("Drain left %d pooled shells", st.k.PooledThreads())
 	}
+}
+
+// settleSimGoroutines polls simGoroutines for up to two seconds until it
+// reads at most limit, and returns the last count. A finished round's
+// unpooled threads exit just after handing back the CPU, so a count taken
+// at once can still see them.
+func settleSimGoroutines(limit int) int {
+	g := simGoroutines()
+	for deadline := time.Now().Add(2 * time.Second); g > limit && time.Now().Before(deadline); g = simGoroutines() {
+		runtime.Gosched()
+	}
+	return g
+}
+
+// simGoroutines counts the live goroutines with a frame in package sim or
+// core: the kernel's thread goroutines, parked or running, and the
+// calling test. A goroutine the runtime starts on its own, such as the
+// finalizer goroutine closing an earlier test's file, has neither and is
+// not counted.
+func simGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("tocttou/internal/sim.")) || bytes.Contains(g, []byte("tocttou/internal/core.")) {
+			count++
+		}
+	}
+	return count
 }
 
 // TestForkableExclusions proves the paths that must bypass forking do: a

@@ -62,13 +62,13 @@ func TestViSMPOneByteMatchesTable1(t *testing.T) {
 	if r := res.Rate(); r < 0.90 || r > 0.995 {
 		t.Errorf("rate = %.1f%%, want ≈96%% (Table 1)", r*100)
 	}
-	if l := res.L.Mean(); l < 50 || l > 75 {
+	if l := res.Metrics.LUs.Mean(); l < 50 || l > 75 {
 		t.Errorf("L = %.1fµs, want ≈61.6µs (Table 1)", l)
 	}
-	if d := res.D.Mean(); d < 32 || d > 50 {
+	if d := res.Metrics.DUs.Mean(); d < 32 || d > 50 {
 		t.Errorf("D = %.1fµs, want ≈41.1µs (Table 1)", d)
 	}
-	if res.L.Mean() <= res.D.Mean() {
+	if res.Metrics.LUs.Mean() <= res.Metrics.DUs.Mean() {
 		t.Error("L must exceed D for the near-certain attack")
 	}
 }
@@ -95,10 +95,10 @@ func TestGeditSMPMatchesTable2(t *testing.T) {
 	}
 	// The conservative L under-predicts, as the paper's Table 2 notes:
 	// clamp(L/D) must be clearly below the observed rate.
-	if pred := res.L.Mean() / res.D.Mean(); pred > res.Rate()-0.15 {
+	if pred := res.Metrics.LUs.Mean() / res.Metrics.DUs.Mean(); pred > res.Rate()-0.15 {
 		t.Errorf("conservative L/D = %.2f should under-predict observed %.2f", pred, res.Rate())
 	}
-	if d := res.D.Mean(); d < 30 || d > 50 {
+	if d := res.Metrics.DUs.Mean(); d < 30 || d > 50 {
 		t.Errorf("D = %.1fµs, want ≈33-41µs band", d)
 	}
 }
@@ -123,8 +123,8 @@ func TestGeditMulticoreTrapKillsNaiveAttacker(t *testing.T) {
 			v1.Rate()*100, v2.Rate()*100)
 	}
 	// v2's detection gap D must be much smaller than v1's (no trap).
-	if v1.D.N() > 0 && v2.D.N() > 0 && v2.D.Mean() > v1.D.Mean()-5 {
-		t.Errorf("v2 D=%.1fµs should be well below v1 D=%.1fµs", v2.D.Mean(), v1.D.Mean())
+	if v1.Metrics.DUs.N() > 0 && v2.Metrics.DUs.N() > 0 && v2.Metrics.DUs.Mean() > v1.Metrics.DUs.Mean()-5 {
+		t.Errorf("v2 D=%.1fµs should be well below v1 D=%.1fµs", v2.Metrics.DUs.Mean(), v1.Metrics.DUs.Mean())
 	}
 }
 

@@ -121,7 +121,7 @@ func Eq1Exact(opt Options) (Result, error) {
 		Result:  res,
 		// The MC cross-check runs traced, so its L/D summaries feed the
 		// paper's multiprocessor success model directly.
-		Model: model.MultiprocessorSuccess(res.MC.L, res.MC.D, seed),
+		Model: model.MultiprocessorSuccess(res.MC.Metrics.LUs, res.MC.Metrics.DUs, seed),
 	})
 	return out, nil
 }

@@ -121,10 +121,10 @@ func TestFig7LinearLFlatD(t *testing.T) {
 		t.Errorf("L-size correlation = %.4f, want ~1 (linear)", fig.Corr)
 	}
 	for _, row := range fig.Rows {
-		if d := row.Result.D.Mean(); d < 30 || d > 50 {
+		if d := row.Result.Metrics.DUs.Mean(); d < 30 || d > 50 {
 			t.Errorf("%dKB D = %.1f, want flat ≈40µs", row.SizeKB, d)
 		}
-		if row.Result.L.Mean() <= row.Result.D.Mean() {
+		if row.Result.Metrics.LUs.Mean() <= row.Result.Metrics.DUs.Mean() {
 			t.Errorf("%dKB: L must exceed D", row.SizeKB)
 		}
 	}
@@ -136,10 +136,10 @@ func TestTable1Bands(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := res.(*Table1Result)
-	if l := tbl.Campaign.L.Mean(); l < 50 || l > 75 {
+	if l := tbl.Campaign.Metrics.LUs.Mean(); l < 50 || l > 75 {
 		t.Errorf("L = %.1f, want ≈61.6", l)
 	}
-	if d := tbl.Campaign.D.Mean(); d < 32 || d > 50 {
+	if d := tbl.Campaign.Metrics.DUs.Mean(); d < 32 || d > 50 {
 		t.Errorf("D = %.1f, want ≈41.1", d)
 	}
 	if r := tbl.Campaign.Rate(); r < 0.90 {

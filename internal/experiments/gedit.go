@@ -51,8 +51,8 @@ func (r *Table2Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Paper: L = 11.6 ± 3.89 µs, D = 32.7 ± 2.83 µs; formula predicts ~35%%,\n")
 	fmt.Fprintf(w, "observed ≈ 83%% — the paper notes its t1 estimate (and thus L) is conservative.\n\n")
 	tbl := &report.Table{Headers: []string{"", "average", "stdev"}}
-	tbl.AddRow("L (µs)", fmt.Sprintf("%.1f", r.Campaign.L.Mean()), fmt.Sprintf("%.2f", r.Campaign.L.Stdev()))
-	tbl.AddRow("D (µs)", fmt.Sprintf("%.1f", r.Campaign.D.Mean()), fmt.Sprintf("%.2f", r.Campaign.D.Stdev()))
+	tbl.AddRow("L (µs)", fmt.Sprintf("%.1f", r.Campaign.Metrics.LUs.Mean()), fmt.Sprintf("%.2f", r.Campaign.Metrics.LUs.Stdev()))
+	tbl.AddRow("D (µs)", fmt.Sprintf("%.1f", r.Campaign.Metrics.DUs.Mean()), fmt.Sprintf("%.2f", r.Campaign.Metrics.DUs.Stdev()))
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
@@ -73,8 +73,8 @@ func Table2(opt Options) (Result, error) {
 	return &Table2Result{
 		Rounds:         rounds,
 		Campaign:       res,
-		PredictedPoint: model.LDRate(res.L.Mean(), res.D.Mean()),
-		PredictedMC:    model.MultiprocessorSuccess(res.L, res.D, seed),
+		PredictedPoint: model.LDRate(res.Metrics.LUs.Mean(), res.Metrics.DUs.Mean()),
+		PredictedMC:    model.MultiprocessorSuccess(res.Metrics.LUs, res.Metrics.DUs, seed),
 	}, nil
 }
 
@@ -97,9 +97,9 @@ func (r *CampaignSummary) Render(w io.Writer) error {
 	if r.Campaign.Detected > 0 {
 		fmt.Fprintf(w, "rounds with detection: %d/%d\n", r.Campaign.Detected, r.Campaign.Rounds)
 	}
-	if r.Campaign.L.N() > 0 {
+	if r.Campaign.Metrics.LUs.N() > 0 {
 		fmt.Fprintf(w, "L = %.1f ± %.1f µs, D = %.1f ± %.1f µs\n",
-			r.Campaign.L.Mean(), r.Campaign.L.Stdev(), r.Campaign.D.Mean(), r.Campaign.D.Stdev())
+			r.Campaign.Metrics.LUs.Mean(), r.Campaign.Metrics.LUs.Stdev(), r.Campaign.Metrics.DUs.Mean(), r.Campaign.Metrics.DUs.Stdev())
 	}
 	return nil
 }

@@ -116,7 +116,7 @@ func ModelValidation(opt Options) (Result, error) {
 	t1res := results[4]
 	quant(ModelPoint{
 		Scenario:  "vi / SMP / 1 byte",
-		Predicted: model.MultiprocessorSuccess(t1res.L, t1res.D, seed),
+		Predicted: model.MultiprocessorSuccess(t1res.Metrics.LUs, t1res.Metrics.DUs, seed),
 		Observed:  t1res.Rate(),
 		Note:      "formula (1) Monte Carlo over measured L, D",
 	})
@@ -125,7 +125,7 @@ func ModelValidation(opt Options) (Result, error) {
 	t2res := results[5]
 	quant(ModelPoint{
 		Scenario:  "vi / SMP / 100KB",
-		Predicted: model.LDRate(t2res.L.Mean(), t2res.D.Mean()),
+		Predicted: model.LDRate(t2res.Metrics.LUs.Mean(), t2res.Metrics.DUs.Mean()),
 		Observed:  t2res.Rate(),
 		Note:      "L >> D ⇒ formula (1) = 1",
 	})
@@ -135,7 +135,7 @@ func ModelValidation(opt Options) (Result, error) {
 	gres := results[6]
 	out.Points = append(out.Points, ModelPoint{
 		Scenario:  "gedit / SMP",
-		Predicted: model.LDRate(gres.L.Mean(), gres.D.Mean()),
+		Predicted: model.LDRate(gres.Metrics.LUs.Mean(), gres.Metrics.DUs.Mean()),
 		Observed:  gres.Rate(),
 		Note:      "conservative t1 ⇒ under-predicts (paper: 35% vs 83%)",
 	})

@@ -132,13 +132,13 @@ func (r *Fig7Result) Render(w io.Writer) error {
 	for _, row := range r.Rows {
 		tbl.AddRow(
 			fmt.Sprintf("%d", row.SizeKB),
-			fmt.Sprintf("%.1f ± %.1f", row.Result.L.Mean(), row.Result.L.Stdev()),
-			fmt.Sprintf("%.1f ± %.1f", row.Result.D.Mean(), row.Result.D.Stdev()),
-			fmt.Sprintf("%.1f", row.Result.L.Mean()-row.Result.D.Mean()),
+			fmt.Sprintf("%.1f ± %.1f", row.Result.Metrics.LUs.Mean(), row.Result.Metrics.LUs.Stdev()),
+			fmt.Sprintf("%.1f ± %.1f", row.Result.Metrics.DUs.Mean(), row.Result.Metrics.DUs.Stdev()),
+			fmt.Sprintf("%.1f", row.Result.Metrics.LUs.Mean()-row.Result.Metrics.DUs.Mean()),
 		)
 		xs = append(xs, float64(row.SizeKB))
-		ls = append(ls, row.Result.L.Mean())
-		ds = append(ds, row.Result.D.Mean())
+		ls = append(ls, row.Result.Metrics.LUs.Mean())
+		ds = append(ds, row.Result.Metrics.DUs.Mean())
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
@@ -183,7 +183,7 @@ func Fig7(opt Options) (Result, error) {
 	for i, kb := range sizes {
 		out.Rows = append(out.Rows, SweepRow{SizeKB: kb, Result: results[i]})
 		xs = append(xs, float64(kb))
-		ls = append(ls, results[i].L.Mean())
+		ls = append(ls, results[i].Metrics.LUs.Mean())
 	}
 	_, slope, _ := model.LinearFit(xs, ls)
 	corr, _ := model.Correlation(xs, ls)
@@ -216,8 +216,8 @@ func (r *Table1Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "Table 1 — vi SMP attack, file size = 1 byte (%d rounds)\n", r.Rounds)
 	fmt.Fprintf(w, "Paper: L = 61.6 ± 3.78 µs, D = 41.1 ± 2.73 µs, success ≈ 96%%.\n\n")
 	tbl := &report.Table{Headers: []string{"", "average", "stdev"}}
-	tbl.AddRow("L (µs)", fmt.Sprintf("%.1f", r.Campaign.L.Mean()), fmt.Sprintf("%.2f", r.Campaign.L.Stdev()))
-	tbl.AddRow("D (µs)", fmt.Sprintf("%.1f", r.Campaign.D.Mean()), fmt.Sprintf("%.2f", r.Campaign.D.Stdev()))
+	tbl.AddRow("L (µs)", fmt.Sprintf("%.1f", r.Campaign.Metrics.LUs.Mean()), fmt.Sprintf("%.2f", r.Campaign.Metrics.LUs.Stdev()))
+	tbl.AddRow("D (µs)", fmt.Sprintf("%.1f", r.Campaign.Metrics.DUs.Mean()), fmt.Sprintf("%.2f", r.Campaign.Metrics.DUs.Stdev()))
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
@@ -225,7 +225,7 @@ func (r *Table1Result) Render(w io.Writer) error {
 	fmt.Fprintf(w, "formula (1) point estimate clamp(L/D): %.1f%%\n", r.PredictedPoint*100)
 	fmt.Fprintf(w, "formula (1) with L/D variance (Monte Carlo): %.1f%%\n", r.PredictedMC*100)
 	if r.LHist != nil && r.LHist.Total() > 0 {
-		fmt.Fprintf(w, "\nL distribution (µs) vs mean D = %.1fµs — overlap is where attacks fail:\n", r.Campaign.D.Mean())
+		fmt.Fprintf(w, "\nL distribution (µs) vs mean D = %.1fµs — overlap is where attacks fail:\n", r.Campaign.Metrics.DUs.Mean())
 		max := int64(1)
 		for _, c := range r.LHist.Bins {
 			if c > max {
@@ -236,7 +236,7 @@ func (r *Table1Result) Render(w io.Writer) error {
 			center := r.LHist.BinCenter(i)
 			bar := strings.Repeat("#", int(40*c/max))
 			marker := "  "
-			if center <= r.Campaign.D.Mean()+2.5 && center >= r.Campaign.D.Mean()-2.5 {
+			if center <= r.Campaign.Metrics.DUs.Mean()+2.5 && center >= r.Campaign.Metrics.DUs.Mean()-2.5 {
 				marker = "D>"
 			}
 			fmt.Fprintf(w, "%s %6.1f | %-40s %d\n", marker, center, bar, c)
@@ -268,8 +268,8 @@ func Table1(opt Options) (Result, error) {
 	return &Table1Result{
 		Rounds:         rounds,
 		Campaign:       res,
-		PredictedMC:    model.MultiprocessorSuccess(res.L, res.D, seed),
-		PredictedPoint: model.LDRate(res.L.Mean(), res.D.Mean()),
+		PredictedMC:    model.MultiprocessorSuccess(res.Metrics.LUs, res.Metrics.DUs, seed),
+		PredictedPoint: model.LDRate(res.Metrics.LUs.Mean(), res.Metrics.DUs.Mean()),
 		LHist:          hist,
 	}, nil
 }

@@ -86,11 +86,11 @@ func (o *Outcome) evalMetric(a Assertion) (float64, error) {
 		res := o.Results[sel[0]]
 		switch a.Metric {
 		case "l_mean_us":
-			return res.L.Mean(), nil
+			return res.Metrics.LUs.Mean(), nil
 		case "d_mean_us":
-			return res.D.Mean(), nil
+			return res.Metrics.DUs.Mean(), nil
 		case "window_mean_us":
-			return res.Window.Mean(), nil
+			return res.Metrics.WindowUs.Mean(), nil
 		}
 	}
 

@@ -1,8 +1,17 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"tocttou/internal/core"
+	"tocttou/internal/fault"
+	"tocttou/internal/metrics"
+	"tocttou/internal/stats"
 )
 
 func loadExample(t *testing.T, name string) *Spec {
@@ -49,5 +58,106 @@ func TestScenarioCheckpointComposes(t *testing.T) {
 		if direct.Results[i] != second.Results[i] {
 			t.Errorf("point %d: resumed result differs from direct", i)
 		}
+	}
+}
+
+// parentResult is a CampaignResult as builds before the one latency
+// record wrote it: L, D, Window and WindowRounds sat between AttackErrors
+// and SuspendedRounds, duplicating Metrics.LUs, .DUs, .WindowUs and
+// .WindowUs.N().
+type parentResult struct {
+	Rounds, Successes, Detected, AttackErrors int
+	L, D, Window                              stats.Summary
+	WindowRounds, SuspendedRounds             int
+	Metrics                                   metrics.Point
+	Faults                                    fault.Counters
+	VictimErrors                              int
+}
+
+// TestScenarioCheckpointRestoresParentLines resumes a traced scenario
+// from a checkpoint whose entry lines carry the L, D, Window and
+// WindowRounds members older builds wrote. Every point must restore,
+// none may re-run, and the report must render byte-identical to the
+// uninterrupted run's.
+func TestScenarioCheckpointRestoresParentLines(t *testing.T) {
+	spec := loadExample(t, "fig6.yaml")
+	spec.Rounds = 25
+	spec.SizesKB = []int{100, 200, 300}
+	spec.Trace = true
+	spec.Assertions = nil
+
+	direct, err := Run(spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := direct.Render(&want); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "scenario.ckpt")
+	if _, err := Run(spec, RunOptions{Checkpoint: ckpt}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	old := append([]byte(nil), lines[0]...) // the header
+	withL := 0
+	for _, line := range lines[1:] {
+		if len(line) == 0 {
+			continue
+		}
+		var e core.PointResult
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		r, m := e.Result, e.Result.Metrics
+		if m.LUs.N() > 0 {
+			withL++
+		}
+		enc, err := json.Marshal(struct {
+			Point  int          `json:"point"`
+			Result parentResult `json:"result"`
+		}{e.Point, parentResult{
+			r.Rounds, r.Successes, r.Detected, r.AttackErrors,
+			m.LUs, m.DUs, m.WindowUs,
+			int(m.WindowUs.N()), r.SuspendedRounds,
+			m, r.Faults, r.VictimErrors,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(append(old, enc...), '\n')
+	}
+	if withL == 0 || !bytes.Contains(old, []byte(`"WindowRounds":25,`)) {
+		t.Fatal("rewritten checkpoint carries no L or window observations")
+	}
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := Run(spec, RunOptions{Checkpoint: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Stats.RoundsExecuted != 0 {
+		t.Errorf("resumed run executed %d rounds, want 0 (all restored)", resumed.Stats.RoundsExecuted)
+	}
+	for i := range direct.Results {
+		if direct.Results[i] != resumed.Results[i] {
+			t.Errorf("point %d: result restored from an old line differs from direct", i)
+		}
+	}
+	var got strings.Builder
+	if err := resumed.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("report after resuming from old lines diverged:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	if kept, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(kept, old) {
+		t.Errorf("resume rewrote the old checkpoint (err %v)", err)
 	}
 }
