@@ -18,17 +18,17 @@ import (
 // is not a point event, an empty file, a layout-1 line without a
 // result, a result-less line after a valid one (corrupt, not layout 1),
 // a line whose event fields disagree with its result, a repeated point,
-// and a seq gap.
+// a seq gap, and a log older builds wrote in finishing order (points 1,
+// 0, 2, 3), of which nothing is restored.
 const fuzzSpec = "name: fuzz-grid\nmachine: up\nrounds: 3\nseed: 4242\nvictim: vi\nattacker: v1\nsizes_kb: [100, 200, 300, 400]\n"
 
 // validPrefix is the oracle for what a resumable job keeps of its log:
 // the leading complete lines that each decode as point event number i
-// for a distinct point of the grid, carry that point's label, and agree
-// with the result they carry. It returns their results and length, and
+// for point i of the grid, carry that point's label, and agree with the
+// result they carry. It returns their results and length, and
 // layout1 when the first line is a decodable point line without a
 // result; a later such line ends the prefix like any corrupt line.
 func validPrefix(data []byte, labels []string) (restored []core.PointResult, size int, layout1 bool) {
-	seen := make(map[int]bool)
 	for _, line := range strings.SplitAfter(string(data), "\n") {
 		if !strings.HasSuffix(line, "\n") {
 			break
@@ -42,14 +42,13 @@ func validPrefix(data []byte, labels []string) (restored []core.PointResult, siz
 		}
 		ev, res := l.PointEvent, l.Result
 		if ev.Type != "point" || res == nil || ev.Seq != len(restored) ||
-			ev.Point < 0 || ev.Point >= len(labels) || seen[ev.Point] || ev.Label != labels[ev.Point] {
+			ev.Point != len(restored) || ev.Point >= len(labels) || ev.Label != labels[ev.Point] {
 			break
 		}
 		if ev.Rounds != res.Rounds || ev.Successes != res.Successes || ev.Rate != res.Rate() ||
 			ev.VictimErrors != res.VictimErrors || ev.AttackErrors != res.AttackErrors {
 			break
 		}
-		seen[ev.Point] = true
 		restored = append(restored, core.PointResult{Point: ev.Point, Result: *res})
 		size += len(line)
 	}
@@ -59,7 +58,8 @@ func validPrefix(data []byte, labels []string) (restored []core.PointResult, siz
 // FuzzLoadEventLog feeds arbitrary bytes to the job-log loader as a
 // resumable job's events.ndjson. It must never panic. A layout-1
 // log (a result-less first line) fails with the version error and is left as it is. Otherwise the
-// loader must restore exactly the valid leading lines' results, count
+// loader must restore exactly the valid leading lines' results, in
+// order, count
 // them as committed, and leave the file holding exactly those lines, so
 // the next append starts on a line boundary.
 func FuzzLoadEventLog(f *testing.F) {
@@ -98,9 +98,9 @@ func FuzzLoadEventLog(f *testing.F) {
 		if j.info.Committed != len(want) || log.lines != len(want) || len(log.restored) != len(want) {
 			t.Fatalf("committed %d (%d lines, %d restored), want %d", j.info.Committed, log.lines, len(log.restored), len(want))
 		}
-		for _, pr := range want {
-			if log.restored[pr.Point] != pr.Result {
-				t.Fatalf("point %d restored as %+v, want %+v", pr.Point, log.restored[pr.Point], pr.Result)
+		for i, pr := range want {
+			if log.restored[i] != pr.Result {
+				t.Fatalf("point %d restored as %+v, want %+v", i, log.restored[i], pr.Result)
 			}
 		}
 		if !bytes.Equal(got, data[:size]) {

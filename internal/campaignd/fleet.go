@@ -20,22 +20,19 @@ import (
 
 // runFleet is runJob's fleet executor: it runs the resume's pending
 // points over a worker fleet, handing each result to rs.Commit on the
-// supervisor's event loop (a queue hand-off: the loop never waits on
-// disk), and returns the quarantined points. runJob drains rs.
+// supervisor's event loop (a hand-off: the loop never waits), then
+// skips and returns the quarantined points. runJob drains rs.
 func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine, error) {
 	spec, err := os.ReadFile(j.specPath())
 	if err != nil {
 		return nil, fmt.Errorf("reading stored spec: %w", err)
 	}
 	points := j.compiled.Points
-	// The resume step settled every point outside Pending; the fleet runs
+	// The resume step settled the points before Pending; the fleet runs
 	// the rest.
 	settled := make(map[int]core.CampaignResult, len(points)-len(rs.Pending))
-	for i := range points {
+	for i := range len(points) - len(rs.Pending) {
 		settled[i] = core.CampaignResult{}
-	}
-	for _, i := range rs.Pending {
-		delete(settled, i)
 	}
 	cfg := workerpool.Config{
 		Workers:           s.cfg.Workers,
@@ -48,6 +45,9 @@ func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine
 		Logf:              s.cfg.Logf,
 	}
 	_, fstats, err := workerpool.Run(cfg, j.info.Filename, spec, points, settled, rs.Commit)
+	for _, q := range fstats.Quarantined {
+		rs.Skip(q.Point) // its only error, a failed batch's, Drain reports
+	}
 	s.workerRestarts.Add(int64(fstats.Restarts))
 	s.leasesRequeued.Add(int64(fstats.LeasesRequeued))
 	s.pointsDeduped.Add(int64(fstats.PointsDeduped))

@@ -19,7 +19,8 @@ package campaignd
 // points bit-identically from the log, whose lines are also the stream
 // offsets watchers hold — a client reconnecting across a kill -9 with
 // `Last-Point: k` receives exactly the events it has not seen, because
-// a line is appended and fsynced before it is broadcast.
+// a line is appended and fsynced before it is broadcast. Lines are in
+// point order, so the log does not depend on executor or restarts.
 
 import (
 	"bytes"
@@ -63,7 +64,7 @@ type JobInfo struct {
 	State       string `json:"state"`
 	SubmittedAt string `json:"submitted_at"`
 	// Points is the compiled grid size; Committed counts point events in
-	// the log.
+	// the log, for points 0 to Committed-1 if none was quarantined.
 	Points    int `json:"points"`
 	Committed int `json:"committed"`
 	// Cached marks a submit response served from the completed store:
@@ -248,13 +249,13 @@ var errOtherSweep = errors.New("job log written for a different sweep configurat
 // loads and encodes each batch once, for one write and one fsync.
 type jobLog struct {
 	labels   []scenario.PointMeta
-	restored map[int]core.CampaignResult
+	restored []core.CampaignResult
 	lines    int // complete lines in the file
 	log      *linelog.Log
 	buf      bytes.Buffer
 }
 
-func (l *jobLog) Restored() map[int]core.CampaignResult { return l.restored }
+func (l *jobLog) Restored() []core.CampaignResult { return l.restored }
 
 func (l *jobLog) Append(batch []core.PointResult) error {
 	l.buf.Reset()
@@ -274,11 +275,11 @@ func (l *jobLog) Append(batch []core.PointResult) error {
 func (l *jobLog) Close() error { return l.log.Close() }
 
 // check is the job log's line check (linelog.Open). A line joins the
-// log only if it is complete, for a distinct point of the grid, with a
-// result and the very event Append writes for that result at the
-// line's position: seq, label and counts must all agree. A first line
-// without a result is layout 1 (errLayout1); a later one is corruption
-// like any other.
+// log only if it is complete, with a result and the very event Append
+// writes for that result as line k, point k's: seq, label and counts
+// must all agree. (An older build's out-of-order tail re-runs.) A first
+// line without a result is layout 1 (errLayout1); a later one is
+// corruption like any other.
 func (l *jobLog) check(data []byte) (bool, error) {
 	var line logLine
 	if data[len(data)-1] != '\n' || json.Unmarshal(data, &line) != nil {
@@ -287,12 +288,10 @@ func (l *jobLog) check(data []byte) (bool, error) {
 	if l.lines == 0 && line.Type == "point" && line.Result == nil {
 		return false, errLayout1
 	}
-	_, dup := l.restored[line.Point]
-	if dup || line.Result == nil || line.Point < 0 || line.Point >= len(l.labels) ||
-		line.PointEvent != l.event(l.lines, line.Point, line.Result) {
+	if line.Result == nil || l.lines >= len(l.labels) || line.PointEvent != l.event(l.lines, l.lines, line.Result) {
 		return false, nil
 	}
-	l.restored[line.Point] = *line.Result
+	l.restored = append(l.restored, *line.Result)
 	l.lines++
 	return true, nil
 }
@@ -391,8 +390,8 @@ func (j *job) failLoad(err error) error {
 	return writeJSONAtomic(j.statePath(), j.info)
 }
 
-// loadLog opens a resumable job's events.ndjson, restoring its points
-// from the log's leading run of valid lines (jobLog.check) and
+// loadLog opens a resumable job's events.ndjson, restoring points 0 to
+// k-1 from the log's leading run of valid lines (jobLog.check) and
 // truncating anything after that run — a torn final line from a kill -9
 // between write and fsync, or a line corrupted on disk — so the resumed
 // run's first append starts on a line boundary; points cut off re-run.
@@ -402,7 +401,7 @@ func (j *job) loadLog() (*jobLog, error) {
 	if _, err := os.Stat(filepath.Join(j.dir, "checkpoint.json")); err == nil {
 		return nil, errLayout1
 	}
-	l := &jobLog{labels: j.compiled.Meta, restored: make(map[int]core.CampaignResult)}
+	l := &jobLog{labels: j.compiled.Meta}
 	var err error
 	if l.log, err = linelog.Open(j.eventsPath(), l.check); err != nil {
 		return nil, err

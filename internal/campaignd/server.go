@@ -357,9 +357,9 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	results := make([]core.CampaignResult, len(j.compiled.Points))
-	// onBatch sees every point exactly once, after the resume step or
-	// the committer has made it durable in the job log: restored from the
-	// log, or appended to it (one write, one fsync per batch).
+	// onBatch sees points once each, in order, after the resume step or
+	// the committer has made them durable in the job log: restored from
+	// the log, or appended to it (one write, one fsync per batch).
 	// commitPoints then publishes the log's synced lines to watchers.
 	onBatch := func(batch []core.PointResult) error {
 		for _, pr := range batch {

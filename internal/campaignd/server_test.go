@@ -88,22 +88,18 @@ func localReport(t *testing.T, filename, src string) string {
 	return buf.String()
 }
 
-// checkEventLog asserts a watched event sequence is gapless and
-// duplicate-free: seqs 0..n-1 in order, every point exactly once.
+// checkEventLog asserts a watched event sequence of a job with no
+// quarantined point is gapless, duplicate-free and in point order: event
+// i has seq i and is point i's.
 func checkEventLog(t *testing.T, label string, events []PointEvent, points int) {
 	t.Helper()
 	if len(events) != points {
 		t.Fatalf("%s: streamed %d events, want %d", label, len(events), points)
 	}
-	seen := make(map[int]bool)
 	for i, ev := range events {
-		if ev.Seq != i {
-			t.Fatalf("%s: event %d has seq %d (duplicate or drop)", label, i, ev.Seq)
+		if ev.Seq != i || ev.Point != i {
+			t.Fatalf("%s: event %d has seq %d and point %d, want %d for both", label, i, ev.Seq, ev.Point, i)
 		}
-		if seen[ev.Point] {
-			t.Fatalf("%s: point %d streamed twice", label, ev.Point)
-		}
-		seen[ev.Point] = true
 	}
 }
 

@@ -1,18 +1,18 @@
 package core
 
 // Crash-safe sweep checkpointing. A checkpoint file holds the committed
-// per-point results of an interrupted sweep. Every point that finishes
-// (the OnPointDone hook, which fires exactly once per completed point
-// and never for points cut short by cancellation) is handed to the
-// sweep's committer, which appends the lines of every point queued since
-// its last write in one write, so committing a point costs the same
-// whatever the sweep's size and never stalls the goroutine that
-// finished it. Resuming validates the sweep's fingerprint (the hash of
-// its point keys, key.go), restores the completed points verbatim, and
-// runs only the remainder. Because each point's result depends solely on
-// its own scenario and seed (executors share nothing across points but
-// reused round contexts), entries are independent of each other and the merged output is
-// bit-identical to an uninterrupted run.
+// per-point results of an interrupted sweep: points 0, 1, 2, … in order,
+// whatever order they finished in. Every point that finishes (the
+// OnPointDone hook, which fires exactly once per completed point and
+// never for points cut short by cancellation) is handed to the sweep's
+// committer, which holds it until every lower point is written and
+// appends all points ready since its last write in one write, so
+// committing never stalls the goroutine that finished it. Resuming
+// validates the sweep's fingerprint (the hash of its point keys,
+// key.go), restores the written prefix verbatim, and runs the rest.
+// Each point's result depends solely on its own scenario and seed, so
+// the merged output, and the file, are bit-identical to an
+// uninterrupted run's.
 //
 // Format 3 is line-oriented:
 //
@@ -22,9 +22,9 @@ package core
 // The file is a linelog.Log, the append-only log under every durable
 // sweep store. A new or empty file gets its header in the same write as
 // its first batch, and every batch is one write and one fsync. Opening
-// the file keeps its header and the leading run of entries that decode,
-// name a point in range and repeat none, and truncates everything after
-// that run — a torn final line, or a complete line garbled on disk —
+// the file keeps its header and the leading run of entries for points
+// 0, 1, 2, … and truncates everything after that run — a torn final
+// line, a line garbled on disk, or an older build's out-of-order tail —
 // so exactly the points cut off re-run. A file whose bytes are a torn
 // prefix of the header starts over. Any other first line that is not
 // this sweep's header rejects the file, untouched: another sweep's
@@ -61,13 +61,13 @@ type PointResult struct {
 
 // SweepStore is the durable record a resumed sweep restores from and
 // commits to: a CheckpointStore for the CLI's checkpoint files, a job's
-// log in campaignd. Restored returns the completions the store held when
-// opened, keyed by point index; callers must not modify the map.
-// A resumed sweep appends every batch, from one goroutine at a time,
-// before handing the batch on, and closes the store when it drains.
-// Append must not retain a batch.
+// log in campaignd. Restored returns the prefix the store held when
+// opened, points 0 to k-1; callers must not modify it. A resumed sweep
+// appends every batch, from one goroutine at a time, before handing the
+// batch on, and closes the store when it drains. Append must not retain
+// a batch.
 type SweepStore interface {
-	Restored() map[int]CampaignResult
+	Restored() []CampaignResult
 	Append(batch []PointResult) error
 	Close() error
 }
@@ -76,12 +76,12 @@ type SweepStore interface {
 // an executor still has to run, and the commit path every executed
 // point goes through. Build it with ResumeSweep and end it with Drain.
 //
-// Committing is a hand-off. Commit queues the point and returns; one
-// committer goroutine makes the queued points durable in batches — a
-// batch is whatever is queued when it wakes — by appending them to the
-// store and then handing the batch to done. A point therefore reaches
-// done only after it is durable, and every point reaches done exactly
-// once.
+// Committing is a hand-off in index order. Commit holds a point until
+// every lower one is restored, committed or skipped, then queues it;
+// one committer goroutine makes the queued points durable in batches —
+// whatever is queued when it wakes — by appending them to the store and
+// then handing the batch to done. A point therefore reaches done only
+// after it is durable, and store and done see points once, in order.
 type SweepResume struct {
 	// Pending lists, ascending, the points the executor must run.
 	Pending []int
@@ -92,10 +92,12 @@ type SweepResume struct {
 
 	mu      sync.Mutex
 	wake    sync.Cond
-	queue   []PointResult // committed, not yet written
-	err     error         // the first failed batch's error; sticky
-	closing bool          // Drain has begun: empty the queue and exit
-	exited  chan struct{} // non-nil once the committer runs; closed on exit
+	next    int                     // the watermark: every lower point is restored, queued or skipped
+	held    map[int]*CampaignResult // points committed (nil: skipped) above the watermark
+	queue   []PointResult           // queued, not yet written
+	err     error                   // the first failed batch's error; sticky
+	closing bool                    // Drain has begun: empty the queue and exit
+	exited  chan struct{}           // non-nil once the committer runs; closed on exit
 }
 
 // ResumeSweep is the one restore-and-replay step of every durable
@@ -103,8 +105,8 @@ type SweepResume struct {
 // (campaignd). store holds what earlier runs of this sweep committed;
 // the caller opened it for these points (OpenCheckpoint rejects a file
 // written for a different sweep by fingerprint). Before any simulation
-// the restored points reach done as one batch, in ascending index
-// order; every other point is pending. On error the store is closed.
+// the restored prefix reaches done as one batch, in ascending index
+// order; every later point is pending. On error the store is closed.
 //
 // done receives batches from one goroutine at a time: this replay, then
 // the committer. It must not retain a batch, whose slice is reused. An
@@ -112,12 +114,12 @@ type SweepResume struct {
 // batch's is sticky (see Commit).
 func ResumeSweep(store SweepStore, points []SweepPoint, done func(batch []PointResult) error) (*SweepResume, error) {
 	restored := store.Restored()
-	r := &SweepResume{points: points, store: store, done: done}
+	r := &SweepResume{points: points, store: store, done: done, next: len(restored), held: make(map[int]*CampaignResult)}
 	r.wake.L = &r.mu
 	var settled []PointResult
 	for i := range points {
-		if res, ok := restored[i]; ok {
-			settled = append(settled, PointResult{i, res})
+		if i < r.next {
+			settled = append(settled, PointResult{i, restored[i]})
 		} else {
 			r.Pending = append(r.Pending, i)
 		}
@@ -131,23 +133,36 @@ func ResumeSweep(store SweepStore, points []SweepPoint, done func(batch []PointR
 	return r, nil
 }
 
-// Commit queues one executed pending point for the committer and
-// returns without I/O. Once a batch has failed, Commit returns that
+// Commit hands one executed pending point, not yet committed, to the
+// committer without I/O. Once a batch has failed, Commit returns that
 // error instead, as it does after Drain: a point that cannot be made
 // durable must not pass for a completed one.
-func (r *SweepResume) Commit(point int, res CampaignResult) error {
-	if point < 0 || point >= len(r.points) {
-		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, len(r.points))
-	}
+func (r *SweepResume) Commit(point int, res CampaignResult) error { return r.settle(point, &res) }
+
+// Skip moves the watermark past a pending point without writing it.
+func (r *SweepResume) Skip(point int) error { return r.settle(point, nil) }
+
+// settle is pointAgg's round reorder buffer, one level up.
+func (r *SweepResume) settle(point int, res *CampaignResult) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	_, dup := r.held[point]
 	switch {
 	case r.err != nil:
 		return r.err
 	case r.closing:
 		return fmt.Errorf("core: checkpoint: point %d committed after Drain", point)
+	case point < r.next || point >= len(r.points) || dup:
+		return fmt.Errorf("core: checkpoint: point %d is not pending or is committed already", point)
 	}
-	r.queue = append(r.queue, PointResult{point, res})
+	r.held[point] = res
+	for res, ok := r.held[r.next]; ok; res, ok = r.held[r.next] {
+		if res != nil {
+			r.queue = append(r.queue, PointResult{r.next, *res})
+		}
+		delete(r.held, r.next)
+		r.next++
+	}
 	if r.exited == nil {
 		r.exited = make(chan struct{})
 		go r.commitLoop()
@@ -188,9 +203,9 @@ func (r *SweepResume) commitLoop() {
 	}
 }
 
-// Drain waits until every committed point has been appended and handed
-// to done, closes the store, and returns the first error of any
-// batch. It is safe to call more than once; Commit fails after it.
+// Drain waits until every queued point has been appended and handed to
+// done, drops those held behind an unfinished point, closes the store
+// and returns the first batch error. Repeatable; Commit fails after it.
 func (r *SweepResume) Drain() error {
 	r.mu.Lock()
 	r.closing = true
@@ -229,10 +244,10 @@ func (r *SweepResume) RunPending(opt SweepOptions) (SweepStats, error) {
 // followed by SweepResume.RunPending: the
 // merged results are bit-identical to an uninterrupted RunSweepPoints
 // over the same points (per-point results never depend on other
-// points). OnPointDone fires from the commit path, after the point's
-// checkpoint line is durable, and every call has been made by the time
-// this returns. The returned SweepStats covers only the work this call
-// performed (see RunPending).
+// points). OnPointDone fires from the commit path in point order, after
+// the point's checkpoint line is durable, and every call has been made
+// by the time this returns. The returned SweepStats covers only the
+// work this call performed (see RunPending).
 //
 // SuccessCheck, NewGuard, and Chooser hooks cannot be fingerprinted
 // (they are code); resuming with different hook behavior is the
@@ -278,7 +293,7 @@ type CheckpointStore struct {
 	points int
 	header []byte // the header line this sweep's file begins with
 	// restored holds the entries the file held when opened.
-	restored map[int]CampaignResult
+	restored []CampaignResult
 
 	mu     sync.Mutex
 	log    *linelog.Log
@@ -300,14 +315,14 @@ func OpenCheckpoint(path string, points []SweepPoint, _ AdaptiveStop) (*Checkpoi
 
 // openCheckpoint opens the checkpoint at path for the sweep with
 // fingerprint fp over npoints points. The file keeps its header and the
-// leading run of entries that decode, name a point in range and repeat
-// none; everything after that run is truncated, and those points re-run.
+// leading run of entries for points 0, 1, 2, …; everything after that
+// run is truncated, and those points re-run.
 func openCheckpoint(path string, fp uint64, npoints int) (*CheckpointStore, error) {
 	header, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Fingerprint: fp, Points: npoints})
 	if err != nil {
 		return nil, err
 	}
-	c := &CheckpointStore{fp: fp, points: npoints, header: append(header, '\n'), restored: make(map[int]CampaignResult)}
+	c := &CheckpointStore{fp: fp, points: npoints, header: append(header, '\n')}
 	c.enc = json.NewEncoder(&c.buf)
 	if c.log, err = linelog.Open(path, c.check); err != nil {
 		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
@@ -316,7 +331,7 @@ func openCheckpoint(path string, fp uint64, npoints int) (*CheckpointStore, erro
 }
 
 // check is the store's line check (linelog.Open): the header first,
-// then one entry per line.
+// then one entry per line, each for the point after the last.
 func (c *CheckpointStore) check(line []byte) (bool, error) {
 	complete := line[len(line)-1] == '\n'
 	if !c.headed {
@@ -326,13 +341,10 @@ func (c *CheckpointStore) check(line []byte) (bool, error) {
 		Point  *int            `json:"point"`
 		Result *CampaignResult `json:"result"`
 	}
-	if !complete || json.Unmarshal(line, &e) != nil || e.Point == nil || e.Result == nil || *e.Point < 0 || *e.Point >= c.points {
+	if !complete || json.Unmarshal(line, &e) != nil || e.Point == nil || e.Result == nil || *e.Point != len(c.restored) || *e.Point >= c.points {
 		return false, nil
 	}
-	if _, dup := c.restored[*e.Point]; dup {
-		return false, nil
-	}
-	c.restored[*e.Point] = *e.Result
+	c.restored = append(c.restored, *e.Result)
 	return true, nil
 }
 
@@ -362,9 +374,9 @@ func (c *CheckpointStore) checkHeader(line []byte, complete bool) (bool, error) 
 	return true, nil
 }
 
-// Restored returns the completions the file held when opened, keyed by
-// point index; callers must not modify it.
-func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
+// Restored returns the prefix the file held when opened, points 0 to
+// k-1; callers must not modify it.
+func (c *CheckpointStore) Restored() []CampaignResult { return c.restored }
 
 // Close releases the append handle, if one is open.
 func (c *CheckpointStore) Close() error {
@@ -381,10 +393,10 @@ func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
 	return c.Append([]PointResult{{point, res}})
 }
 
-// Append makes a batch durable with one write and one fsync, the
-// header first in a file that has none yet. It returns the store's
-// first write error (sticky: a checkpoint that cannot be written means
-// the crash-safety the caller asked for is gone).
+// Append makes a batch durable with one write and one fsync, in the
+// order given, the header first in a file that has none yet. It returns
+// the store's first write error (sticky: a checkpoint that cannot be
+// written means the crash-safety the caller asked for is gone).
 func (c *CheckpointStore) Append(batch []PointResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tocttou/internal/machine"
@@ -39,6 +40,18 @@ func resultsEqual(t *testing.T, label string, got, want []CampaignResult) {
 	}
 }
 
+// stopAfter returns options that interrupt a sweep over points once n
+// of them have completed, as a crash mid-sweep leaves it.
+func stopAfter(points []SweepPoint, n int64) SweepOptions {
+	stop := make(chan struct{})
+	var completed atomic.Int64
+	return SweepOptions{Interrupt: stop, OnRound: func(p, round int, _ Round) {
+		if round == points[p].Rounds-1 && completed.Add(1) == n {
+			close(stop)
+		}
+	}}
+}
+
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	points := checkpointTestPoints()
 	want, _, err := RunSweepPoints(points, SweepOptions{})
@@ -48,8 +61,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-	// Crash mid-sweep: stop deliberately after three committed points.
-	crash := SweepOptions{stopAfterPoints: 3}
+	// Crash mid-sweep: stop deliberately after three completed points.
+	crash := stopAfter(points, 3)
 	_, _, err = RunSweepPointsCheckpoint(points, crash, path)
 	if !errors.Is(err, ErrSweepInterrupted) {
 		t.Fatalf("interrupted sweep err = %v, want ErrSweepInterrupted", err)
@@ -173,8 +186,8 @@ func writeCheckpoint(t *testing.T, path string, points []SweepPoint, done []Poin
 }
 
 // reloadCheckpoint opens the checkpoint at path as a resume would and
-// returns the points it restores.
-func reloadCheckpoint(path string, points []SweepPoint) (map[int]CampaignResult, error) {
+// returns the prefix it restores.
+func reloadCheckpoint(path string, points []SweepPoint) ([]CampaignResult, error) {
 	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
 		return nil, err
@@ -332,7 +345,9 @@ func TestCheckpointCorruptCompleteLineRejected(t *testing.T) {
 
 // TestCheckpointFlushAppendsOneLine pins the O(1) commit: every flush
 // into an existing file adds exactly its own entry line and leaves the
-// bytes before it untouched.
+// bytes before it untouched. Flush appends points in the order it is
+// given them; the file then reloads the run of points 0, 1, 2, … it
+// begins with.
 func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 	points := checkpointTestPoints()
 	want, _, err := RunSweepPoints(points, SweepOptions{})
@@ -340,12 +355,12 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 		t.Fatalf("reference sweep: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	writeCheckpoint(t, path, points, []PointResult{{Point: 5, Result: want[5]}})
+	writeCheckpoint(t, path, points, []PointResult{{Point: 0, Result: want[0]}})
 	store, err := OpenCheckpoint(path, points, AdaptiveStop{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Flush(0, want[0]); err != nil {
+	if err := store.Flush(5, want[5]); err != nil {
 		t.Fatal(err)
 	}
 	if lines := checkpointLines(t, path); len(lines) != 3 {
@@ -376,10 +391,8 @@ func TestCheckpointFlushAppendsOneLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range points {
-		if done[p] != want[p] {
-			t.Errorf("point %d reloaded as %+v, want %+v", p, done[p], want[p])
-		}
+	if len(done) != 1 || done[0] != want[0] {
+		t.Errorf("reloaded %d points, want point 0 alone: point 5's line breaks the run of points 1 to 4 after it", len(done))
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 // The group-commit path (SweepResume.Commit and its committer): batching
-// may change when a point is written, never what is written or in which
-// order its durability steps happen.
+// and finishing order may change when a point is written, never what is
+// written, in which order points are written, or in which order a
+// point's durability steps happen.
 
 import (
 	"bytes"
@@ -10,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,14 +43,16 @@ func openStore(t *testing.T, path string, points []SweepPoint) *CheckpointStore 
 }
 
 // TestCommitBatchesWriteCheckpointBeforeDone commits every point of a
-// grid from concurrent goroutines. Each point must reach done exactly
-// once, only after its checkpoint line is in the file, and every line
-// must be byte-identical to the line CheckpointStore.Flush writes.
+// grid from concurrent goroutines, so points finish out of order. Each
+// point must reach done exactly once, in ascending order, only after
+// its checkpoint line is in the file, and the file must be
+// byte-identical to the one CheckpointStore.Flush writes point by point
+// in index order.
 func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 	const n = 200
 	points, results := commitGrid(n)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	seen := make(map[int]int)
+	var seen []int
 	batches := 0
 	rs, err := ResumeSweep(openStore(t, path, points), points, func(batch []PointResult) error {
 		batches++
@@ -57,7 +61,7 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 			return err
 		}
 		for _, pr := range batch {
-			seen[pr.Point]++
+			seen = append(seen, pr.Point)
 			line, err := json.Marshal(PointResult{Point: pr.Point, Result: pr.Result})
 			if err != nil {
 				return err
@@ -90,9 +94,9 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 	if err := rs.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < n; p++ {
-		if seen[p] != 1 {
-			t.Errorf("point %d reached done %d times, want once", p, seen[p])
+	for p := range n {
+		if p >= len(seen) || seen[p] != p {
+			t.Fatalf("done saw points %v, want 0 to %d in order", seen, n-1)
 		}
 	}
 	t.Logf("%d points in %d batches", n, batches)
@@ -108,18 +112,12 @@ func TestCommitBatchesWriteCheckpointBeforeDone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lines := make(map[string]bool)
-	for _, l := range checkpointLines(t, ref) {
-		lines[string(l)] = true
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := checkpointLines(t, path)
-	if len(got) != n+1 {
-		t.Fatalf("checkpoint holds %d lines, want header + %d", len(got), n)
-	}
-	for _, l := range got {
-		if !lines[string(l)] {
-			t.Errorf("batched line %q differs from every per-point Flush line", l)
-		}
+	if want, err := os.ReadFile(ref); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("batched checkpoint differs from the per-point Flush file (err %v)", err)
 	}
 	done, err := reloadCheckpoint(path, points)
 	if err != nil {
@@ -182,5 +180,68 @@ func TestCommitAfterDrainFails(t *testing.T) {
 	}
 	if err := rs.Commit(len(points), results[0]); err == nil {
 		t.Error("Commit of an out-of-range point succeeded")
+	}
+}
+
+// TestCommitHoldsUntilWatermark resumes a file holding point 0 and
+// commits out of order. A point waits until every lower one is
+// restored, committed or skipped; a restored, repeated or skipped point
+// is refused; Skip writes nothing; and Drain drops a point held above an
+// unfinished one, which a resume then runs again.
+func TestCommitHoldsUntilWatermark(t *testing.T) {
+	points, results := commitGrid(8)
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	writeCheckpoint(t, path, points, []PointResult{{0, results[0]}})
+	var seen []int
+	rs, err := ResumeSweep(openStore(t, path, points), points, func(batch []PointResult) error {
+		for _, pr := range batch {
+			seen = append(seen, pr.Point)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		skip  bool
+		point int
+		ok    bool
+	}{
+		{false, 0, false}, // restored
+		{false, 3, true},
+		{false, 2, true},
+		{false, 3, false}, // held already
+		{true, 4, true},
+		{true, 4, false},  // skipped already
+		{false, 7, true},  // held above unfinished points 5 and 6
+		{false, 1, true},  // releases 1, 2, 3 and passes 4
+		{false, 2, false}, // committed already
+		{false, 8, false}, // out of range
+	} {
+		settle, name := rs.Commit, "Commit"
+		if step.skip {
+			settle, name = func(p int, _ CampaignResult) error { return rs.Skip(p) }, "Skip"
+		}
+		if err := settle(step.point, results[step.point%len(results)]); (err == nil) != step.ok {
+			t.Fatalf("%s(%d) = %v, want success %v", name, step.point, err, step.ok)
+		}
+	}
+	if err := rs.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seen, []int{0, 1, 2, 3}) {
+		t.Errorf("done saw points %v, want 0 to 3", seen)
+	}
+	done, err := reloadCheckpoint(path, points)
+	if err != nil || !slices.Equal(done, results[:4]) {
+		t.Errorf("file reloads %d points (err %v), want points 0 to 3", len(done), err)
+	}
+	rs, err = ResumeSweep(openStore(t, path, points), points, func([]PointResult) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Drain()
+	if !slices.Equal(rs.Pending, []int{4, 5, 6, 7}) {
+		t.Errorf("resume pending %v, want 4 to 7: the skipped point and the dropped one run again", rs.Pending)
 	}
 }

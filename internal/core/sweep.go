@@ -61,24 +61,19 @@ type SweepOptions struct {
 	// different points may be concurrent, and points cut short by
 	// cancellation or Interrupt never fire. Under
 	// RunSweepPointsCheckpoint it fires from the sweep's committer, one
-	// call at a time, once the point's checkpoint line is written, and
-	// additionally replays the points the checkpoint restored
-	// (ResumeSweep: ascending index order, before any simulation), so a
-	// resumed sweep reports every point exactly once — the streaming seam
-	// the campaign service is built on.
+	// call at a time in point order, once the point's checkpoint line is
+	// written, after replaying the points the checkpoint restored
+	// (ResumeSweep, before any simulation), so a resumed sweep reports
+	// every point exactly once, in order — the streaming seam the
+	// campaign service is built on.
 	OnPointDone func(point int, res CampaignResult)
 	// Interrupt, when non-nil, requests a graceful mid-sweep stop the
 	// moment it is closed: workers stop claiming rounds, in-flight
 	// rounds finish and commit, and the sweep returns
 	// ErrSweepInterrupted. Points that completed before the interrupt
-	// have already reached OnPointDone (and, under checkpointing, the
-	// checkpoint file), so an interrupted sweep resumes bit-identically.
+	// have reached OnPointDone (checkpointed: those before the first
+	// unfinished one), so an interrupted sweep resumes bit-identically.
 	Interrupt <-chan struct{}
-	// stopAfterPoints, when positive, cancels the sweep right after that
-	// many points complete and makes RunSweepPoints return
-	// ErrSweepInterrupted. Unexported: it simulates a mid-sweep crash for
-	// the checkpoint-resume determinism tests.
-	stopAfterPoints int
 }
 
 // SweepStats reports how much work a sweep performed.
@@ -94,10 +89,9 @@ type SweepStats struct {
 }
 
 // ErrSweepInterrupted reports a sweep that stopped deliberately — the
-// Interrupt channel closed (a draining server), or the checkpoint tests'
-// simulated crash after a requested number of completed points — with
-// every result committed so far already flushed through the completion
-// hooks. It is not a round failure: no SweepError wraps it.
+// Interrupt channel closed (a draining server) — with every result
+// committed so far already flushed through the completion hooks. It is
+// not a round failure: no SweepError wraps it.
 var ErrSweepInterrupted = errors.New("core: sweep interrupted")
 
 // SweepError reports the sweep point and round whose simulation failed.
@@ -189,8 +183,7 @@ type sweepRun struct {
 	next        atomic.Int64 // ticket claim cursor
 	cancel      atomic.Bool  // fail-fast flag
 	executed    atomic.Int64
-	completed   atomic.Int64 // points fully committed
-	interrupted atomic.Bool  // stopAfterPoints tripped
+	interrupted atomic.Bool // Interrupt closed
 	aggs        []pointAgg
 
 	errMu sync.Mutex
@@ -320,10 +313,6 @@ func (r *sweepRun) fold(p int, agg *pointAgg, round Round) {
 	if agg.next == r.points[p].Rounds { // the unique fold that completes the point
 		if r.opt.OnPointDone != nil {
 			r.opt.OnPointDone(p, agg.res)
-		}
-		if n := r.completed.Add(1); r.opt.stopAfterPoints > 0 && n >= int64(r.opt.stopAfterPoints) {
-			r.interrupted.Store(true)
-			r.cancel.Store(true)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestCheckpointOnPointDoneUsesOriginalIndices(t *testing.T) {
 	// dense indices internally, but the hook must see grid coordinates.
 	points := checkpointTestPoints()
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	crash := SweepOptions{stopAfterPoints: 2}
+	crash := stopAfter(points, 2)
 	if _, _, err := RunSweepPointsCheckpoint(points, crash, path); !errors.Is(err, ErrSweepInterrupted) {
 		t.Fatalf("crash run err = %v, want ErrSweepInterrupted", err)
 	}

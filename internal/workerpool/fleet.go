@@ -154,7 +154,7 @@ var ErrInterrupted = errors.New("workerpool: fleet interrupted")
 
 // Run executes every point of the grid not already present in restored,
 // calling onPoint(index, result) exactly once per newly committed point
-// (commit order, single goroutine). It returns the full committed map
+// (arrival order, one goroutine). It returns the full committed map
 // (restored entries included), supervision stats, and an error: nil
 // when every point committed or quarantined, ErrInterrupted on drain,
 // or a terminal supervision failure (restart budget exhausted, onPoint

@@ -10,7 +10,9 @@
 # report against the committed golden: supervision must make the chaos
 # invisible, byte for byte. /v1/stats must show the recovery happened
 # (restarts, requeued leases, a deduplicated commit — i.e. no lease was
-# double-counted).
+# double-counted). The job log is written in point order, so the chaos
+# job's events.ndjson must also be byte-identical to the one an
+# in-process daemon (no -workers) writes for the same spec.
 #
 # Phase B (poison point): a schedule that crashes every worker reaching
 # point 3 of the grid. With -max-point-retries 3 the point must be
@@ -117,6 +119,17 @@ echo "chaos-check: stats: restarts=$RESTARTS requeued=$REQUEUED deduped=$DEDUPED
 [ "${QUARANTINED:-0}" -eq 0 ] || fail "points_quarantined=$QUARANTINED, want 0 in phase A"
 echo "chaos-check: supervision counters confirm recovery with no double-counted lease"
 
+stop_daemon
+unset TOCTTOU_CHAOS
+start_daemon tocttoud-phaseA-inprocess.log "$WORK/data-ref"
+SUBMIT=$("$WORK/tocttou" -server "$SERVER" -submit examples/scenarios/fig6.yaml) \
+    || fail "submitting fig6 to the in-process daemon"
+REF_ID=$(echo "$SUBMIT" | awk '{print $1}')
+"$WORK/tocttou" -server "$SERVER" -watch "$REF_ID" >/dev/null 2>"$LOGS/fig6-inprocess-progress.txt" \
+    || fail "watching fig6 in-process (see $LOGS/fig6-inprocess-progress.txt)"
+cmp "$WORK/data-a/jobs/$FIG6_ID/events.ndjson" "$WORK/data-ref/jobs/$REF_ID/events.ndjson" \
+    || fail "the chaos fleet's fig6 events.ndjson differs from the in-process daemon's"
+echo "chaos-check: chaos fleet's fig6 job log is byte-identical to the in-process one"
 stop_daemon
 
 # ---- Phase B: a poison point is quarantined; the rest complete ----
