@@ -1,7 +1,7 @@
 package campaignd
 
-// Crash-state enumeration for the job log. A recorded campaign's every
-// Write and Sync on events.ndjson fixes what a crash could leave: the
+// Crash-state enumeration for the job log. Every Write and Sync a
+// campaign makes on events.ndjson fixes what a crash could leave: the
 // bytes durable at a sync point, plus any prefix of the one write not
 // yet synced. The cases are fixed up front — for the write after each
 // sync point, a cut at every line boundary, one byte into every line,
@@ -60,12 +60,16 @@ func (l recordingLog) Sync() error {
 func (l recordingLog) Close() error { return l.f.Close() }
 
 // recordCampaign runs spec to completion on an in-process server, then
-// runs its points once more through runJob's in-process commit path —
-// the job's log codec (loadLog), core.ResumeSweep and SweepResume.Commit
-// — recording every call made through the log seam (linelog.OpenFile)
-// and the moment each point finishes. The recorded log must be the
-// server's byte for byte. It returns the job's info, the server's job
-// directory and the calls.
+// runs its points once more through a replica of runJob's in-process
+// commit path: the job's log codec (loadLog), core.ResumeSweep and
+// SweepResume.Commit, with a done callback that publishes nothing. It
+// records every call the replica makes through the log seam
+// (linelog.OpenFile) and the moment each point finishes, which the
+// server does not expose. The crash states are therefore the replica's
+// writes, with the replica's batch boundaries; only its final log is
+// checked against the server's, byte for byte. Every state resumes on
+// a real server. It returns the job's info, the server's job directory
+// and the calls.
 func recordCampaign(t *testing.T, filename, spec string) (JobInfo, string, []logOp) {
 	t.Helper()
 	info, src := finishedJob(t, filename, spec)

@@ -6,9 +6,9 @@ package campaignd
 // sweep. Everything else is runJob's, shared with the in-process path —
 // the same resume step, the same job log, the same report bytes — so a
 // campaign can be run in-process, killed, and resumed under a fleet (or
-// vice versa) without the client seeing the difference. What the fleet adds is isolation: a crashing,
-// stalling, or corrupted worker costs one process and a lease requeue,
-// never the daemon or the other campaigns.
+// vice versa) without the client seeing the difference. The fleet adds
+// isolation: a crashing, stalling, or corrupted worker costs one
+// process and a lease requeue, never the daemon or other campaigns.
 
 import (
 	"fmt"
@@ -20,16 +20,16 @@ import (
 
 // runFleet is runJob's fleet executor: it runs the resume's pending
 // points over a worker fleet, handing each result to rs.Commit on the
-// supervisor's event loop (a hand-off: the loop never waits), then
-// skips and returns the quarantined points. runJob drains rs.
+// supervisor's event loop (a hand-off: the loop never waits). Only a
+// fleet that settled every point skips the quarantined points it
+// returns; after a drain runJob's Drain drops the points held behind.
 func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine, error) {
 	spec, err := os.ReadFile(j.specPath())
 	if err != nil {
 		return nil, fmt.Errorf("reading stored spec: %w", err)
 	}
 	points := j.compiled.Points
-	// The resume step settled the points before Pending; the fleet runs
-	// the rest.
+	// The points before Pending are settled; the fleet runs the rest.
 	settled := make(map[int]core.CampaignResult, len(points)-len(rs.Pending))
 	for i := range len(points) - len(rs.Pending) {
 		settled[i] = core.CampaignResult{}
@@ -45,8 +45,10 @@ func (s *Server) runFleet(j *job, rs *core.SweepResume) ([]workerpool.Quarantine
 		Logf:              s.cfg.Logf,
 	}
 	_, fstats, err := workerpool.Run(cfg, j.info.Filename, spec, points, settled, rs.Commit)
-	for _, q := range fstats.Quarantined {
-		rs.Skip(q.Point) // its only error, a failed batch's, Drain reports
+	if err == nil {
+		for _, q := range fstats.Quarantined {
+			rs.Skip(q.Point) // its only error, a failed batch's, Drain reports
+		}
 	}
 	s.workerRestarts.Add(int64(fstats.Restarts))
 	s.leasesRequeued.Add(int64(fstats.LeasesRequeued))

@@ -9,11 +9,17 @@ package campaignd
 // workerpool.Main before any test runs.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,4 +307,135 @@ func TestFleetDrainRestartResumeInProcess(t *testing.T) {
 	if want := localReport(t, "svc-wide.yaml", wideSpec); string(got) != want {
 		t.Errorf("resumed report diverged from the uninterrupted local run:\n--- service ---\n%s--- local ---\n%s", got, want)
 	}
+}
+
+// TestFleetQuarantineDrainResume drains a fleet that has quarantined a
+// poison point (1) but not settled (every worker reaching the last
+// point stalls), then resumes the job on a fleet that quarantines point
+// 1 again and on an in-process server. Points finished above point 1
+// wait behind it, so the drained log holds at most point 0, a prefix
+// the resume keeps. The resumed log must be in point order, with the
+// poison point's line missing only if it was quarantined again; a
+// watcher following the job across the restart must see each of its
+// lines once, and every Last-Point offset must replay the rest.
+func TestFleetQuarantineDrainResume(t *testing.T) {
+	all := make([]int, 20) // wideSpec's points
+	for i := range all {
+		all[i] = i
+	}
+	for _, tc := range []struct {
+		name   string
+		resume func(t *testing.T, dir string) Config
+		points []int // the resumed log's points, in order
+	}{
+		{"fleet", func(t *testing.T, dir string) Config { return fleetConfig(t, dir, 2, "crash@point=1") }, append([]int{0}, all[2:]...)},
+		{"in-process", func(t *testing.T, dir string) Config { return Config{DataDir: dir, Logf: t.Logf} }, all},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := fleetConfig(t, dir, 2, "crash@point=1;stall@point=19")
+			quarantined := make(chan struct{})
+			var once sync.Once
+			cfg.Logf = func(format string, args ...any) {
+				t.Logf(format, args...)
+				if strings.Contains(format, "quarantined after") {
+					once.Do(func() { close(quarantined) })
+				}
+			}
+			s1, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			var backend atomic.Value
+			backend.Store(s1.Handler())
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				backend.Load().(http.Handler).ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			c := testClient(ts.URL)
+			info, err := c.Submit("svc-wide.yaml", []byte(wideSpec))
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			type watchOut struct {
+				end    *EndEvent
+				events []PointEvent
+				err    error
+			}
+			outc := make(chan watchOut, 1)
+			go func() {
+				var out watchOut
+				out.end, out.err = c.Watch(context.Background(), info.ID, func(ev PointEvent) { out.events = append(out.events, ev) })
+				outc <- out
+			}()
+			select {
+			case <-quarantined:
+			case <-time.After(60 * time.Second):
+				s1.Drain()
+				t.Fatal("point 1 not quarantined within 60s")
+			}
+			s1.Drain()
+			st := s1.lookup(info.ID).snapshot()
+			if st.State != StateInterrupted {
+				t.Fatalf("post-drain state = %q, want interrupted", st.State)
+			}
+			jobDir := filepath.Join(dir, "jobs", info.ID)
+			if lines := logPoints(t, jobDir); len(lines) != st.Committed || len(lines) > 1 || (len(lines) == 1 && lines[0] != 0) {
+				t.Fatalf("drained log holds points %v (%d committed), want the prefix of point 0 at most", lines, st.Committed)
+			}
+
+			s2, err := New(tc.resume(t, dir))
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer s2.Drain()
+			backend.Store(s2.Handler())
+			out := <-outc
+			if out.err != nil {
+				t.Fatalf("watch across restart: %v", out.err)
+			}
+			if out.end.State != StateDone {
+				t.Fatalf("end state = %q, want done (err %q)", out.end.State, out.end.Error)
+			}
+			if got := logPoints(t, jobDir); !slices.Equal(got, tc.points) {
+				t.Fatalf("resumed log holds points %v, want %v", got, tc.points)
+			}
+			var streamed []int
+			for i, ev := range out.events {
+				if ev.Seq != i {
+					t.Fatalf("watched event %d has seq %d", i, ev.Seq)
+				}
+				streamed = append(streamed, ev.Point)
+			}
+			if !slices.Equal(streamed, tc.points) {
+				t.Fatalf("watcher saw points %v across the restart, want %v", streamed, tc.points)
+			}
+			base := ts.URL + "/v1/campaigns/" + info.ID
+			lines := bytes.SplitAfter(httpBody(t, base+"/events", ""), []byte{'\n'})
+			lines = lines[:len(lines)-1] // the trailing empty split
+			for k := 0; k <= len(tc.points); k++ {
+				if got, rest := httpBody(t, base+"/events", strconv.Itoa(k)), bytes.Join(lines[k:], nil); !bytes.Equal(got, rest) {
+					t.Fatalf("Last-Point: %d replayed\n%s\nwant\n%s", k, got, rest)
+				}
+			}
+		})
+	}
+}
+
+// logPoints returns the points a job log's lines name, checking that
+// line k's seq is k.
+func logPoints(t *testing.T, jobDir string) []int {
+	t.Helper()
+	var points []int
+	for k, line := range bytes.SplitAfter(readFile(t, filepath.Join(jobDir, "events.ndjson")), []byte{'\n'}) {
+		if len(line) == 0 {
+			break
+		}
+		var ll logLine
+		if err := json.Unmarshal(line, &ll); err != nil || ll.Seq != k {
+			t.Fatalf("log line %d (%q): seq %d, err %v", k, line, ll.Seq, err)
+		}
+		points = append(points, ll.Point)
+	}
+	return points
 }

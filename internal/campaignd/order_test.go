@@ -15,7 +15,7 @@ import (
 
 // TestJobLogSameBytesEverywhere pins that a job's log and stream are a
 // function of its spec and build alone, not of the schedule that ran
-// it. A 120-member fleet grid and faultsweep run through campaignd:
+// it. fleet.yaml's 600 points and faultsweep run through campaignd:
 // each job's events.ndjson and its streamed bytes must be the same at
 // GOMAXPROCS 1, 2 and 4, over a two-worker fleet, and after a drain
 // mid-run and a resume on a new server. The CLI's -checkpoint file
@@ -73,8 +73,12 @@ func TestJobLogSameBytesEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for s1.lookup(info.ID).snapshot().Committed == 0 {
-				time.Sleep(time.Millisecond)
+			// Drain once a point is committed. Stop waiting if the job
+			// ends first, or after a minute; jobBytes reports the end.
+			for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st := s1.lookup(info.ID).snapshot(); st.Committed > 0 || terminalState(st.State) {
+					break
+				}
 			}
 			s1.Drain()
 			t.Logf("drained with %d of %d points committed", s1.lookup(info.ID).snapshot().Committed, info.Points)

@@ -357,10 +357,9 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	results := make([]core.CampaignResult, len(j.compiled.Points))
-	// onBatch sees points once each, in order, after the resume step or
-	// the committer has made them durable in the job log: restored from
-	// the log, or appended to it (one write, one fsync per batch).
-	// commitPoints then publishes the log's synced lines to watchers.
+	// onBatch sees points once each, in order, once durable in the job
+	// log: restored, or appended by the committer (one write and one
+	// fsync per batch). commitPoints then publishes them to watchers.
 	onBatch := func(batch []core.PointResult) error {
 		for _, pr := range batch {
 			results[pr.Point] = pr.Result
@@ -371,7 +370,7 @@ func (s *Server) runJob(j *job) {
 	}
 	var quarantined []workerpool.Quarantine
 	rs, err := core.ResumeSweep(log, j.compiled.Points, onBatch)
-	log.restored = nil // settled into results; nothing reads the map again
+	log.restored = nil // settled into results; nothing reads it again
 	if err == nil {
 		if s.cfg.Workers > 0 {
 			quarantined, err = s.runFleet(j, rs)

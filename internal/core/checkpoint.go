@@ -117,12 +117,11 @@ func ResumeSweep(store SweepStore, points []SweepPoint, done func(batch []PointR
 	r := &SweepResume{points: points, store: store, done: done, next: len(restored), held: make(map[int]*CampaignResult)}
 	r.wake.L = &r.mu
 	var settled []PointResult
-	for i := range points {
-		if i < r.next {
-			settled = append(settled, PointResult{i, restored[i]})
-		} else {
-			r.Pending = append(r.Pending, i)
-		}
+	for i, res := range restored {
+		settled = append(settled, PointResult{i, res})
+	}
+	for i := r.next; i < len(points); i++ {
+		r.Pending = append(r.Pending, i)
 	}
 	if len(settled) > 0 {
 		if err := done(settled); err != nil {
