@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench golden golden-check scenario-check serve-check chaos-check
+.PHONY: check vet build test race bench golden golden-check scenario-check serve-check chaos-check prod-coverage
 
 # check is the gate every change must pass: vet, build, the full test
 # suite, and a race-detector pass over the parallel campaign worker pool
@@ -80,3 +80,11 @@ serve-check:
 # Logs land in a temp dir (override with CHAOS_CHECK_LOGS=dir).
 chaos-check:
 	bash scripts/chaos_check.sh
+
+# prod-coverage is an audit, not a gate: it merges statement coverage
+# from the tier-1 tests, the benchmark smoke run and -cover builds of the
+# three commands running a fixed production command list, then prints
+# every function with zero hits everywhere and every function no
+# production command reaches (see the script's header).
+prod-coverage:
+	bash scripts/prod_coverage.sh

@@ -11,6 +11,7 @@ import (
 	"tocttou/internal/fault"
 	"tocttou/internal/machine"
 	"tocttou/internal/prog"
+	"tocttou/internal/sim"
 	"tocttou/internal/victim"
 )
 
@@ -62,11 +63,22 @@ func assertRoundEquiv(t *testing.T, label string, sc Scenario) {
 	}
 }
 
+// smp2Quiet is SMP2 with no latency jitter and no background noise: a
+// machine on which a chunked write consumes no RNG draw at all, so the
+// coalesced path retires it through nothing but clock arithmetic.
+func smp2Quiet() machine.Profile {
+	m := machine.SMP2()
+	m.Jitter = 0
+	m.Noise = sim.NoiseConfig{}
+	return m
+}
+
 func TestCoalescedRoundsBitIdenticalToStepped(t *testing.T) {
 	machines := map[string]machine.Profile{
-		"uni":  machine.Uniprocessor(),
-		"smp2": machine.SMP2(),
-		"mc":   machine.MultiCore(),
+		"uni":        machine.Uniprocessor(),
+		"smp2":       machine.SMP2(),
+		"smp2-quiet": smp2Quiet(),
+		"mc":         machine.MultiCore(),
 	}
 	for mname, m := range machines {
 		for _, kb := range []int64{1, 100 << 10, 1000 << 10} {

@@ -107,7 +107,7 @@ func New(mode Mode) *EDGI {
 // useOps consume (and release) invariants.
 func isCheck(op fs.Op) bool {
 	switch op {
-	case fs.OpStat, fs.OpLstat, fs.OpAccess, fs.OpOpen, fs.OpCreate, fs.OpRename:
+	case fs.OpStat, fs.OpLstat, fs.OpOpen, fs.OpCreate, fs.OpRename:
 		return true
 	default:
 		return false
@@ -116,7 +116,7 @@ func isCheck(op fs.Op) bool {
 
 func isMutate(op fs.Op) bool {
 	switch op {
-	case fs.OpUnlink, fs.OpSymlink, fs.OpRename, fs.OpLink:
+	case fs.OpUnlink, fs.OpSymlink, fs.OpRename:
 		return true
 	default:
 		return false

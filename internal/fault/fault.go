@@ -199,9 +199,6 @@ func mixSeed(planSeed, roundSeed int64) int64 {
 	return int64(z)
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // InjectOp implements fs.FaultHook: with probability FSRate an eligible
 // operation fails with an errno chosen for the operation kind. The
 // injected failure is traced as an EvFault event and counted.

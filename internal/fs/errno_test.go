@@ -54,10 +54,16 @@ func TestStringers(t *testing.T) {
 	if FileType(9).String() != "type(9)" {
 		t.Errorf("unknown type = %q", FileType(9).String())
 	}
-	if OpUnlink.String() != "unlink" || OpAccess.String() != "access" || OpReadDir.String() != "readdir" {
+	if OpUnlink.String() != "unlink" || OpRename.String() != "rename" || OpChown.String() != "chown" {
 		t.Error("Op names wrong")
 	}
-	if Op(99).String() != "op(99)" {
-		t.Errorf("unknown op = %q", Op(99).String())
+	// Fault plans store Op numbers, so a removed operation leaves a gap.
+	if OpStat != 1 || OpWrite != 6 || OpSymlink != 9 || OpRename != 11 || OpChown != 13 {
+		t.Error("Op numbers moved")
+	}
+	for _, o := range []Op{5, 10, 99} {
+		if want := fmt.Sprintf("op(%d)", o); o.String() != want {
+			t.Errorf("unknown op = %q, want %q", o.String(), want)
+		}
 	}
 }

@@ -36,9 +36,6 @@ type File struct {
 	closed bool
 }
 
-// Path returns the path the file was opened with.
-func (fl *File) Path() string { return fl.path }
-
 // Open opens (and with OCreate possibly creates) a file. Creation inserts
 // the new dentry while holding the parent directory's semaphore; the new
 // file is owned by the calling process's credential — which is how vi,
@@ -150,12 +147,7 @@ func (f *FS) openExisting(t *sim.Task, w *walker, path string, node *inode, flag
 // per the profile's dirty-throttling model — on a uniprocessor such a
 // stall suspends the victim mid-window.
 func (fl *File) Write(t *sim.Task, n int64) error {
-	return fl.writeCommon(t, n, nil)
-}
-
-// WriteBytes appends real bytes (stored only when the FS tracks content).
-func (fl *File) WriteBytes(t *sim.Task, b []byte) error {
-	return fl.writeCommon(t, int64(len(b)), b)
+	return fl.writeCommon(t, n)
 }
 
 // WriteChunks appends total bytes as a sequence of chunk-sized appends,
@@ -170,9 +162,7 @@ func (fl *File) WriteBytes(t *sim.Task, b []byte) error {
 // but coalesced: runs of the loop that provably contain no pending kernel
 // event and no semaphore contention are retired in bulk through
 // sim.Stretch — one aggregate clock advance instead of per-chunk
-// event-loop iterations — and, when the latency model is draw-free (no
-// jitter, no stall probability, no fault hook), whole runs of full chunks
-// are applied analytically in O(1). prep must be a pure function of its
+// event-loop iterations. prep must be a pure function of its
 // argument (the chunk's byte count), returning the user-space compute
 // charged before that chunk, pre-jitter; nil charges none.
 //
@@ -239,27 +229,10 @@ func (fl *File) writeChunksCoalesced(t *sim.Task, k *sim.Kernel, total, chunk in
 	node := fl.node
 	sem := node.isem()
 	lat := &f.cfg.Latency
-	// With no jitter, no stall model, and no fault hook, a chunk's two
-	// segments are pure functions of its size and consume no draws, so
-	// runs of full chunks collapse to closed-form arithmetic.
-	deterministic := f.cfg.Faults == nil && !k.HasJitter() && lat.WriteStallProbPerKB <= 0
 	var written int64
 	for written < total {
 		if !sem.Quiet() {
 			break
-		}
-		if deterministic && total-written >= chunk && !fl.closed && fl.flags&OWrite != 0 {
-			var prepFull time.Duration
-			if prep != nil {
-				prepFull = prep(chunk)
-			}
-			costFull := lat.WriteBase + perKB(lat.WritePerKB, chunk)
-			if m := s.AdvanceBulk(prepFull, costFull, (total-written)/chunk); m > 0 {
-				sem.AcquireReleasePairs(t, m)
-				fl.applyChunks(chunk, m)
-				written += m * chunk
-				continue
-			}
 		}
 		n := chunk
 		if rem := total - written; n > rem {
@@ -324,7 +297,7 @@ func (fl *File) writeChunksCoalesced(t *sim.Task, k *sim.Kernel, total, chunk in
 			s.Commit()
 			stall := k.LogNormalDuration(lat.StallMedian, 0.7)
 			t.BlockIO(stall)
-			fl.applyChunks(n, 1)
+			fl.applyChunk(n)
 			sem.Release(t)
 			written += n
 			if s, ok = t.BeginStretch(); !ok {
@@ -333,7 +306,7 @@ func (fl *File) writeChunksCoalesced(t *sim.Task, k *sim.Kernel, total, chunk in
 			continue
 		}
 		// Content mutation and release, uncontended by construction.
-		fl.applyChunks(n, 1)
+		fl.applyChunk(n)
 		sem.Release(t)
 		written += n
 	}
@@ -351,22 +324,22 @@ func (fl *File) writeTailStepped(t *sim.Task, k *sim.Kernel, n int64) {
 		stall := k.LogNormalDuration(lat.StallMedian, 0.7)
 		t.BlockIO(stall)
 	}
-	fl.applyChunks(n, 1)
+	fl.applyChunk(n)
 	fl.node.isem().Release(t)
 }
 
-// applyChunks applies the content effect of m appended chunks of n bytes
-// each: size, offset, and (when tracked) backing bytes.
-func (fl *File) applyChunks(n, m int64) {
+// applyChunk applies the content effect of one appended chunk of n
+// bytes: size, offset, and (when tracked) backing bytes.
+func (fl *File) applyChunk(n int64) {
 	node := fl.node
 	if fl.fs.cfg.TrackContent {
-		node.data = append(node.data, make([]byte, n*m)...)
+		node.data = append(node.data, make([]byte, n)...)
 	}
-	node.size += n * m
-	fl.offset += n * m
+	node.size += n
+	fl.offset += n
 }
 
-func (fl *File) writeCommon(t *sim.Task, n int64, b []byte) error {
+func (fl *File) writeCommon(t *sim.Task, n int64) error {
 	f := fl.fs
 	f.enter(t, OpWrite, fl.path)
 	err := func() error {
@@ -402,76 +375,13 @@ func (fl *File) writeCommon(t *sim.Task, n int64, b []byte) error {
 				t.BlockIO(stall)
 			}
 		}
-		if f.cfg.TrackContent {
-			if b != nil {
-				node.data = append(node.data, b...)
-			} else {
-				node.data = append(node.data, make([]byte, n)...)
-			}
-		}
-		node.size += n
-		fl.offset += n
+		fl.applyChunk(n)
 		node.isem().Release(t)
 		return nil
 	}()
 	f.exit(t, OpWrite, fl.path, err)
 	f.guardAfter(t, OpWrite, fl.path, "", credOf(t), err)
 	return err
-}
-
-// Read consumes up to n bytes from the current offset and returns how many
-// were available.
-func (fl *File) Read(t *sim.Task, n int64) (int64, error) {
-	f := fl.fs
-	f.enter(t, OpRead, fl.path)
-	var got int64
-	err := func() error {
-		cred := credOf(t)
-		if err := f.guardBefore(t, OpRead, fl.path, "", cred); err != nil {
-			return err
-		}
-		if fl.closed {
-			return pathErr("read", fl.path, EBADF)
-		}
-		if fl.flags&ORead == 0 {
-			return pathErr("read", fl.path, EBADF)
-		}
-		if n < 0 {
-			return pathErr("read", fl.path, EINVAL)
-		}
-		avail := fl.node.size - fl.offset
-		if avail < 0 {
-			avail = 0
-		}
-		got = n
-		if got > avail {
-			got = avail
-		}
-		cost := f.cfg.Latency.ReadBase + perKB(f.cfg.Latency.ReadPerKB, got)
-		t.Compute(t.Kernel().JitterDuration(cost))
-		fl.offset += got
-		return nil
-	}()
-	f.exit(t, OpRead, fl.path, err)
-	f.guardAfter(t, OpRead, fl.path, "", credOf(t), err)
-	return got, err
-}
-
-// FStat returns the open file's attributes without path resolution.
-func (fl *File) FStat(t *sim.Task) (FileInfo, error) {
-	f := fl.fs
-	f.enter(t, OpStat, fl.path)
-	var info FileInfo
-	err := func() error {
-		if fl.closed {
-			return pathErr("fstat", fl.path, EBADF)
-		}
-		t.Compute(t.Kernel().JitterDuration(f.cfg.Latency.SyscallEntry + f.cfg.Latency.StatAttr))
-		info = fl.node.info()
-		return nil
-	}()
-	f.exit(t, OpStat, fl.path, err)
-	return info, err
 }
 
 // Chown changes the open file's ownership by descriptor (fchown(2)).

@@ -104,12 +104,8 @@ func TestSymlinkFollowAndLstat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lstat: %v", err)
 		}
-		if linfo.Type != TypeSymlink {
-			t.Errorf("lstat type = %v, want symlink", linfo.Type)
-		}
-		target, err := f.Readlink(task, "/tmp/link")
-		if err != nil || target != "/etc/passwd" {
-			t.Errorf("readlink = %q, %v", target, err)
+		if linfo.Type != TypeSymlink || linfo.Target != "/etc/passwd" {
+			t.Errorf("lstat = %+v, want a symlink to /etc/passwd", linfo)
 		}
 	})
 }
@@ -317,30 +313,6 @@ func TestRenamePreservesOwnership(t *testing.T) {
 	})
 }
 
-func TestHardLinkSharesInode(t *testing.T) {
-	harness(t, 1, defCfg(), 0, 0, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/d", 0o755, 0, 0)
-		f.MustWriteFile("/d/a", 9, 0o644, 0, 0)
-		if err := f.Link(task, "/d/a", "/d/b"); err != nil {
-			t.Fatalf("link: %v", err)
-		}
-		ia, _ := f.Stat(task, "/d/a")
-		ib, _ := f.Stat(task, "/d/b")
-		if ia.Ino != ib.Ino {
-			t.Errorf("inos differ: %d vs %d", ia.Ino, ib.Ino)
-		}
-		if ia.Nlink != 2 {
-			t.Errorf("nlink = %d, want 2", ia.Nlink)
-		}
-		if err := f.Unlink(task, "/d/a"); err != nil {
-			t.Fatalf("unlink: %v", err)
-		}
-		if _, err := f.Stat(task, "/d/b"); err != nil {
-			t.Errorf("surviving link broken: %v", err)
-		}
-	})
-}
-
 func TestOpenExclFailsOnExisting(t *testing.T) {
 	harness(t, 1, defCfg(), 0, 0, func(task *sim.Task, f *FS) {
 		f.MustMkdirAll("/d", 0o755, 0, 0)
@@ -359,7 +331,7 @@ func TestOpenTruncClearsFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		info, _ := file.FStat(task)
+		info, _ := f.Stat(task, "/d/f")
 		if info.Size != 0 {
 			t.Errorf("size after O_TRUNC = %d, want 0", info.Size)
 		}
@@ -408,10 +380,68 @@ func TestStickyBitProtectsOthersFiles(t *testing.T) {
 		if err := f.Unlink(task, "/tmp/other"); !errors.Is(err, EACCES) {
 			t.Errorf("sticky unlink err = %v, want EACCES", err)
 		}
+		if err := f.Rename(task, "/tmp/other", "/tmp/taken"); !errors.Is(err, EACCES) {
+			t.Errorf("sticky rename err = %v, want EACCES", err)
+		}
+		if err := f.Rename(task, "/tmp/mine", "/tmp/other"); !errors.Is(err, EACCES) {
+			t.Errorf("sticky rename over other's file err = %v, want EACCES", err)
+		}
 		if err := f.Unlink(task, "/tmp/mine"); err != nil {
 			t.Errorf("unlink own file in sticky dir: %v", err)
 		}
 	})
+}
+
+// interruptAfter interrupts every blocked interruptible wait after delay.
+type interruptAfter struct{ delay time.Duration }
+
+func (i interruptAfter) SemBlocked(*sim.Thread, *sim.Sem) (time.Duration, bool) {
+	return i.delay, true
+}
+
+func (interruptAfter) SemInterrupted(*sim.Thread) {}
+
+// TestContendedDirectoryLockEINTR: an operation that blocks on a
+// directory semaphore held by another thread returns EINTR when the wait
+// is interrupted, and leaves the namespace untouched.
+func TestContendedDirectoryLockEINTR(t *testing.T) {
+	for name, op := range map[string]func(*sim.Task, *FS) error{
+		"unlink":  func(task *sim.Task, f *FS) error { return f.Unlink(task, "/d/f") },
+		"symlink": func(task *sim.Task, f *FS) error { return f.Symlink(task, "/d/f", "/d/l") },
+		"rename":  func(task *sim.Task, f *FS) error { return f.Rename(task, "/d/f", "/d/g") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			k := sim.New(sim.Config{CPUs: 2, Quantum: 50 * time.Millisecond, Seed: 1,
+				Interrupter: interruptAfter{delay: 10 * time.Microsecond}})
+			f := New(defCfg())
+			f.MustMkdirAll("/d", 0o777, 0, 0)
+			f.MustWriteFile("/d/f", 64, 0o644, 0, 0)
+			dir, err := f.lookupNoCharge("/d", true, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := k.NewProcess("p", 0, 0)
+			k.Spawn(p, "holder", func(task *sim.Task) {
+				dir.isem().Acquire(task)
+				task.Compute(time.Millisecond)
+				dir.isem().Release(task)
+			})
+			var opErr error
+			k.Spawn(p, "op", func(task *sim.Task) {
+				task.Sleep(5 * time.Microsecond) // the holder takes the lock first
+				opErr = op(task, f)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(opErr, EINTR) {
+				t.Errorf("err = %v, want EINTR", opErr)
+			}
+			if len(dir.children) != 1 || dir.children["f"] == nil {
+				t.Errorf("/d holds %d entries after the interrupted %s, want just f", len(dir.children), name)
+			}
+		})
+	}
 }
 
 func TestRootBypassesPermissions(t *testing.T) {
@@ -423,32 +453,6 @@ func TestRootBypassesPermissions(t *testing.T) {
 		}
 		if err := f.Unlink(task, "/locked/f"); err != nil {
 			t.Errorf("root unlink: %v", err)
-		}
-	})
-}
-
-func TestReadReturnsAvailableBytes(t *testing.T) {
-	harness(t, 1, defCfg(), 0, 0, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/d", 0o755, 0, 0)
-		f.MustWriteFile("/d/f", 100, 0o644, 0, 0)
-		file, err := f.Open(task, "/d/f", ORead, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := file.Read(task, 64)
-		if err != nil || got != 64 {
-			t.Errorf("read = %d, %v; want 64", got, err)
-		}
-		got, err = file.Read(task, 64)
-		if err != nil || got != 36 {
-			t.Errorf("read = %d, %v; want 36", got, err)
-		}
-		got, err = file.Read(task, 64)
-		if err != nil || got != 0 {
-			t.Errorf("read at EOF = %d, %v; want 0", got, err)
-		}
-		if err := file.Close(task); err != nil {
-			t.Fatal(err)
 		}
 	})
 }
@@ -468,30 +472,6 @@ func TestClosedFileOperationsFail(t *testing.T) {
 		}
 		if err := file.Close(task); !errors.Is(err, EBADF) {
 			t.Errorf("double close err = %v, want EBADF", err)
-		}
-	})
-}
-
-func TestMkdirAndRmdir(t *testing.T) {
-	harness(t, 1, defCfg(), 0, 0, func(task *sim.Task, f *FS) {
-		if err := f.Mkdir(task, "/newdir", 0o755); err != nil {
-			t.Fatalf("mkdir: %v", err)
-		}
-		if err := f.Mkdir(task, "/newdir", 0o755); !errors.Is(err, EEXIST) {
-			t.Errorf("mkdir existing err = %v, want EEXIST", err)
-		}
-		f.MustWriteFile("/newdir/f", 1, 0o644, 0, 0)
-		if err := f.Rmdir(task, "/newdir"); !errors.Is(err, ENOTEMPTY) {
-			t.Errorf("rmdir nonempty err = %v, want ENOTEMPTY", err)
-		}
-		if err := f.Unlink(task, "/newdir/f"); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Rmdir(task, "/newdir"); err != nil {
-			t.Errorf("rmdir: %v", err)
-		}
-		if _, err := f.Stat(task, "/newdir"); !errors.Is(err, ENOENT) {
-			t.Errorf("dir survives rmdir: %v", err)
 		}
 	})
 }
@@ -716,71 +696,6 @@ func TestSyscallTraceEvents(t *testing.T) {
 	if !sawBind {
 		t.Error("missing EvNameBind for created file")
 	}
-}
-
-func TestAccess(t *testing.T) {
-	harness(t, 1, defCfg(), 1000, 1000, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/d", 0o755, 0, 0)
-		f.MustWriteFile("/d/mine", 1, 0o600, 1000, 1000)
-		f.MustWriteFile("/d/roots", 1, 0o600, 0, 0)
-		if err := f.Access(task, "/d/mine", 0o6); err != nil {
-			t.Errorf("access own rw: %v", err)
-		}
-		if err := f.Access(task, "/d/roots", 0o4); !errors.Is(err, EACCES) {
-			t.Errorf("access other's err = %v, want EACCES", err)
-		}
-		if err := f.Access(task, "/d/none", 0o4); !errors.Is(err, ENOENT) {
-			t.Errorf("access missing err = %v, want ENOENT", err)
-		}
-	})
-}
-
-func TestAccessFollowsSymlink(t *testing.T) {
-	// access(2) follows symlinks — which is exactly why access/open pairs
-	// are TOCTTOU-prone: the answer describes whatever the name pointed
-	// at during the check.
-	harness(t, 1, defCfg(), 1000, 1000, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/d", 0o777, 0, 0)
-		f.MustWriteFile("/d/open", 1, 0o666, 0, 0)
-		f.MustSymlink("/d/open", "/d/link", 1000, 1000)
-		if err := f.Access(task, "/d/link", 0o6); err != nil {
-			t.Errorf("access through link: %v", err)
-		}
-	})
-}
-
-func TestReadDir(t *testing.T) {
-	harness(t, 1, defCfg(), 0, 0, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/d", 0o755, 0, 0)
-		f.MustWriteFile("/d/b", 1, 0o644, 0, 0)
-		f.MustWriteFile("/d/a", 1, 0o644, 0, 0)
-		f.MustMkdirAll("/d/c", 0o755, 0, 0)
-		names, err := f.ReadDir(task, "/d")
-		if err != nil {
-			t.Fatalf("readdir: %v", err)
-		}
-		want := []string{"a", "b", "c"}
-		if len(names) != len(want) {
-			t.Fatalf("names = %v", names)
-		}
-		for i := range want {
-			if names[i] != want[i] {
-				t.Fatalf("names = %v, want %v (sorted)", names, want)
-			}
-		}
-		if _, err := f.ReadDir(task, "/d/a"); !errors.Is(err, ENOTDIR) {
-			t.Errorf("readdir of file err = %v, want ENOTDIR", err)
-		}
-	})
-}
-
-func TestReadDirPermission(t *testing.T) {
-	harness(t, 1, defCfg(), 1000, 1000, func(task *sim.Task, f *FS) {
-		f.MustMkdirAll("/secret", 0o311, 0, 0) // x but not r
-		if _, err := f.ReadDir(task, "/secret"); !errors.Is(err, EACCES) {
-			t.Errorf("readdir without r err = %v, want EACCES", err)
-		}
-	})
 }
 
 func TestRelativeSymlinkTarget(t *testing.T) {

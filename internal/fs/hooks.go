@@ -9,36 +9,31 @@ import (
 // Op identifies a file-system operation for Guard hooks and tracing.
 type Op uint8
 
-// The operations the simulated kernel exposes.
+// The operations the simulated kernel exposes. The numbers are fixed:
+// fault plans store them in their operation masks, and sweep keys encode
+// those plans, so a removed operation leaves a gap rather than shifting
+// the ones after it.
 const (
-	OpStat Op = iota + 1
-	OpLstat
-	OpOpen
-	OpCreate
-	OpRead
-	OpWrite
-	OpClose
-	OpUnlink
-	OpSymlink
-	OpLink
-	OpRename
-	OpChmod
-	OpChown
-	OpMkdir
-	OpRmdir
-	OpReadlink
-	OpAccess
-	OpReadDir
+	OpStat    Op = 1
+	OpLstat   Op = 2
+	OpOpen    Op = 3
+	OpCreate  Op = 4
+	OpWrite   Op = 6
+	OpClose   Op = 7
+	OpUnlink  Op = 8
+	OpSymlink Op = 9
+	OpRename  Op = 11
+	OpChmod   Op = 12
+	OpChown   Op = 13
 )
 
 // opNames is an array (not a map) so the per-syscall String lookup is a
 // bounds-checked index rather than a hash probe.
 var opNames = [...]string{
 	OpStat: "stat", OpLstat: "lstat", OpOpen: "open", OpCreate: "creat",
-	OpRead: "read", OpWrite: "write", OpClose: "close", OpUnlink: "unlink",
-	OpSymlink: "symlink", OpLink: "link", OpRename: "rename",
-	OpChmod: "chmod", OpChown: "chown", OpMkdir: "mkdir", OpRmdir: "rmdir",
-	OpReadlink: "readlink", OpAccess: "access", OpReadDir: "readdir",
+	OpWrite: "write", OpClose: "close", OpUnlink: "unlink",
+	OpSymlink: "symlink", OpRename: "rename",
+	OpChmod: "chmod", OpChown: "chown",
 }
 
 // String returns the syscall name.

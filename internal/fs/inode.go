@@ -2,7 +2,6 @@ package fs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tocttou/internal/sim"
@@ -212,9 +211,6 @@ func (f *FS) harvest(n *inode) {
 	}
 	f.free = append(f.free, n)
 }
-
-// Latency returns the profile the file system charges from.
-func (f *FS) Latency() LatencyProfile { return f.cfg.Latency }
 
 // SetGuard installs a Guard consulted before and after every operation.
 // Pass nil to remove.
@@ -476,22 +472,4 @@ func (f *FS) lookupNoCharge(path string, follow bool, depth int) (*inode, error)
 		cur = next
 	}
 	return cur, nil
-}
-
-// List returns the sorted names in a directory, bypassing timing. For
-// tests and debugging.
-func (f *FS) List(path string) ([]string, error) {
-	n, err := f.lookupNoCharge(path, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	if n.typ != TypeDir {
-		return nil, pathErr("list", path, ENOTDIR)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -31,7 +31,10 @@ type LatencyProfile struct {
 	// WriteBase and WritePerKB model buffered (page-cache) writes.
 	WriteBase  time.Duration
 	WritePerKB time.Duration
-	// ReadBase and ReadPerKB model cached reads.
+	// ReadBase and ReadPerKB model cached reads. No operation charges
+	// them, nor Readlink or Mkdir below: the simulated programs never
+	// read, readlink or mkdir. They stay because sweep keys encode the
+	// whole machine profile, field by field.
 	ReadBase  time.Duration
 	ReadPerKB time.Duration
 

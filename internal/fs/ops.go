@@ -1,11 +1,6 @@
 package fs
 
-import (
-	"sort"
-	"time"
-
-	"tocttou/internal/sim"
-)
+import "tocttou/internal/sim"
 
 // Stat resolves path (following symlinks) and returns its attributes.
 func (f *FS) Stat(t *sim.Task, path string) (FileInfo, error) {
@@ -37,98 +32,6 @@ func (f *FS) statCommon(t *sim.Task, op Op, path string, follow bool) (FileInfo,
 	f.exit(t, op, path, err)
 	f.guardAfter(t, op, path, "", w.cred, err)
 	return info, err
-}
-
-// Access reports whether the credential may access path with the given
-// permission bits (fs.PermR|PermW|PermX semantics via the perm* masks) —
-// the classic TOCTTOU "check" call: its answer may be stale by the time
-// the caller acts on it.
-func (f *FS) Access(t *sim.Task, path string, want Mode) error {
-	w := f.walkerFor(t)
-	f.enter(t, OpAccess, path)
-	err := func() error {
-		if err := f.guardBefore(t, OpAccess, path, "", w.cred); err != nil {
-			return err
-		}
-		w.charge(f.cfg.Latency.SyscallEntry)
-		res, err := w.resolveExisting("access", path, true)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		w.charge(f.cfg.Latency.StatAttr)
-		w.flush()
-		if !res.node.permOK(w.cred, want) {
-			return pathErr("access", path, EACCES)
-		}
-		return nil
-	}()
-	f.exit(t, OpAccess, path, err)
-	f.guardAfter(t, OpAccess, path, "", w.cred, err)
-	return err
-}
-
-// ReadDir returns the sorted names in a directory, charging a per-entry
-// cost.
-func (f *FS) ReadDir(t *sim.Task, path string) ([]string, error) {
-	w := f.walkerFor(t)
-	f.enter(t, OpReadDir, path)
-	var names []string
-	err := func() error {
-		if err := f.guardBefore(t, OpReadDir, path, "", w.cred); err != nil {
-			return err
-		}
-		w.charge(f.cfg.Latency.SyscallEntry)
-		res, err := w.resolveExisting("readdir", path, true)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		if res.node.typ != TypeDir {
-			w.flush()
-			return pathErr("readdir", path, ENOTDIR)
-		}
-		if !res.node.permOK(w.cred, permRead) {
-			w.flush()
-			return pathErr("readdir", path, EACCES)
-		}
-		names = make([]string, 0, len(res.node.children))
-		for name := range res.node.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		w.charge(f.cfg.Latency.ReadBase + time.Duration(len(names))*f.cfg.Latency.Lookup/4)
-		w.flush()
-		return nil
-	}()
-	f.exit(t, OpReadDir, path, err)
-	f.guardAfter(t, OpReadDir, path, "", w.cred, err)
-	return names, err
-}
-
-// Readlink returns the target of a symbolic link.
-func (f *FS) Readlink(t *sim.Task, path string) (string, error) {
-	w := f.walkerFor(t)
-	f.enter(t, OpReadlink, path)
-	if err := f.guardBefore(t, OpReadlink, path, "", w.cred); err != nil {
-		f.exit(t, OpReadlink, path, err)
-		return "", err
-	}
-	w.charge(f.cfg.Latency.SyscallEntry)
-	res, err := w.resolveExisting("readlink", path, false)
-	target := ""
-	if err == nil {
-		if res.node.typ != TypeSymlink {
-			err = pathErr("readlink", path, EINVAL)
-		} else {
-			w.charge(f.cfg.Latency.Readlink)
-			target = res.node.target
-		}
-	}
-	w.flush()
-	f.exit(t, OpReadlink, path, err)
-	f.guardAfter(t, OpReadlink, path, "", w.cred, err)
-	return target, err
 }
 
 // Unlink removes a directory entry. The parent directory's semaphore is
@@ -260,54 +163,6 @@ func (f *FS) symlinkLocked(t *sim.Task, w *walker, target, linkpath string) erro
 	t.Trace(sim.Event{Kind: sim.EvNameBind, Path: linkpath, Arg: int64(n.uid)})
 	res.parent.isem().Release(t)
 	return nil
-}
-
-// Link creates a hard link newpath referring to oldpath's inode.
-func (f *FS) Link(t *sim.Task, oldpath, newpath string) error {
-	w := f.walkerFor(t)
-	f.enter(t, OpLink, oldpath)
-	err := func() error {
-		if err := f.guardBefore(t, OpLink, oldpath, newpath, w.cred); err != nil {
-			return err
-		}
-		w.charge(f.cfg.Latency.SyscallEntry)
-		old, err := w.resolveExisting("link", oldpath, false)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		if old.node.typ == TypeDir {
-			w.flush()
-			return pathErr("link", oldpath, EPERM)
-		}
-		res, err := w.resolve("link", newpath, false, 0)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		if res.parent == nil || !res.parent.permOK(w.cred, permWrite|permExec) {
-			w.flush()
-			return pathErr("link", newpath, EACCES)
-		}
-		w.flush()
-		if err := res.parent.isem().AcquireInterruptible(t); err != nil {
-			return pathErr("link", newpath, EINTR)
-		}
-		if res.parent.children[res.name] != nil {
-			res.parent.isem().Release(t)
-			return pathErr("link", newpath, EEXIST)
-		}
-		t.Compute(t.Kernel().JitterDuration(f.cfg.Latency.Symlink))
-		res.parent.children[res.name] = old.node
-		f.gen++
-		old.node.nlink++
-		t.Trace(sim.Event{Kind: sim.EvNameBind, Path: newpath, Arg: int64(old.node.uid)})
-		res.parent.isem().Release(t)
-		return nil
-	}()
-	f.exit(t, OpLink, oldpath, err)
-	f.guardAfter(t, OpLink, oldpath, newpath, w.cred, err)
-	return err
 }
 
 // Rename atomically rebinds oldpath's entry to newpath. The dentry swap —
@@ -518,107 +373,5 @@ func (f *FS) Chown(t *sim.Task, path string, uid, gid int) error {
 	}()
 	f.exit(t, OpChown, path, err)
 	f.guardAfter(t, OpChown, path, "", w.cred, err)
-	return err
-}
-
-// Mkdir creates a directory.
-func (f *FS) Mkdir(t *sim.Task, path string, mode Mode) error {
-	w := f.walkerFor(t)
-	f.enter(t, OpMkdir, path)
-	err := func() error {
-		if err := f.guardBefore(t, OpMkdir, path, "", w.cred); err != nil {
-			return err
-		}
-		w.charge(f.cfg.Latency.SyscallEntry)
-		res, err := w.resolve("mkdir", path, false, 0)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		if res.parent == nil {
-			w.flush()
-			return pathErr("mkdir", path, EEXIST)
-		}
-		if !res.parent.permOK(w.cred, permWrite|permExec) {
-			w.flush()
-			return pathErr("mkdir", path, EACCES)
-		}
-		w.flush()
-		if err := res.parent.isem().AcquireInterruptible(t); err != nil {
-			return pathErr("mkdir", path, EINTR)
-		}
-		if res.parent.children[res.name] != nil {
-			res.parent.isem().Release(t)
-			return pathErr("mkdir", path, EEXIST)
-		}
-		t.Compute(t.Kernel().JitterDuration(f.cfg.Latency.Mkdir))
-		n := f.newInode(TypeDir, mode, w.cred.UID, w.cred.GID)
-		n.nlink = 2
-		res.parent.children[res.name] = n
-		f.gen++
-		res.parent.nlink++
-		t.Trace(sim.Event{Kind: sim.EvNameBind, Path: path, Arg: int64(n.uid)})
-		res.parent.isem().Release(t)
-		return nil
-	}()
-	f.exit(t, OpMkdir, path, err)
-	f.guardAfter(t, OpMkdir, path, "", w.cred, err)
-	return err
-}
-
-// Rmdir removes an empty directory.
-func (f *FS) Rmdir(t *sim.Task, path string) error {
-	w := f.walkerFor(t)
-	f.enter(t, OpRmdir, path)
-	err := func() error {
-		if err := f.guardBefore(t, OpRmdir, path, "", w.cred); err != nil {
-			return err
-		}
-		w.charge(f.cfg.Latency.SyscallEntry)
-		res, err := w.resolveExisting("rmdir", path, false)
-		if err != nil {
-			w.flush()
-			return err
-		}
-		if res.parent == nil {
-			w.flush()
-			return pathErr("rmdir", path, EINVAL)
-		}
-		if res.node.typ != TypeDir {
-			w.flush()
-			return pathErr("rmdir", path, ENOTDIR)
-		}
-		if !res.parent.permOK(w.cred, permWrite|permExec) || stickyDenies(res.parent, res.node, w.cred) {
-			w.flush()
-			return pathErr("rmdir", path, EACCES)
-		}
-		w.flush()
-		if err := res.parent.isem().AcquireInterruptible(t); err != nil {
-			return pathErr("rmdir", path, EINTR)
-		}
-		node := res.parent.children[res.name]
-		if node == nil {
-			res.parent.isem().Release(t)
-			return pathErr("rmdir", path, ENOENT)
-		}
-		if node.typ != TypeDir {
-			res.parent.isem().Release(t)
-			return pathErr("rmdir", path, ENOTDIR)
-		}
-		if len(node.children) > 0 {
-			res.parent.isem().Release(t)
-			return pathErr("rmdir", path, ENOTEMPTY)
-		}
-		t.Compute(t.Kernel().JitterDuration(f.cfg.Latency.UnlinkDetach))
-		delete(res.parent.children, res.name)
-		f.gen++
-		res.parent.nlink--
-		f.freeInode(node)
-		t.Trace(sim.Event{Kind: sim.EvNameUnbind, Path: path})
-		res.parent.isem().Release(t)
-		return nil
-	}()
-	f.exit(t, OpRmdir, path, err)
-	f.guardAfter(t, OpRmdir, path, "", w.cred, err)
 	return err
 }

@@ -50,7 +50,7 @@ func runNamespaceModel(t *testing.T, seed int64, steps int) {
 	k.Spawn(p, "fuzz", func(task *sim.Task) {
 		for i := 0; i < steps; i++ {
 			n := names[rng.Intn(len(names))]
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0: // create
 				fh, err := f.Open(task, path(n), OWrite|OCreate|OTrunc, 0o644)
 				if err != nil {
@@ -76,8 +76,8 @@ func runNamespaceModel(t *testing.T, seed int64, steps int) {
 				case m == nil:
 					model[n] = &modelFile{typ: TypeRegular, uid: 0, gid: 0, mode: 0o644, size: size}
 				case m.typ == TypeRegular:
-					// O_TRUNC replaced content in place; the inode (and
-					// any hard links to it) keeps uid/mode.
+					// O_TRUNC replaced content in place; the inode
+					// keeps uid/mode.
 					m.size = size
 				}
 			case 1: // unlink
@@ -133,23 +133,6 @@ func runNamespaceModel(t *testing.T, seed int64, steps int) {
 						t.Fatalf("step %d: chmod %s: %v", i, n, err)
 					}
 					m.mode = mode
-				}
-			case 6: // hard link
-				m2 := names[rng.Intn(len(names))]
-				err := f.Link(task, path(n), path(m2))
-				switch {
-				case model[n] == nil:
-					if !errors.Is(err, ENOENT) {
-						t.Fatalf("step %d: link missing %s: err=%v", i, n, err)
-					}
-				case model[m2] != nil:
-					if !errors.Is(err, EEXIST) {
-						t.Fatalf("step %d: link onto %s: err=%v", i, m2, err)
-					}
-				case err != nil:
-					t.Fatalf("step %d: link %s->%s: %v", i, n, m2, err)
-				default:
-					model[m2] = model[n] // hard links share the inode
 				}
 			}
 			checkModel(t, task, f, model, names, path, i)

@@ -6,9 +6,6 @@ import "fmt"
 // ASCII with fixed precision, so rendered tables are stable across
 // platforms and usable as golden files.
 
-// Percent renders a probability as a fixed-precision percentage.
-func Percent(p float64) string { return fmt.Sprintf("%.2f%%", p*100) }
-
 // Prob renders a probability with six decimal places — enough to compare
 // an exact schedule-space probability against a Monte Carlo estimate
 // without drowning the table in digits.

@@ -161,3 +161,28 @@ func TestScenarioCheckpointRestoresParentLines(t *testing.T) {
 		t.Errorf("resume rewrote the old checkpoint (err %v)", err)
 	}
 }
+
+// TestPerRoundMetrics pins the fault-rate assertion metrics: each sums
+// its counter over the selection and divides by the selected rounds, and
+// a selection without rounds reads 0.
+func TestPerRoundMetrics(t *testing.T) {
+	spec := mustParse(t, minimalSpec)
+	o := &Outcome{Spec: spec, Results: []core.CampaignResult{
+		{Rounds: 10, Faults: fault.Counters{FSErrors: 2, SemInterrupts: 4, Kills: 1, Restarts: 1}},
+		{Rounds: 30, Faults: fault.Counters{FSErrors: 6, SemInterrupts: 4, Kills: 3, Restarts: 1}},
+	}}
+	for metric, want := range map[string]float64{
+		"fs_errors_per_round":      0.2,
+		"sem_interrupts_per_round": 0.2,
+		"kills_per_round":          0.1,
+		"restarts_per_round":       0.05,
+	} {
+		if got, err := o.evalMetric(Assertion{Metric: metric, Point: -1}); err != nil || got != want {
+			t.Errorf("%s = %v, %v; want %v", metric, got, err, want)
+		}
+	}
+	empty := &Outcome{Spec: spec, Results: []core.CampaignResult{{}}}
+	if got, err := empty.evalMetric(Assertion{Metric: "kills_per_round", Point: -1}); err != nil || got != 0 {
+		t.Errorf("kills_per_round over no rounds = %v, %v; want 0", got, err)
+	}
+}

@@ -163,56 +163,6 @@ func (s *Stretch) advanceSlow(d time.Duration) AdvanceResult {
 	return AdvanceRouted
 }
 
-// AdvanceBulk retires up to max repetitions of a fixed (prep, cost)
-// segment pair analytically: the largest repetition count whose final
-// instant still fits the stretch bounds is computed in O(1) and applied
-// at once, with no per-repetition work at all. It returns how many
-// repetitions were retired (possibly zero). Only meaningful when the
-// durations carry no randomness — with jitter active each segment needs
-// its own draw and the per-segment Advance path must be used to keep the
-// RNG stream identical.
-func (s *Stretch) AdvanceBulk(prep, cost time.Duration, max int64) int64 {
-	if max <= 0 {
-		return 0
-	}
-	var per time.Duration
-	var stepsPer int64
-	if prep > 0 {
-		per += prep
-		stepsPer++
-	}
-	if cost > 0 {
-		per += cost
-		stepsPer++
-	}
-	if per <= 0 {
-		// Zero-duration segments are no-ops for Task.Compute: no clock
-		// advance, no step. Every repetition trivially fits.
-		return max
-	}
-	limit := s.nextAt - 1 // completions must be strictly before nextAt
-	if s.maxT < limit {
-		limit = s.maxT
-	}
-	if limit <= s.now {
-		return 0
-	}
-	m := int64(limit-s.now) / int64(per)
-	if room := (s.k.cfg.MaxSteps - s.k.steps - s.segs) / stepsPer; room < m {
-		m = room
-	}
-	if m > max {
-		m = max
-	}
-	if m <= 0 {
-		return 0
-	}
-	s.now += Time(int64(per) * m)
-	s.segs += stepsPer * m
-	s.consumed += time.Duration(int64(per) * m)
-	return m
-}
-
 // Commit publishes the stretch's aggregate effect to the kernel — the
 // same fields completeInline writes per segment, applied once: workGen
 // and seq advance by the segment count, the clock and lastAt move to the
@@ -240,16 +190,6 @@ func (s *Stretch) Commit() {
 	s.consumed = 0
 }
 
-// Now returns the stretch-local clock: the kernel clock plus every
-// uncommitted coalesced segment.
-func (s *Stretch) Now() Time { return s.now }
-
-// HasJitter reports whether the machine applies relative jitter to
-// modeled latencies. When false, JitterDuration is the identity and
-// consumes no RNG draw, which is what licenses draw-free bulk advances
-// (see Stretch.AdvanceBulk).
-func (k *Kernel) HasJitter() bool { return k.jitter.Rel > 0 }
-
 // Quiet reports that the semaphore is idle: no owner and no queued
 // waiters. An acquire/release pair by the running thread is then
 // guaranteed to take the uncontended fast path — it blocks nothing,
@@ -257,24 +197,3 @@ func (k *Kernel) HasJitter() bool { return k.jitter.Rel > 0 }
 // condition semaphore-holding critical sections need before being
 // retired inside a coalesced stretch.
 func (s *Sem) Quiet() bool { return s.owner == nil && len(s.waiters) == 0 }
-
-// AcquireReleasePairs retires n uncontended acquire/release pairs of the
-// semaphore by the running thread in aggregate. The only observable
-// effect of such a pair is the SemAcquires counter (ownership begins and
-// ends free, the owned list grows and shrinks back), so the bulk form is
-// a single counter addition. Only legal while the semaphore is Quiet and
-// no tracer is attached — the draw-free bulk write path's companion to
-// Stretch.AdvanceBulk.
-func (s *Sem) AcquireReleasePairs(t *Task, n int64) {
-	t.checkKilled()
-	if n <= 0 {
-		return
-	}
-	if s.owner != nil || len(s.waiters) > 0 {
-		panic("sim: AcquireReleasePairs on a non-quiet semaphore " + s.Name())
-	}
-	if t.k.tracer != nil {
-		panic("sim: AcquireReleasePairs with a tracer attached")
-	}
-	t.k.stats.SemAcquires += n
-}

@@ -271,9 +271,6 @@ func (k *Kernel) schedule(at Time, fn func()) {
 	k.scheduleEvent(at, timedEvent{kind: evFunc, fn: fn})
 }
 
-// after enqueues fn to run d after the current instant.
-func (k *Kernel) after(d time.Duration, fn func()) { k.schedule(k.now.Add(d), fn) }
-
 // scheduleKernel enqueues a typed kernel action without allocating.
 func (k *Kernel) scheduleKernel(at Time, kind evKind, th *Thread, c *cpu, gen uint64) {
 	k.scheduleEvent(at, timedEvent{kind: kind, th: th, c: c, gen: gen})

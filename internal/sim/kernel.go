@@ -316,9 +316,6 @@ func (k *Kernel) Bernoulli(p float64) bool {
 	return stats.Bernoulli(k.rng, p)
 }
 
-// CPUs returns the number of simulated processors.
-func (k *Kernel) CPUs() int { return len(k.cpus) }
-
 // OnProcessExit registers fn to be called when the last thread of any
 // process exits. fn runs inside the kernel loop and may spawn or kill
 // threads but must not block.

@@ -223,19 +223,3 @@ func (k *Kernel) accrueWork(th *Thread) {
 		}
 	}
 }
-
-// ReadyCount returns the number of threads waiting in the run queue
-// (excluding those mid-dispatch). Exposed for tests.
-func (k *Kernel) ReadyCount() int { return k.ready.Len() }
-
-// idleCPUs returns how many CPUs have no thread assigned. Exposed for tests
-// via IdleCPUs.
-func (k *Kernel) IdleCPUs() int {
-	n := 0
-	for _, c := range k.cpus {
-		if c.th == nil {
-			n++
-		}
-	}
-	return n
-}

@@ -249,9 +249,6 @@ type Flag struct {
 // NewFlag creates a flag with a debug/trace name.
 func NewFlag(name string) *Flag { return &Flag{name: name, blockLabel: "flag:" + name} }
 
-// IsSet reports whether the flag has been set.
-func (f *Flag) IsSet() bool { return f.set }
-
 // Wait blocks the calling thread until the flag is set. Returns immediately
 // if it already is.
 func (f *Flag) Wait(t *Task) {

@@ -182,12 +182,6 @@ func (c *Libc) WriteChunks(f *fs.File, total, chunk int64, prep func(n int64) ti
 	return f.WriteChunks(c.task, total, chunk, prep)
 }
 
-// Read wraps File.Read.
-func (c *Libc) Read(f *fs.File, n int64) (int64, error) {
-	c.fault(PageReadWrite)
-	return f.Read(c.task, n)
-}
-
 // Unlink wraps fs.Unlink.
 func (c *Libc) Unlink(path string) error {
 	c.fault(PageUnlinkSymlink)
@@ -199,12 +193,6 @@ func (c *Libc) Unlink(path string) error {
 func (c *Libc) Symlink(target, linkpath string) error {
 	c.fault(PageUnlinkSymlink)
 	return c.fs.Symlink(c.task, target, linkpath)
-}
-
-// Link wraps fs.Link.
-func (c *Libc) Link(oldpath, newpath string) error {
-	c.fault(PageMisc)
-	return c.fs.Link(c.task, oldpath, newpath)
 }
 
 // Rename wraps fs.Rename.
@@ -225,12 +213,6 @@ func (c *Libc) Chown(path string, uid, gid int) error {
 	return c.fs.Chown(c.task, path, uid, gid)
 }
 
-// Mkdir wraps fs.Mkdir.
-func (c *Libc) Mkdir(path string, mode fs.Mode) error {
-	c.fault(PageMisc)
-	return c.fs.Mkdir(c.task, path, mode)
-}
-
 // Fchown wraps File.Chown — the descriptor-based, race-free ownership
 // change that fixes the paper's TOCTTOU pairs at the application level.
 func (c *Libc) Fchown(f *fs.File, uid, gid int) error {
@@ -242,24 +224,6 @@ func (c *Libc) Fchown(f *fs.File, uid, gid int) error {
 func (c *Libc) Fchmod(f *fs.File, mode fs.Mode) error {
 	c.fault(PageChmodChown)
 	return f.Chmod(c.task, mode)
-}
-
-// Access wraps fs.Access, the classic TOCTTOU check call.
-func (c *Libc) Access(path string, want fs.Mode) error {
-	c.fault(PageStat)
-	return c.fs.Access(c.task, path, want)
-}
-
-// ReadDir wraps fs.ReadDir.
-func (c *Libc) ReadDir(path string) ([]string, error) {
-	c.fault(PageMisc)
-	return c.fs.ReadDir(c.task, path)
-}
-
-// Readlink wraps fs.Readlink.
-func (c *Libc) Readlink(path string) (string, error) {
-	c.fault(PageMisc)
-	return c.fs.Readlink(c.task, path)
 }
 
 // Compute burns user CPU time (with machine jitter).

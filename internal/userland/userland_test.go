@@ -136,33 +136,14 @@ func TestLibcPassThroughSemantics(t *testing.T) {
 		if err := c.Close(fh); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		if err := c.Mkdir("/d/sub", 0o755); err != nil {
-			t.Errorf("mkdir: %v", err)
-		}
-		if err := c.Link("/d/new", "/d/hard"); err != nil {
-			t.Errorf("link: %v", err)
-		}
 		if err := c.Symlink("/d/new", "/d/soft"); err != nil {
 			t.Errorf("symlink: %v", err)
-		}
-		target, err := c.Readlink("/d/soft")
-		if err != nil || target != "/d/new" {
-			t.Errorf("readlink = %q, %v", target, err)
 		}
 		if err := c.Chown("/d/new", 5, 5); err != nil {
 			t.Errorf("chown: %v", err)
 		}
-		rf, err := c.Open("/d/new", fs.ORead, 0)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		n, err := c.Read(rf, 32)
-		if err != nil || n != 32 {
-			t.Errorf("read = %d, %v", n, err)
-		}
-		_ = c.Close(rf)
 		li, err := c.Lstat("/d/soft")
-		if err != nil || li.Type != fs.TypeSymlink {
+		if err != nil || li.Type != fs.TypeSymlink || li.Target != "/d/new" {
 			t.Errorf("lstat = %+v, %v", li, err)
 		}
 	})
